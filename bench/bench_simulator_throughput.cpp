@@ -573,6 +573,55 @@ void check_deterministic_scale(bench::reporter& rep) {
                "regressed");
 }
 
+// Full (unwindowed) Select-and-Send to all_halted on the soa engine. A
+// token protocol keeps every informed node awake, so polling made a full
+// run Θ(n²) node-steps and check_deterministic_scale above had to time a
+// fixed window. With the quiescence calendar (sim/soa_engine.h) a node
+// waiting for a reply slot or the token costs nothing per step, and the
+// whole O(n log n)-step traversal of Theorem 3 runs at n = 2^16. At smoke
+// size the record must match the frontier engine's (which still polls).
+void check_full_deterministic(bench::reporter& rep) {
+  const node_id n = bench::smoke() ? (1 << 12) : (1 << 16);
+  const int d = bench::smoke() ? 64 : 1024;  // layer width 64
+  graph g = make_complete_layered_uniform(n, d);
+  const auto proto = make_protocol("select-and-send", n - 1);
+
+  run_options opts;
+  opts.seed = 42;
+  opts.max_steps = 1'000'000'000;
+  opts.stop = stop_condition::all_halted;
+  opts.engine = step_engine::soa;
+  const auto start = std::chrono::steady_clock::now();
+  const run_result soa = run_broadcast(g, *proto, opts);
+  const double ms =
+      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  RC_CHECK_MSG(soa.completed, "full select-and-send run did not terminate");
+  if (bench::smoke()) {
+    opts.engine = step_engine::frontier;
+    require_identical(run_broadcast(g, *proto, opts), soa,
+                      "full select-and-send");
+  }
+  const double steps_per_sec = static_cast<double>(soa.steps) / (ms / 1000.0);
+
+  obs::json_value values = obs::json_value::object();
+  values.set("n", n);
+  values.set("d", d);
+  values.set("steps", soa.steps);
+  values.set("informed_step", soa.informed_step);
+  values.set("transmissions", soa.transmissions);
+  values.set("soa_min_ms", ms);
+  values.set("steps_per_sec_soa", steps_per_sec);
+  rep.add_analytic_case(
+      "full_deterministic/select-and-send/layered_uniform/n=" +
+          std::to_string(n) + "/d=" + std::to_string(d),
+      bench::params("n", n, "d", d), std::move(values), ms);
+  std::cout << "full deterministic: select-and-send n=" << n << " d=" << d
+            << " soa=" << ms << "ms over " << soa.steps << " steps ("
+            << steps_per_sec << " steps/s)\n";
+}
+
 }  // namespace
 }  // namespace radiocast
 
@@ -595,5 +644,6 @@ int main(int argc, char** argv) {
   radiocast::check_frontier_speedup(rep);
   radiocast::check_mega_scale(rep);
   radiocast::check_deterministic_scale(rep);
+  radiocast::check_full_deterministic(rep);
   return 0;
 }

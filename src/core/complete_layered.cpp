@@ -1,5 +1,6 @@
 #include "core/complete_layered.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "core/echo.h"
@@ -18,6 +19,9 @@ constexpr message_kind kReply = 5;       // echo reply
 constexpr message_kind kSelect = 6;      // a = next chain head's label
 constexpr message_kind kStopLayer = 7;   // b = layer ordered to stop
 constexpr message_kind kStopAll = 8;     // terminal stop (k = D reached)
+// soa_pending tag, never on the air: the final stop-layer order, which
+// goes out as kStopLayer with b = the sender's layer + 1 (see kStopAll).
+constexpr message_kind kStopLastTag = 9;
 
 constexpr selection_kinds kKinds{kOrder, kReply};
 
@@ -58,6 +62,7 @@ class cl_node final : public protocol_node {
       case kPresence:
         if (label_ == 0 && awaiting_presence_) {
           awaiting_presence_ = false;
+          successor_ = msg.from;
           pending_.schedule(ctx.step + 1,
                             message{kStopSelect, 0, msg.from, 0, 0, 0});
         }
@@ -88,6 +93,14 @@ class cl_node final : public protocol_node {
         break;
       case kStopAll:
         halted_ = true;
+        // The final head's neighbours are L_{D−1} only (no intra-layer
+        // edges), so the rest of L_D never hears kStopAll. The node that
+        // chose the final head sits in L_{D−1} and relays: it stops L_D
+        // one step later.
+        if (msg.from == successor_) {
+          pending_.schedule(ctx.step + 1,
+                            message{kStopLayer, label_, 0, layer_ + 1, 0, 0});
+        }
         break;
       default:
         break;
@@ -106,6 +119,7 @@ class cl_node final : public protocol_node {
     head_ = false;
     awaiting_presence_ = false;
     helper_ = -1;
+    successor_ = -1;
     drive_start_ = 0;
     pending_.clear();
     driver_.reset();
@@ -127,6 +141,7 @@ class cl_node final : public protocol_node {
     if (driver_->result() == selection_driver::status::selected) {
       const node_id next = driver_->selected();
       driver_.reset();
+      successor_ = next;
       // Select now; order L_{k−1} to stop one step later.
       pending_.schedule(step + 1,
                         message{kStopLayer, label_, 0, layer_ - 1, 0, 0});
@@ -146,6 +161,7 @@ class cl_node final : public protocol_node {
   bool awaiting_presence_ = false;
   int layer_ = -1;
   node_id helper_ = -1;
+  node_id successor_ = -1;  // the head this node chose (source: v₁)
   std::int64_t drive_start_ = 0;
   pending_tx pending_;
   std::optional<selection_driver> driver_;
@@ -164,6 +180,7 @@ struct cl_soa_traits {
   struct state {
     node_id label = -1;
     node_id helper = -1;
+    node_id successor = -1;  // the head this node chose (source: v₁)
     std::int32_t layer = -1;
     std::int32_t drive_start = 0;
     soa_pending pending;
@@ -211,10 +228,8 @@ struct cl_soa_traits {
       case kPresence:
         if (s->label == 0 && s->awaiting_presence) {
           s->awaiting_presence = false;
-          // The virtual node re-reads msg.from only from the scheduled
-          // message; the source's helper slot is dead otherwise, so it
-          // stashes v₁'s label for the kStopSelect reconstruction.
-          s->helper = msg.from;
+          // successor (v₁'s label) also rebuilds the kStopSelect message.
+          s->successor = msg.from;
           s->pending.schedule_structural(ctx.step + 1, kStopSelect);
         }
         break;
@@ -244,6 +259,10 @@ struct cl_soa_traits {
         break;
       case kStopAll:
         s->halted = true;
+        // Relay to the rest of L_D (see cl_node).
+        if (msg.from == s->successor) {
+          s->pending.schedule_structural(ctx.step + 1, kStopLastTag);
+        }
         break;
       default:
         break;
@@ -252,6 +271,15 @@ struct cl_soa_traits {
 
   bool informed(const state& s) const { return s.informed; }
   bool halted(const state& s) const { return s.halted; }
+
+  // Calendar hint (sim/protocol.h SLEEP CONTRACT): the source's opening,
+  // a head's drive from drive_start on, else the pending queue.
+  std::int64_t next_poll(const state& s, std::int64_t step) const {
+    if (s.label == 0 && step < 0) return 0;
+    const std::int64_t due = s.pending.next_due(step);
+    if (!s.head) return due;
+    return std::min(due, std::max<std::int64_t>(step + 1, s.drive_start));
+  }
 
   void on_restart(state* s, const node_context&) const {
     init(s, s->label, protocol_params{});
@@ -275,7 +303,10 @@ struct cl_soa_traits {
           return message{kPresence, s->label, 0, 0, 0, 0};
         }
         if (s->pending.one_kind == kStopSelect) {
-          return message{kStopSelect, 0, s->helper, 0, 0, 0};
+          return message{kStopSelect, 0, s->successor, 0, 0, 0};
+        }
+        if (s->pending.one_kind == kStopLastTag) {
+          return message{kStopLayer, s->label, 0, s->layer + 1, 0, 0};
         }
         // kStopLayer: b = the layer below this head, fixed on first
         // contact and immutable until an (queue-clearing) restart.
@@ -294,6 +325,7 @@ struct cl_soa_traits {
     s->head = false;
     if (sel_selected(s->sel)) {
       const node_id next = s->sel.heard1;
+      s->successor = next;
       // Select now; order L_{k−1} to stop one step later.
       s->pending.schedule_structural(step + 1, kStopLayer);
       return message{kSelect, s->label, next, 0, 0, 0};

@@ -13,8 +13,11 @@
 //     stop-layer orders) are provably exclusive: a node schedules its
 //     presence reply at most once per run (there is exactly one source
 //     announcement), the source's stop notice is guarded by
-//     awaiting_presence, and a head's stop-layer order is scheduled only
-//     after become_head cleared the queue — so at most ONE structural
+//     awaiting_presence, a head's stop-layer order is scheduled only
+//     after become_head cleared the queue, and Complete-Layered's final
+//     stop relay only on hearing kStopAll, after the relaying node's own
+//     entries fired and at least one step after its last helper reply
+//     (kStopAll goes out on an evaluate step) — so at most ONE structural
 //     entry is ever live, and it always precedes any reply entry in the
 //     virtual queue's insertion order (replies need a prior echo order).
 //     take()'s structural-first tie-break therefore matches pending_tx's
@@ -37,12 +40,14 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 
 #include "core/echo.h"
 #include "obs/metrics.h"
 #include "sim/message.h"
+#include "sim/protocol.h"
 #include "util/assert.h"
 
 namespace radiocast {
@@ -113,6 +118,22 @@ struct soa_pending {
       return 2;
     }
     return 0;
+  }
+
+  /// The earliest step after `after` at which take() does anything: the
+  /// earliest live entry, or after + 1 while a stale entry (step ≤ after)
+  /// remains — that take() purges it before a later schedule_reply could
+  /// trip the window check. kWakeOnReceive when nothing is queued. This is
+  /// the calendar hint (sim/protocol.h SLEEP CONTRACT) of every protocol
+  /// built on this queue.
+  std::int64_t next_due(std::int64_t after) const {
+    std::int64_t due = kWakeOnReceive;
+    if (one_step != -1) due = one_step;
+    if (reply_mask != 0) {
+      due = std::min<std::int64_t>(
+          due, reply_base + std::countr_zero(reply_mask));
+    }
+    return due <= after ? after + 1 : due;
   }
 };
 

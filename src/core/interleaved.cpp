@@ -1,8 +1,11 @@
 #include "core/interleaved.h"
 
+#include <algorithm>
+
 #include "core/select_and_send.h"
 #include "core/select_and_send_soa.h"
 #include "sim/soa_engine.h"
+#include "util/math.h"
 
 namespace radiocast {
 
@@ -111,6 +114,22 @@ struct interleaved_soa_traits {
     return s.rr_informed || s.sas.informed;
   }
   bool halted(const state& s) const { return s.sas.halted; }
+
+  // Calendar hint (sim/protocol.h SLEEP CONTRACT): the earlier of the
+  // round-robin slot on the even steps and the Select-and-Send wake on the
+  // odd steps. For step ≥ −1, (step + 2) / 2 is the first virtual
+  // round-robin step 2v > step, and (step + 1) / 2 − 1 is the last sas
+  // sub-step at or before step (sub-step k runs at step 2k + 1).
+  std::int64_t next_poll(const state& s, std::int64_t step) const {
+    std::int64_t due = kWakeOnReceive;
+    if (informed(s)) {
+      due = 2 * next_residue((step + 2) / 2, s.sas.label, modulus);
+    }
+    const std::int64_t sub =
+        sas_proto::sas_soa_next_poll(s.sas, (step + 1) / 2 - 1);
+    if (sub != kWakeOnReceive) due = std::min(due, 2 * sub + 1);
+    return due;
+  }
 
   void on_restart(state* s, const node_context&) const {
     // Both interleaved streams lose their volatile state together.

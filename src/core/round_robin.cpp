@@ -1,6 +1,7 @@
 #include "core/round_robin.h"
 
 #include "sim/soa_engine.h"
+#include "util/math.h"
 
 namespace radiocast {
 
@@ -71,6 +72,13 @@ struct round_robin_soa_traits {
 
   bool informed(const state& s) const { return s.informed; }
   bool halted(const state&) const { return false; }
+
+  // Calendar hint (sim/protocol.h SLEEP CONTRACT): an informed node's next
+  // slot, step ≡ label (mod r + 1); an uninformed one waits for a message.
+  std::int64_t next_poll(const state& s, std::int64_t step) const {
+    if (!s.informed) return kWakeOnReceive;
+    return next_residue(step + 1, s.label, modulus);
+  }
 
   void on_restart(state* s, const node_context&) const {
     s->informed = (s->label == 0);  // the only volatile state

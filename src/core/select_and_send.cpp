@@ -192,6 +192,10 @@ struct sas_soa_traits {
   bool informed(const state& s) const { return s.core.informed; }
   bool halted(const state& s) const { return s.core.halted; }
 
+  std::int64_t next_poll(const state& s, std::int64_t step) const {
+    return sas_proto::sas_soa_next_poll(s.core, step);
+  }
+
   void on_restart(state* s, const node_context&) const {
     sas_proto::sas_soa_restart(&s->core);
   }

@@ -145,6 +145,16 @@ inline std::optional<message> sas_soa_on_step(sas_soa_state* s,
   return std::nullopt;
 }
 
+/// Calendar hint (sim/protocol.h SLEEP CONTRACT) for sas_soa_on_step: the
+/// source's opening at step 0, every step while driving a selection, else
+/// the pending queue's next due step (kWakeOnReceive when empty).
+inline std::int64_t sas_soa_next_poll(const sas_soa_state& s,
+                                      std::int64_t step) {
+  if (s.label == 0 && step < 0) return 0;
+  if (s.driving) return step + 1;
+  return s.pending.next_due(step);
+}
+
 /// Mirror of sas_node::on_receive.
 inline void sas_soa_on_receive(sas_soa_state* s, std::int64_t step, node_id r,
                                obs::metrics_registry* metrics,

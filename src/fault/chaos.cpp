@@ -889,19 +889,29 @@ scenario sample_scenario(std::uint64_t seed, const chaos_options& opts) {
   const node_id nn = g.node_count();
 
   scenario s{std::move(g), gd.str(), std::string{}, -1, 0, false, {}};
-  // Token protocols assume a crashed peer stays crashed; under an amnesia
-  // restart their mid-protocol state machines legitimately RC_CHECK. The
-  // fuzzer therefore samples the restart-tolerant registry subset.
-  static const char* const kProtocols[] = {"decay", "kp", "kp-doubling",
-                                           "round-robin"};
-  s.proto = kProtocols[gen.below(4)];
+  // The last three draw the token protocols, whose SoA traits carry a
+  // calendar hint (next_poll, sim/soa_engine.h): their soa leg drives the
+  // quiescence calendar through every fault family and sharded steps.
+  // Complete-Layered needs its own topology, so only layered graphs draw
+  // it.
+  static const char* const kProtocols[] = {
+      "decay",           "kp",          "kp-doubling",     "round-robin",
+      "select-and-send", "interleaved", "complete-layered"};
+  s.proto = kProtocols[gen.below(family == 7 ? 7 : 6)];
   if (s.proto == "kp") s.known_d = static_cast<int>(nn);  // always ≥ D
+  // Token protocols assume a crashed peer stays crashed or comes back with
+  // its state; an amnesia restart mid-traversal may legitimately RC_CHECK
+  // their state machines. They are paired with retain recoveries only.
+  const bool token = s.proto == "select-and-send" ||
+                     s.proto == "interleaved" ||
+                     s.proto == "complete-layered";
   const std::int64_t caps[3] = {200, 600, opts.max_steps};
   s.cap = caps[gen.below(3)];
   s.zero = gen.uniform01() < 0.15;
   const std::size_t spec_count = 1 + gen.below(3);
   for (std::size_t i = 0; i < spec_count; ++i) {
     s.specs.push_back(sample_spec(&gen));
+    if (token && s.specs.back().kind == 6) s.specs.back().kind = 5;
   }
   if (s.zero) {
     for (model_spec& sp : s.specs) zero_spec(&sp);

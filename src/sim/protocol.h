@@ -41,9 +41,24 @@
 // ctx.gen while dormant would break pool identity across engines AND make
 // shard boundaries observable; verify_sleepers exists to catch exactly
 // that before the differential suite has to.
+//
+// SLEEP CONTRACT (the same idea for AWAKE nodes, opt-in): an SoA traits
+// may declare
+//   std::int64_t next_poll(const state&, std::int64_t step) const;
+// returning the earliest step AFTER `step` at which on_step could
+// transmit, draw from ctx.gen, write metrics, or change state, assuming no
+// reception arrives in between. kWakeOnReceive means "only a reception
+// wakes me". Answering step + 1 is always safe — it is what polling does.
+// The soa engine keeps such nodes in a calendar and skips their on_step
+// until the answered step (sim/soa_engine.h); it re-asks after every
+// on_step, on_receive, and recovery. Between two polls, calling on_step
+// must therefore be a no-op exactly like a dormant node's: verify_sleepers
+// checks that on a copy of every awake, not-due node's state, and the
+// three-way differential suite checks that skipping it is unobservable.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,6 +86,11 @@ class protocol;
 /// dispatch at all — on_step is inlined into the loop body.
 using soa_entry = run_result (*)(const graph& g, const protocol& proto,
                                  node_id r, const run_options& opts);
+
+/// next_poll's "no scheduled wake" answer: only a reception (or a
+/// recovery) makes the node worth stepping again (see SLEEP CONTRACT).
+inline constexpr std::int64_t kWakeOnReceive =
+    std::numeric_limits<std::int64_t>::max();
 
 /// Static parameters handed to every node at creation.
 struct protocol_params {

@@ -104,7 +104,9 @@ struct run_options {
   /// Debug sweep (frontier/soa engines): every step, call on_step on every
   /// dormant node anyway and RC_CHECK that it returns std::nullopt and
   /// leaves its rng untouched — the dormant-node contract of
-  /// sim/protocol.h, verified rather than assumed. Restores O(n) per-step
+  /// sim/protocol.h, verified rather than assumed. Under the soa engine's
+  /// quiescence calendar it also runs on_step on a copy of every awake
+  /// node that is not due (the SLEEP CONTRACT). Restores O(n) per-step
   /// cost; for tests, not production runs.
   bool verify_sleepers = false;
   /// Intra-step worker threads (soa engine only; the other engines ignore

@@ -19,7 +19,8 @@
 //
 // THE ORDERED-MERGE ARGUMENT (why sharded ≡ serial, bit for bit):
 //
-//   Phase 1 cuts the sorted awake list into contiguous shards. Each worker
+//   Phase 1 cuts the sorted awake list (the sorted due list under the
+//   quiescence calendar below) into contiguous shards. Each worker
 //   writes only per-node-disjoint slots (states_[v], gens_[v], tx_msg_[v],
 //   tx_stamp_[v]) plus a shard-private transmitter list; per-node RNG
 //   streams make the draws independent of the sharding. The merge walks
@@ -54,6 +55,30 @@
 // serial order (counters and histograms would merge fine; gauges cannot).
 // Phase 2 never calls protocol code, so it shards regardless.
 //
+// QUIESCENCE CALENDAR (traits with next_poll): a token protocol never lets
+// an informed node go dormant, yet almost every awake node is waiting — for
+// a reply slot, a token, a round-robin turn. Polling them costs Θ(|awake|)
+// on_step calls per step. A traits that declares next_poll (the SLEEP
+// CONTRACT in sim/protocol.h) tells the engine when each node next needs a
+// call, and phase 1 walks only the nodes due this step:
+//
+//   * wake_[v] is the step node v asked for; calendar_ is a binary
+//     min-heap of (step, node) entries. Every change of wake_[v] pushes
+//     one entry, and stale entries are dropped lazily when popped: an
+//     entry counts only while it matches wake_[v] and the node is awake,
+//     so a crash needs no calendar edit.
+//   * The heap pops in (step, node) order, so the due list comes out
+//     sorted ascending — the visit order of the awake-list walk — and goes
+//     through the same contiguous-shard phase-1 path. Transmitters,
+//     traces, and rng streams are therefore identical to polling.
+//   * next_poll is asked again after every on_step (serially, after phase
+//     1), every on_receive, and every recovery (retain or amnesia, asked
+//     for "after step − 1" so the node can act in the recovery step
+//     itself). Faults, metrics, and step_threads > 1 all use the calendar;
+//     there is no polling fallback.
+//   * Traits without next_poll compile, through `if constexpr`, to the
+//     plain awake-list walk.
+//
 // Traits requirements (see core/decay.cpp for the worked pattern):
 //   struct state;                       // POD per-node protocol state
 //   void init(state*, node_id label, const protocol_params&) const;
@@ -64,6 +89,12 @@
 //   void on_restart(state*, const node_context&) const;
 // Optionally:
 //   void begin_step(std::int64_t step);  // per-step hoist, see below
+//   std::int64_t next_poll(const state&, std::int64_t step) const;
+//       // sleep hint, see the calendar above and sim/protocol.h: the
+//       // earliest step after `step` at which on_step could act, assuming
+//       // no reception in between; kWakeOnReceive = only a reception.
+//       // The signature is exact (radiocast_analyze P3): a narrower type
+//       // would truncate steps.
 // begin_step is called ONCE per step, serially, before phase 1 (and before
 // the verify_sleepers sweep). Schedule arithmetic that depends only on the
 // step number — phase/offset divisions, block lookups, stage probabilities
@@ -94,6 +125,24 @@ template <class T>
 struct traits_have_begin_step<
     T, std::void_t<decltype(std::declval<T&>().begin_step(std::int64_t{}))>>
     : std::true_type {};
+
+// next_poll is detected by name, so a hook with a lossy or non-const
+// signature is a compile error below rather than a silent fall-back to
+// polling.
+template <class T, class = void>
+struct traits_have_next_poll : std::false_type {};
+template <class T>
+struct traits_have_next_poll<T, std::void_t<decltype(&T::next_poll)>>
+    : std::true_type {};
+
+// The exact hook type, checked only when the hook exists.
+template <class T, bool kHasHook>
+struct next_poll_signature_ok : std::true_type {};
+template <class T>
+struct next_poll_signature_ok<T, true>
+    : std::is_same<decltype(&T::next_poll),
+                   std::int64_t (T::*)(const typename T::state&, std::int64_t)
+                       const> {};
 }  // namespace detail
 
 template <class Traits>
@@ -111,6 +160,12 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
   static_assert(sizeof(typename Traits::state) <= 64,
                 "SoA Traits::state must fit one cache line (<= 64 bytes); "
                 "move shared data onto the traits object");
+
+  static constexpr bool kCalendar =
+      detail::traits_have_next_poll<Traits>::value;
+  static_assert(detail::next_poll_signature_ok<Traits, kCalendar>::value,
+                "next_poll must be exactly `std::int64_t next_poll(const "
+                "state&, std::int64_t) const`");
 
  public:
   soa_run(const graph& g, const Traits& traits, node_id r,
@@ -139,6 +194,11 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       }
       p2_bounds_.reserve(static_cast<std::size_t>(step_threads_) + 1);
     }
+    if constexpr (kCalendar) {
+      const auto n = static_cast<std::size_t>(this->n_);
+      wake_.assign(n, kWakeOnReceive);
+      reschedule(0, -1);  // the source, the only node awake at setup
+    }
   }
 
   using base::run;
@@ -162,6 +222,7 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
   }
   void proto_receive(node_id v, const node_context& ctx, const message& m) {
     traits_.on_receive(&states_[idx(v)], ctx, m);
+    if constexpr (kCalendar) reschedule(v, ctx.step);
   }
   bool proto_informed(node_id v) { return traits_.informed(states_[idx(v)]); }
   bool proto_halted(node_id v) { return traits_.halted(states_[idx(v)]); }
@@ -173,33 +234,97 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
   // allocation, formatting, throwing, or stream I/O (RC_* args exempt).
   // The pool and every shard arena are built once in the constructor.
 
-  // Phase 1: transmit decisions over the awake list — sharded when there
-  // is enough work, serial otherwise (and always serial when metrics are
-  // on; see the header comment). Both paths are bit-identical.
-  void phase_one(std::int64_t step) {
-    const auto awake_sz = static_cast<std::int64_t>(this->awake_list_.size());
+  // Calendar bookkeeping (traits with next_poll; see the header comment).
+  // Asks node v when it next needs an on_step after step `after`, and
+  // queues that step unless the entry is already queued or lies past the
+  // step cap.
+  void reschedule(node_id v, std::int64_t after) {
+    const std::int64_t w = traits_.next_poll(states_[idx(v)], after);
+    RC_CHECK_MSG(w > after, "next_poll must answer a step after its argument");
+    if (w == wake_[idx(v)]) return;  // (w, v) is still queued
+    wake_[idx(v)] = w;
+    if (w >= this->opts_.max_steps) return;
+    calendar_.push_back({w, v});
+    std::push_heap(calendar_.begin(), calendar_.end(), cal_later);
+  }
+
+  // Pops this step's entries into due_ — in (step, node) order, so sorted
+  // by node — dropping stale entries (superseded wakes, crashed or
+  // amnesia-evicted nodes) and duplicates (a wake that moved away and back
+  // queues twice).
+  void collect_due(std::int64_t step) {
+    due_.clear();
+    while (!calendar_.empty() && calendar_.front().step <= step) {
+      const node_id v = calendar_.front().node;
+      std::pop_heap(calendar_.begin(), calendar_.end(), cal_later);
+      calendar_.pop_back();
+      if (wake_[idx(v)] != step || !this->awake_.test(idx(v))) continue;
+      if (!due_.empty() && due_.back() == v) continue;
+      due_.push_back(v);
+    }
+  }
+
+  // A recovered node's state changed under the calendar (amnesia) or sat
+  // out its wakes (retain): ask again, allowing a wake this very step.
+  void reschedule_recoveries(std::int64_t step) {
+    for (const fault::node_recovery& r : this->step_faults_buf_.recoveries) {
+      if (this->awake_.test(idx(r.node))) reschedule(r.node, step - 1);
+    }
+  }
+
+  // verify_sleepers for the calendar: every awake node NOT due this step
+  // gets on_step on a copy of its state and generator. Transmitting or
+  // drawing is a sleep-contract violation — the hint answered too late.
+  void sweep_calendar_sleepers(std::int64_t step) {
+    std::size_t d = 0;
+    for (const node_id v : this->awake_list_) {
+      while (d < due_.size() && due_[d] < v) ++d;
+      if (d < due_.size() && due_[d] == v) continue;
+      typename Traits::state copy = states_[idx(v)];
+      rng gen = this->gens_[idx(v)];
+      node_context ctx{step, &gen, nullptr};
+      const std::optional<message> decision = traits_.on_step(&copy, ctx);
+      RC_CHECK_MSG(!decision.has_value(),
+                   "sleep contract violated: node " + std::to_string(v) +
+                       " transmitted at step " + std::to_string(step) +
+                       " while the calendar held it asleep (wake " +
+                       std::to_string(wake_[idx(v)]) + ")");
+      RC_CHECK_MSG(gen == this->gens_[idx(v)],
+                   "sleep contract violated: node " + std::to_string(v) +
+                       " drew randomness at step " + std::to_string(step) +
+                       " while the calendar held it asleep (wake " +
+                       std::to_string(wake_[idx(v)]) + ")");
+    }
+  }
+
+  // Phase 1: transmit decisions over `list` — the awake list, or the due
+  // list under the calendar — sharded when there is enough work, serial
+  // otherwise (and always serial when metrics are on; see the header
+  // comment). Both paths are bit-identical.
+  void phase_one(const std::vector<node_id>& list, std::int64_t step) {
+    const auto list_sz = static_cast<std::int64_t>(list.size());
     int shards = 1;
     if (step_threads_ > 1 && this->opts_.metrics == nullptr &&
-        awake_sz >= 2 * grain_) {
+        list_sz >= 2 * grain_) {
       shards = static_cast<int>(
-          std::min<std::int64_t>(step_threads_, awake_sz / grain_));
+          std::min<std::int64_t>(step_threads_, list_sz / grain_));
     }
     if (shards < 2) {
-      for (const node_id v : this->awake_list_) {
+      for (const node_id v : list) {
         this->template step_node</*check_spontaneous=*/false>(v, step);
       }
       return;
     }
     exec::run_shards(*pool_, shards, [&](int s) {
       const auto lo =
-          static_cast<std::size_t>(awake_sz * s / shards);
+          static_cast<std::size_t>(list_sz * s / shards);
       const auto hi =
-          static_cast<std::size_t>(awake_sz * (s + 1) / shards);
+          static_cast<std::size_t>(list_sz * (s + 1) / shards);
       // Shard s's transmitters land at arena offset lo — its slice of the
-      // awake list emits at most hi − lo of them, so slices never overlap.
+      // list emits at most hi − lo of them, so slices never overlap.
       std::size_t count = 0;
       for (std::size_t i = lo; i < hi; ++i) {
-        const node_id v = this->awake_list_[i];
+        const node_id v = list[i];
         // ctx.metrics is null by the gate above — identical to what the
         // serial path would pass.
         node_context ctx{step, &this->gens_[idx(v)], nullptr};
@@ -214,10 +339,10 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       p1_counts_[static_cast<std::size_t>(s)] = count;
     });
     // Ordered merge: shard s covered an ascending contiguous slice of the
-    // awake list, so shard-order concatenation is the serial visit order —
+    // sorted list, so shard-order concatenation is the serial visit order —
     // transmitters_, the energy counts, and the trace all match serial.
     for (int s = 0; s < shards; ++s) {
-      const auto lo = static_cast<std::size_t>(awake_sz * s / shards);
+      const auto lo = static_cast<std::size_t>(list_sz * s / shards);
       const std::size_t count = p1_counts_[static_cast<std::size_t>(s)];
       for (std::size_t i = 0; i < count; ++i) {
         const node_id v = p1_tx_arena_[lo + i];
@@ -354,8 +479,18 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
         traits_.begin_step(step);
       }
       this->transmitters_.clear();
-      phase_one(step);
-      if (this->opts_.verify_sleepers) this->sweep_sleepers(step);
+      if constexpr (kCalendar) {
+        if (this->faults_ != nullptr) reschedule_recoveries(step);
+        collect_due(step);
+        phase_one(due_, step);
+        for (const node_id v : due_) reschedule(v, step);
+      } else {
+        phase_one(this->awake_list_, step);
+      }
+      if (this->opts_.verify_sleepers) {
+        this->sweep_sleepers(step);
+        if constexpr (kCalendar) sweep_calendar_sleepers(step);
+      }
       this->result_.transmissions +=
           static_cast<std::int64_t>(this->transmitters_.size());
 
@@ -378,6 +513,20 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
   std::vector<typename Traits::state> states_;
   const int step_threads_;
   const std::int64_t grain_;
+
+  // Quiescence calendar, used only when kCalendar (see the header
+  // comment); wake_ holds kWakeOnReceive for a node waiting on a reception.
+  struct cal_entry {
+    std::int64_t step;
+    node_id node;
+  };
+  // Heap order: the earliest step on top, ties by ascending node.
+  static bool cal_later(const cal_entry& a, const cal_entry& b) {
+    return a.step != b.step ? a.step > b.step : a.node > b.node;
+  }
+  std::vector<std::int64_t> wake_;
+  std::vector<cal_entry> calendar_;  // binary min-heap
+  std::vector<node_id> due_;
 
   // Intra-step pool and shard arenas, built once in the constructor when
   // step_threads_ > 1 (serial runs never pay for them) and reused for the

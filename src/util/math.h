@@ -41,6 +41,14 @@ constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
   return (a + b - 1) / b;
 }
 
+/// Smallest t ≥ from with t ≡ residue (mod modulus), for from ≥ 0 and
+/// 0 ≤ residue < modulus: the next slot of a round-robin schedule.
+constexpr std::int64_t next_residue(std::int64_t from, std::int64_t residue,
+                                    std::int64_t modulus) {
+  RC_REQUIRE(from >= 0 && modulus >= 1 && residue >= 0 && residue < modulus);
+  return from + (residue - from % modulus + modulus) % modulus;
+}
+
 /// Integer exponentiation (no overflow checks; callers keep values small).
 constexpr std::uint64_t ipow(std::uint64_t base, unsigned exp) noexcept {
   std::uint64_t result = 1;

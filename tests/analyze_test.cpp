@@ -383,6 +383,45 @@ struct bad_soa_traits {
   EXPECT_EQ(fired(rep, "contract"), 1);
 }
 
+// Traits skeleton for the next_poll fixtures: the six required hooks plus
+// the calendar hint spliced in as `hint`.
+std::string traits_with_hint(const std::string& hint) {
+  return R"cpp(
+struct hinted_soa_traits {
+  struct state { bool informed = false; };
+  void init(state* s, node_id label, const protocol_params& p) const;
+  std::optional<message> on_step(state* s, const node_context& ctx) const;
+  void on_receive(state* s, const node_context& ctx, const message& m) const;
+  bool informed(const state& s) const;
+  bool halted(const state& s) const;
+  void on_restart(state* s, const node_context& ctx) const;
+)cpp" + hint + "\n};\n";
+}
+
+TEST(AnalyzeTest, ContractAcceptsExactNextPollSignature) {
+  const report rep = run_one(
+      "src/core/hinted.cpp",
+      traits_with_hint("  std::int64_t next_poll(const state& s, "
+                       "std::int64_t step) const {\n"
+                       "    return sas_proto::sas_soa_next_poll(s, step);\n"
+                       "  }"));
+  EXPECT_EQ(fired(rep, "contract"), 0);
+}
+
+TEST(AnalyzeTest, ContractFiresOnLossyNextPollSignature) {
+  // `int next_poll(const state&, int) const` is still callable from the
+  // engine's detection — but the calendar's wake steps would truncate
+  // past 2^31. Each lossy shape is one finding.
+  for (const char* hint :
+       {"  int next_poll(const state& s, int step) const;",
+        "  std::int64_t next_poll(const state& s, int step) const;",
+        "  std::int32_t next_poll(const state& s, std::int64_t step) const;",
+        "  std::int64_t next_poll(const state& s, std::int64_t step);"}) {
+    const report rep = run_one("src/core/lossy.cpp", traits_with_hint(hint));
+    EXPECT_EQ(fired(rep, "contract"), 1) << hint;
+  }
+}
+
 TEST(AnalyzeTest, ContractAcceptsNestedPodStateMembers) {
   // complete_layered's shape: the state embeds the POD echo/selection
   // mirrors (core/echo_soa.h) as plain members. Nested POD structs are

@@ -738,6 +738,30 @@ TEST(EngineDifferentialTest, TokenProtocolsUnderAmnesiaStayEngineIdentical) {
   }
 }
 
+TEST(EngineDifferentialTest, CalendarFarWakesAndRecoveries) {
+  // The soa engine's quiescence calendar must hold wakes far ahead: with
+  // r + 1 = 150, every round-robin turn, every interleaved even-step slot,
+  // and most Select-and-Send presence slots lie 100+ steps out. The retain
+  // leg crashes nodes for 90 steps, so they sit out wakes and must be
+  // asked again when they recover.
+  rng topo_gen(331);
+  const graph g = make_random_tree(150, topo_gen);
+  const fault_factory retain = [] {
+    fault::recovery_options o;
+    o.schedule = {{3, 2}, {17, 40}, {60, 90}, {101, 160}, {140, 400}};
+    o.mode = fault::recovery_mode::retain;
+    o.downtime = 90;
+    return std::make_unique<fault::recovery_model>(o);
+  };
+  for (const std::string proto_name :
+       {"round-robin", "interleaved", "select-and-send"}) {
+    const auto proto = make_protocol(proto_name, g.node_count() - 1);
+    expect_engines_agree(g, *proto, nullptr, 0, "tree150/" + proto_name);
+    expect_engines_agree(g, *proto, retain, 0,
+                         "tree150/retain/" + proto_name);
+  }
+}
+
 TEST(EngineDifferentialTest, AcrossParallelExecutor) {
   // The engine choice must thread through parallel_run_trials' shard
   // workers: 4-thread frontier == 4-thread reference == serial reference.

@@ -8,6 +8,8 @@
 #include <set>
 
 #include "core/echo.h"
+#include "core/echo_soa.h"
+#include "sim/protocol.h"
 #include "util/math.h"
 #include "util/rng.h"
 
@@ -189,6 +191,27 @@ TEST(EchoTest, ScheduleEchoRepliesMemberAndHelper) {
   schedule_echo_replies(out, kKinds, order, 100, 7, false);
   EXPECT_FALSE(out.take(101).has_value());
   EXPECT_TRUE(out.take(102).has_value());
+}
+
+TEST(EchoTest, SoaPendingNextDueIsTheCalendarHint) {
+  // soa_pending::next_due is the sleep hint of every protocol built on the
+  // queue: the earliest live entry, or the very next step while a stale
+  // entry waits for take() to purge it, or kWakeOnReceive when empty.
+  soa_pending q;
+  EXPECT_EQ(q.next_due(5), kWakeOnReceive);
+  q.schedule_structural(20, 2);
+  EXPECT_EQ(q.next_due(5), 20);
+  q.schedule_reply(7);
+  q.schedule_reply(8);
+  EXPECT_EQ(q.next_due(5), 7);
+  EXPECT_EQ(q.take(7), 2);
+  EXPECT_EQ(q.next_due(7), 8);
+  EXPECT_EQ(q.next_due(9), 10);  // the reply at 8 went stale
+  EXPECT_EQ(q.take(10), 0);      // … and is purged here
+  EXPECT_EQ(q.next_due(10), 20);
+  EXPECT_EQ(q.next_due(25), 26);  // a stale structural entry
+  EXPECT_EQ(q.take(26), 0);
+  EXPECT_EQ(q.next_due(26), kWakeOnReceive);
 }
 
 }  // namespace

@@ -6,11 +6,15 @@
 
 #include <functional>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "sim/simulator.h"
+#include "sim/soa_engine.h"
 #include "sim/trace.h"
+#include "util/math.h"
 
 namespace radiocast {
 namespace {
@@ -191,6 +195,71 @@ TEST(SimTest, SleeperSweepAcceptsContractAbidingProtocol) {
   opts.verify_sleepers = true;
   EXPECT_NO_THROW(run_broadcast(g, proto, opts));
   EXPECT_EQ(obs.received[2].size(), 1u);
+}
+
+// A round-robin-shaped SoA traits (node `label` may transmit at steps ≡
+// label mod r + 1) whose calendar hint can answer one full cycle late — the
+// sleep-contract bug the calendar sweep of verify_sleepers must catch.
+struct slotted_soa_traits {
+  std::int64_t modulus = 1;
+  bool late = false;
+
+  struct state {
+    node_id label = 0;
+    bool informed = false;
+  };
+
+  void init(state* s, node_id label, const protocol_params&) const {
+    s->label = label;
+    s->informed = label == 0;
+  }
+  std::optional<message> on_step(state* s, const node_context& ctx) const {
+    if (s->informed && ctx.step % modulus == s->label) {
+      return message{1, s->label, 0, 0, 0, 0};
+    }
+    return std::nullopt;
+  }
+  void on_receive(state* s, const node_context&, const message&) const {
+    s->informed = true;
+  }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
+  void on_restart(state* s, const node_context&) const {
+    s->informed = s->label == 0;
+  }
+  std::int64_t next_poll(const state& s, std::int64_t step) const {
+    if (!s.informed) return kWakeOnReceive;
+    const std::int64_t slot = next_residue(step + 1, s.label, modulus);
+    return late ? slot + modulus : slot;
+  }
+};
+
+run_result run_slotted(bool late, bool verify) {
+  const graph g = make_path(4);
+  slotted_soa_traits traits;
+  traits.modulus = 4;
+  traits.late = late;
+  run_options opts = capped_full(12);
+  opts.engine = step_engine::soa;
+  opts.verify_sleepers = verify;
+  return run_broadcast_soa(g, traits, 3, opts);
+}
+
+TEST(SimTest, CalendarSweepAcceptsAnHonestHint) {
+  const run_result r = run_slotted(/*late=*/false, /*verify=*/true);
+  // Path 0-1-2-3, one hop per cycle of 4: steps 0, 1, 2 inform 1, 2, 3.
+  EXPECT_EQ(r.informed_at, (std::vector<std::int64_t>{0, 0, 1, 2}));
+  EXPECT_EQ(r.steps, 12);
+}
+
+TEST(SimTest, CalendarSweepCatchesALateHint) {
+  // Unverified, the late hint silently skips slots: node 1 misses step 1
+  // and node 2 is informed a cycle later than the protocol says.
+  const run_result r = run_slotted(/*late=*/true, /*verify=*/false);
+  EXPECT_NE(r.informed_at[2], 1);
+  // The sweep runs on_step on a copy of every awake node the calendar
+  // skipped, and node 1 transmits at step 1 before its answered wake.
+  EXPECT_THROW(run_slotted(/*late=*/true, /*verify=*/true), invariant_error);
 }
 
 TEST(SimTest, UnfinalizedGraphIsRejected) {

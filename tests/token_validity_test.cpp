@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 #include <set>
 #include <stack>
 
@@ -103,12 +106,13 @@ TEST(ClChainValidityTest, OneHeadPerLayerInOrder) {
   trace t;
   run_options opts;
   // The last selections happen after everyone is already informed (the
-  // wake order that informs layer D precedes choosing its head), so run a
-  // fixed budget past completion instead of stopping at all-informed.
-  opts.max_steps = 5000;
+  // wake order that informs layer D precedes choosing its head), so run to
+  // full termination rather than stopping at all-informed.
+  opts.max_steps = 1'000'000;
   opts.stop = stop_condition::all_halted;
   opts.sink = &t;
   const run_result res = run_broadcast(g, proto, opts);
+  ASSERT_TRUE(res.completed);
   std::int64_t informed = 0;
   for (std::int64_t at : res.informed_at) informed += at >= 0 ? 1 : 0;
   ASSERT_EQ(informed, g.node_count());
@@ -152,6 +156,62 @@ TEST(ClChainValidityTest, StopsArriveBottomUp) {
     prev_target = e.msg.b;
   }
   EXPECT_GE(prev_target, 0) << "at least one stop order must be issued";
+}
+
+TEST(ClChainValidityTest, EveryEngineHaltsEveryNode) {
+  // kStopAll from the final head reaches only L_{D−1} (no intra-layer
+  // edges); the node that chose that head relays a stop to L_D. Without
+  // the relay the rest of L_D never halts and all_halted runs burn
+  // max_steps. Every engine must terminate, at the same step, with every
+  // node halted right after the last layer is stopped.
+  const complete_layered_protocol proto;
+  const std::vector<std::pair<std::string, graph>> graphs = [] {
+    std::vector<std::pair<std::string, graph>> out;
+    out.emplace_back("uniform64/4", make_complete_layered_uniform(64, 4));
+    out.emplace_back("uniform256/16", make_complete_layered_uniform(256, 16));
+    out.emplace_back("uniform2/1", make_complete_layered_uniform(2, 1));
+    out.emplace_back("uniform9/1", make_complete_layered_uniform(9, 1));
+    out.emplace_back("fat96/6@1", make_complete_layered_fat(96, 6, 1));
+    out.emplace_back("fat96/6@6", make_complete_layered_fat(96, 6, 6, 3));
+    return out;
+  }();
+  for (const auto& [tag, g] : graphs) {
+    std::int64_t steps = -1;
+    for (const auto engine :
+         {step_engine::reference, step_engine::frontier, step_engine::soa}) {
+      run_options opts;
+      opts.max_steps = 1'000'000;
+      opts.stop = stop_condition::all_halted;
+      opts.engine = engine;
+      opts.verify_sleepers = engine != step_engine::reference;
+      const run_result res = run_broadcast(g, proto, opts);
+      EXPECT_TRUE(res.completed)
+          << tag << " engine " << static_cast<int>(engine);
+      EXPECT_EQ(res.outcome, run_outcome::completed) << tag;
+      EXPECT_LT(res.steps, 100'000) << tag;
+      if (steps == -1) steps = res.steps;
+      EXPECT_EQ(res.steps, steps) << tag << ": engines disagree";
+    }
+  }
+}
+
+TEST(ClChainValidityTest, RelayLeavesAllInformedRunsUnchanged) {
+  // The relay fires after kStopAll, long after the last node is informed,
+  // so all_informed runs end before it: the stop-layer orders are the
+  // heads' own (b = k − 1 for head k), never the relay's b = D.
+  const graph g = make_complete_layered_uniform(64, 4);
+  const complete_layered_protocol proto;
+  trace t;
+  run_options opts;
+  opts.sink = &t;
+  const run_result res = run_broadcast(g, proto, opts);
+  ASSERT_TRUE(res.completed);
+  constexpr message_kind kClStopLayer = 7;
+  for (const auto& e : t.filter(trace_event::type::transmit)) {
+    if (e.msg.kind == kClStopLayer) {
+      EXPECT_LT(e.msg.b, 4);
+    }
+  }
 }
 
 }  // namespace

@@ -800,6 +800,59 @@ void run_contract(file_ctx& ctx) {
                      ")` would be callable but lossy or mismatched");
       }
     }
+
+    // next_poll, when present, must be exactly
+    // `std::int64_t next_poll(const state&, std::int64_t) const`: the
+    // calendar stores and compares 64-bit steps, so a narrower return or
+    // parameter type would truncate wakes past 2^31. (The engine's
+    // static_assert is the compile-time floor; this is the pre-compile
+    // tripwire, like the begin_step check above.)
+    for (int l = ln + 1; l < end; ++l) {
+      const std::string& cl = ctx.code(l);
+      if (!contains_token(cl, "next_poll")) continue;
+      const std::size_t p = cl.find("next_poll");
+      const std::size_t nopen = cl.find('(', p);
+      if (nopen == std::string::npos) continue;
+      // Declarations only: the token before the name is a type.
+      const std::string before = trim(cl.substr(0, p));
+      const std::size_t word = before.find_last_of(" \t");
+      const std::string ret =
+          word == std::string::npos ? before : before.substr(word + 1);
+      if (ret.empty() || ret == "return" || !is_ident_char(ret.back())) {
+        continue;
+      }
+      const std::string params = paren_span(ctx.src.code, l, nopen, 3);
+      std::string squeezed;
+      for (char c : params) {
+        if (c != ' ' && c != '\t') squeezed.push_back(c);
+      }
+      const std::size_t comma = squeezed.find(',');
+      const std::string second = comma == std::string::npos
+                                     ? std::string()
+                                     : squeezed.substr(comma + 1);
+      // The qualifier after the parameter list (same line).
+      std::size_t close = nopen;
+      for (int depth = 0; close < cl.size(); ++close) {
+        if (cl[close] == '(') ++depth;
+        if (cl[close] == ')' && --depth == 0) break;
+      }
+      const bool is_const = close < cl.size() &&
+                            starts_with(trim(cl.substr(close + 1)), "const");
+      const bool exact =
+          (ret == "std::int64_t" || ret == "int64_t") &&
+          starts_with(squeezed, "conststate&") &&
+          squeezed.find(',', comma + 1) == std::string::npos &&
+          (starts_with(second, "std::int64_t") ||
+           starts_with(second, "int64_t")) &&
+          is_const;
+      if (!exact) {
+        ctx.emit("contract", l,
+                 "next_poll hook must be exactly `std::int64_t next_poll("
+                 "const state&, std::int64_t) const` — detected `" +
+                     ret + " next_poll(" + trim(params) +
+                     ")` would truncate or mismatch calendar steps");
+      }
+    }
   }
 }
 
@@ -1045,8 +1098,9 @@ const std::vector<pass_info>& passes() {
        "rng construction derives from a seeded stream (util/rng.h)"},
       {"contract",
        "protocols exposing soa_runner() ship SoA traits with POD state, "
-       "the full hook set including on_restart, and an exact "
-       "begin_step(std::int64_t) signature"},
+       "the full hook set including on_restart, and exact "
+       "begin_step(std::int64_t) and std::int64_t next_poll(const state&, "
+       "std::int64_t) const signatures"},
       {"hot-path",
        "no heap allocation, std::string, throw, or iostream inside "
        "annotated step-loop regions (RC_* assertion arguments exempt)"},
