@@ -1,0 +1,374 @@
+// Golden pins: fixed-seed digests of whole runs on step_engine::reference.
+//
+// Every shipped protocol with a traits form is pinned on three graph
+// families (sparse G(n,p), complete layered, random tree), fault-free and
+// under retain-mode crash-recovery. A digest folds the run's steps,
+// informed_step, transmissions, collisions, deliveries and the full
+// informed_at vector. The lower-bound adversary is pinned too: it drives
+// protocol nodes through protocol::make_node, so its edge lists cover the
+// per-node path that the engines do not take.
+//
+// The values were captured from the hand-written protocol_node classes that
+// predate the single traits implementation; any behavioural drift in a
+// protocol, in the traits adapter, or in the engine routing changes a
+// digest. A mismatch prints the observed pin line.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "adversary/lower_bound_builder.h"
+#include "core/interleaved.h"
+#include "core/kp_randomized.h"
+#include "core/round_robin.h"
+#include "core/runner.h"
+#include "core/select_and_send.h"
+#include "fault/recovery.h"
+#include "graph/analysis.h"
+#include "graph/generators.h"
+#include "sim/simulator.h"
+#include "util/rng.h"
+
+namespace radiocast {
+namespace {
+
+struct fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::int64_t v) {
+    auto u = static_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) {
+      h ^= u & 0xff;
+      h *= 0x100000001b3ULL;
+      u >>= 8;
+    }
+  }
+};
+
+std::uint64_t run_digest(const run_result& r) {
+  fnv informed;
+  for (const std::int64_t s : r.informed_at) informed.add(s);
+  fnv d;
+  d.add(r.steps);
+  d.add(r.informed_step);
+  d.add(r.transmissions);
+  d.add(r.collisions);
+  d.add(r.deliveries);
+  d.add(static_cast<std::int64_t>(informed.h));
+  return d.h;
+}
+
+std::uint64_t network_digest(const adversarial_network& net) {
+  fnv d;
+  d.add(net.g.node_count());
+  for (node_id u = 0; u < net.g.node_count(); ++u) {
+    d.add(-1);
+    for (const node_id v : net.g.out_neighbors(u)) d.add(v);
+  }
+  d.add(net.forced_steps);
+  d.add(net.stuck ? 1 : 0);
+  for (const std::int64_t t : net.spine_first_tx) d.add(t);
+  return d.h;
+}
+
+using protocol_factory =
+    std::function<std::unique_ptr<protocol>(const graph& g)>;
+
+std::vector<std::pair<std::string, protocol_factory>> pinned_protocols() {
+  const auto by_name = [](const char* name, int known_d) {
+    return [name, known_d](const graph& g) {
+      return make_protocol(name, g.node_count() - 1, known_d);
+    };
+  };
+  return {
+      {"decay", by_name("decay", -1)},
+      {"kp-doubling", by_name("kp-doubling", -1)},
+      {"kp-d4", by_name("kp", 4)},
+      {"kp-ablated-d4", by_name("kp-ablated", 4)},
+      {"kp-bgi-fallback",
+       [](const graph& g) -> std::unique_ptr<protocol> {
+         kp_options o;
+         o.known_d = 4;
+         o.paper_bgi_threshold = true;
+         return std::make_unique<kp_randomized_protocol>(g.node_count() - 1,
+                                                         o);
+       }},
+      {"round-robin", by_name("round-robin", -1)},
+      {"select-and-send", by_name("select-and-send", -1)},
+      {"complete-layered", by_name("complete-layered", -1)},
+      {"interleaved", by_name("interleaved", -1)},
+      {"selective",
+       [](const graph& g) {
+         return make_protocol("selective", g.node_count() - 1,
+                              max_degree(g) + 1);
+       }},
+  };
+}
+
+// Observed digests, keyed "<protocol>/<graph>/<faults>/seed<k>".
+std::map<std::string, std::uint64_t> observe_runs() {
+  rng topo(4242);
+  std::vector<std::pair<std::string, graph>> graphs;
+  graphs.emplace_back("gnp40", make_gnp_connected(40, 0.12, topo));
+  graphs.emplace_back("layered40", make_complete_layered_uniform(40, 5));
+  graphs.emplace_back("tree40", make_random_tree(40, topo));
+
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [gtag, g] : graphs) {
+    for (const auto& [ptag, factory] : pinned_protocols()) {
+      const auto proto = factory(g);
+      for (const bool crash : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          fault::recovery_options ro;
+          ro.crash_probability = 0.004;
+          ro.mode = fault::recovery_mode::retain;
+          ro.downtime = 6;
+          fault::recovery_model faults(ro);
+          run_options opts;
+          opts.seed = seed;
+          opts.max_steps = 20'000;
+          opts.engine = step_engine::reference;
+          opts.faults = crash ? &faults : nullptr;
+          const run_result r = run_broadcast(g, *proto, opts);
+          out[ptag + "/" + gtag + (crash ? "/retain" : "/faultfree") +
+              "/seed" + std::to_string(seed)] = run_digest(r);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << v << "ULL";
+  return os.str();
+}
+
+void expect_pins(const std::map<std::string, std::uint64_t>& pins,
+                 const std::map<std::string, std::uint64_t>& observed) {
+  EXPECT_EQ(pins.size(), observed.size());
+  for (const auto& [key, digest] : observed) {
+    const auto it = pins.find(key);
+    if (it == pins.end()) {
+      ADD_FAILURE() << "unpinned: {\"" << key << "\", " << hex(digest)
+                    << "},";
+      continue;
+    }
+    EXPECT_EQ(it->second, digest)
+        << "observed: {\"" << key << "\", " << hex(digest) << "},";
+  }
+}
+
+const std::map<std::string, std::uint64_t> kRunPins = {
+    {"complete-layered/gnp40/faultfree/seed1", 0x14574142c46fd53cULL},
+    {"complete-layered/gnp40/faultfree/seed2", 0x14574142c46fd53cULL},
+    {"complete-layered/gnp40/faultfree/seed3", 0x14574142c46fd53cULL},
+    {"complete-layered/gnp40/retain/seed1", 0x254f1b3f7e99c47fULL},
+    {"complete-layered/gnp40/retain/seed2", 0x6bf1783ce9b4940fULL},
+    {"complete-layered/gnp40/retain/seed3", 0x74225d6c08236de2ULL},
+    {"complete-layered/layered40/faultfree/seed1", 0xeba4cf5bdb49f70fULL},
+    {"complete-layered/layered40/faultfree/seed2", 0xeba4cf5bdb49f70fULL},
+    {"complete-layered/layered40/faultfree/seed3", 0xeba4cf5bdb49f70fULL},
+    {"complete-layered/layered40/retain/seed1", 0xe333b7132ab8799dULL},
+    {"complete-layered/layered40/retain/seed2", 0x70e98386675bccd2ULL},
+    {"complete-layered/layered40/retain/seed3", 0xa100200b15d825ceULL},
+    {"complete-layered/tree40/faultfree/seed1", 0xec7abe53add9faf9ULL},
+    {"complete-layered/tree40/faultfree/seed2", 0xec7abe53add9faf9ULL},
+    {"complete-layered/tree40/faultfree/seed3", 0xec7abe53add9faf9ULL},
+    {"complete-layered/tree40/retain/seed1", 0xab636b84ecfb4302ULL},
+    {"complete-layered/tree40/retain/seed2", 0xe46477a93b9d5dd5ULL},
+    {"complete-layered/tree40/retain/seed3", 0x5829359af7535fefULL},
+    {"decay/gnp40/faultfree/seed1", 0xe71b56471125420fULL},
+    {"decay/gnp40/faultfree/seed2", 0xec89d747dd035b9ULL},
+    {"decay/gnp40/faultfree/seed3", 0xb5033bc8c5206c40ULL},
+    {"decay/gnp40/retain/seed1", 0xb494961bced07118ULL},
+    {"decay/gnp40/retain/seed2", 0x9ca0571e12730051ULL},
+    {"decay/gnp40/retain/seed3", 0x59103ad6d65f5adULL},
+    {"decay/layered40/faultfree/seed1", 0x1ae904fc0eb9d7c6ULL},
+    {"decay/layered40/faultfree/seed2", 0xf6f498f631000f97ULL},
+    {"decay/layered40/faultfree/seed3", 0xbef0f5713c13d6faULL},
+    {"decay/layered40/retain/seed1", 0x741b7e3642c7990eULL},
+    {"decay/layered40/retain/seed2", 0x2d75bcccf3b8227eULL},
+    {"decay/layered40/retain/seed3", 0x6810bc45dda8b3daULL},
+    {"decay/tree40/faultfree/seed1", 0xc01cb302649475daULL},
+    {"decay/tree40/faultfree/seed2", 0x9095fa44276814e8ULL},
+    {"decay/tree40/faultfree/seed3", 0x7b56ccc02e650dacULL},
+    {"decay/tree40/retain/seed1", 0x8c2e7d48f03e2f7fULL},
+    {"decay/tree40/retain/seed2", 0x5c2219d2ebae315eULL},
+    {"decay/tree40/retain/seed3", 0x75922e92c77807feULL},
+    {"interleaved/gnp40/faultfree/seed1", 0x314f63cb96620079ULL},
+    {"interleaved/gnp40/faultfree/seed2", 0x314f63cb96620079ULL},
+    {"interleaved/gnp40/faultfree/seed3", 0x314f63cb96620079ULL},
+    {"interleaved/gnp40/retain/seed1", 0xac166d25f547f616ULL},
+    {"interleaved/gnp40/retain/seed2", 0x7ea929840e763e78ULL},
+    {"interleaved/gnp40/retain/seed3", 0xab84e636cf4cc80aULL},
+    {"interleaved/layered40/faultfree/seed1", 0xe8a7dbc2a04f780dULL},
+    {"interleaved/layered40/faultfree/seed2", 0xe8a7dbc2a04f780dULL},
+    {"interleaved/layered40/faultfree/seed3", 0xe8a7dbc2a04f780dULL},
+    {"interleaved/layered40/retain/seed1", 0xe28fd746b67bd635ULL},
+    {"interleaved/layered40/retain/seed2", 0xbf2347de493f48d7ULL},
+    {"interleaved/layered40/retain/seed3", 0xa56d2772f806acecULL},
+    {"interleaved/tree40/faultfree/seed1", 0xcad0c494ba79514eULL},
+    {"interleaved/tree40/faultfree/seed2", 0xcad0c494ba79514eULL},
+    {"interleaved/tree40/faultfree/seed3", 0xcad0c494ba79514eULL},
+    {"interleaved/tree40/retain/seed1", 0xee1a92279e77d075ULL},
+    {"interleaved/tree40/retain/seed2", 0x688e6c75b8f3f027ULL},
+    {"interleaved/tree40/retain/seed3", 0x648598116cdb2504ULL},
+    {"kp-ablated-d4/gnp40/faultfree/seed1", 0x9ff1053a603c2f20ULL},
+    {"kp-ablated-d4/gnp40/faultfree/seed2", 0xc3f0b97d2a4c3a41ULL},
+    {"kp-ablated-d4/gnp40/faultfree/seed3", 0x4bae20e899668194ULL},
+    {"kp-ablated-d4/gnp40/retain/seed1", 0xe949428d277add15ULL},
+    {"kp-ablated-d4/gnp40/retain/seed2", 0xafc103567f95c16fULL},
+    {"kp-ablated-d4/gnp40/retain/seed3", 0xb09b4634510a4adeULL},
+    {"kp-ablated-d4/layered40/faultfree/seed1", 0xfa8d283056af3162ULL},
+    {"kp-ablated-d4/layered40/faultfree/seed2", 0xd384fe47e33856b2ULL},
+    {"kp-ablated-d4/layered40/faultfree/seed3", 0xc75b7b92a394ce83ULL},
+    {"kp-ablated-d4/layered40/retain/seed1", 0x75bca83c8febf3a4ULL},
+    {"kp-ablated-d4/layered40/retain/seed2", 0x79ed98437269e26bULL},
+    {"kp-ablated-d4/layered40/retain/seed3", 0x85bb1b598d4d157bULL},
+    {"kp-ablated-d4/tree40/faultfree/seed1", 0x85eaf2358e649e1cULL},
+    {"kp-ablated-d4/tree40/faultfree/seed2", 0xbc675efa1f49b96aULL},
+    {"kp-ablated-d4/tree40/faultfree/seed3", 0x18a196af68bbbcafULL},
+    {"kp-ablated-d4/tree40/retain/seed1", 0x82ee31f00a749e3cULL},
+    {"kp-ablated-d4/tree40/retain/seed2", 0xc8928086ff6ff86cULL},
+    {"kp-ablated-d4/tree40/retain/seed3", 0x2ee8b7c8a42425e5ULL},
+    {"kp-bgi-fallback/gnp40/faultfree/seed1", 0xe71b56471125420fULL},
+    {"kp-bgi-fallback/gnp40/faultfree/seed2", 0xec89d747dd035b9ULL},
+    {"kp-bgi-fallback/gnp40/faultfree/seed3", 0xb5033bc8c5206c40ULL},
+    {"kp-bgi-fallback/gnp40/retain/seed1", 0xb494961bced07118ULL},
+    {"kp-bgi-fallback/gnp40/retain/seed2", 0x9ca0571e12730051ULL},
+    {"kp-bgi-fallback/gnp40/retain/seed3", 0x59103ad6d65f5adULL},
+    {"kp-bgi-fallback/layered40/faultfree/seed1", 0x1ae904fc0eb9d7c6ULL},
+    {"kp-bgi-fallback/layered40/faultfree/seed2", 0xf6f498f631000f97ULL},
+    {"kp-bgi-fallback/layered40/faultfree/seed3", 0xbef0f5713c13d6faULL},
+    {"kp-bgi-fallback/layered40/retain/seed1", 0x741b7e3642c7990eULL},
+    {"kp-bgi-fallback/layered40/retain/seed2", 0x2d75bcccf3b8227eULL},
+    {"kp-bgi-fallback/layered40/retain/seed3", 0x6810bc45dda8b3daULL},
+    {"kp-bgi-fallback/tree40/faultfree/seed1", 0xc01cb302649475daULL},
+    {"kp-bgi-fallback/tree40/faultfree/seed2", 0x9095fa44276814e8ULL},
+    {"kp-bgi-fallback/tree40/faultfree/seed3", 0x7b56ccc02e650dacULL},
+    {"kp-bgi-fallback/tree40/retain/seed1", 0x8c2e7d48f03e2f7fULL},
+    {"kp-bgi-fallback/tree40/retain/seed2", 0x5c2219d2ebae315eULL},
+    {"kp-bgi-fallback/tree40/retain/seed3", 0x75922e92c77807feULL},
+    {"kp-d4/gnp40/faultfree/seed1", 0x60d2d7332a599bd1ULL},
+    {"kp-d4/gnp40/faultfree/seed2", 0xe4c8b7bb8903c1b7ULL},
+    {"kp-d4/gnp40/faultfree/seed3", 0xaa6d09e8ec0cc97cULL},
+    {"kp-d4/gnp40/retain/seed1", 0xa978314666ad9c06ULL},
+    {"kp-d4/gnp40/retain/seed2", 0xd6b8e5bda3824fb0ULL},
+    {"kp-d4/gnp40/retain/seed3", 0x855f515ab1bb527fULL},
+    {"kp-d4/layered40/faultfree/seed1", 0xa7748721d385214bULL},
+    {"kp-d4/layered40/faultfree/seed2", 0xc9cf83300bb1deefULL},
+    {"kp-d4/layered40/faultfree/seed3", 0xda575771004e2dadULL},
+    {"kp-d4/layered40/retain/seed1", 0x34c414616c6f4cffULL},
+    {"kp-d4/layered40/retain/seed2", 0xd720a2c82e1724a7ULL},
+    {"kp-d4/layered40/retain/seed3", 0xfd62917638eb4f2aULL},
+    {"kp-d4/tree40/faultfree/seed1", 0xb9f97517783652a6ULL},
+    {"kp-d4/tree40/faultfree/seed2", 0x7b9b92b2b2054c16ULL},
+    {"kp-d4/tree40/faultfree/seed3", 0xcc5458ab8e7bb7d7ULL},
+    {"kp-d4/tree40/retain/seed1", 0xeef8f234844bae60ULL},
+    {"kp-d4/tree40/retain/seed2", 0x4e184cc113abf26bULL},
+    {"kp-d4/tree40/retain/seed3", 0xeb9dc79ea05fb555ULL},
+    {"kp-doubling/gnp40/faultfree/seed1", 0xd91b05f1fdc10a8fULL},
+    {"kp-doubling/gnp40/faultfree/seed2", 0xf9d73d2ee5f0fb72ULL},
+    {"kp-doubling/gnp40/faultfree/seed3", 0xeb8fa6a2408d0103ULL},
+    {"kp-doubling/gnp40/retain/seed1", 0x850e1d2f1d59afeULL},
+    {"kp-doubling/gnp40/retain/seed2", 0x21f6a959d6c2ed0aULL},
+    {"kp-doubling/gnp40/retain/seed3", 0x48c38dc4ae1d1a47ULL},
+    {"kp-doubling/layered40/faultfree/seed1", 0x495312724114fde7ULL},
+    {"kp-doubling/layered40/faultfree/seed2", 0xce79308f2fa23875ULL},
+    {"kp-doubling/layered40/faultfree/seed3", 0xf577eca3a7ef0c47ULL},
+    {"kp-doubling/layered40/retain/seed1", 0x66258c5e48cfd12eULL},
+    {"kp-doubling/layered40/retain/seed2", 0xe603c880819681fdULL},
+    {"kp-doubling/layered40/retain/seed3", 0x94f63b8ed7ff9648ULL},
+    {"kp-doubling/tree40/faultfree/seed1", 0x6956215d915625efULL},
+    {"kp-doubling/tree40/faultfree/seed2", 0xfd5234c9d2caa88ULL},
+    {"kp-doubling/tree40/faultfree/seed3", 0xdac03e8aa7a13fe0ULL},
+    {"kp-doubling/tree40/retain/seed1", 0x56ba8fbc1cebb38bULL},
+    {"kp-doubling/tree40/retain/seed2", 0x33e1b2135aafc3fbULL},
+    {"kp-doubling/tree40/retain/seed3", 0x1d0c28e0f05b90a5ULL},
+    {"round-robin/gnp40/faultfree/seed1", 0x895fb9ee42e04091ULL},
+    {"round-robin/gnp40/faultfree/seed2", 0x895fb9ee42e04091ULL},
+    {"round-robin/gnp40/faultfree/seed3", 0x895fb9ee42e04091ULL},
+    {"round-robin/gnp40/retain/seed1", 0xa3bf78b8522cf8aeULL},
+    {"round-robin/gnp40/retain/seed2", 0xa05c464637f2be64ULL},
+    {"round-robin/gnp40/retain/seed3", 0xb0dbd096d6032ccdULL},
+    {"round-robin/layered40/faultfree/seed1", 0x1883f621cfb9892dULL},
+    {"round-robin/layered40/faultfree/seed2", 0x1883f621cfb9892dULL},
+    {"round-robin/layered40/faultfree/seed3", 0x1883f621cfb9892dULL},
+    {"round-robin/layered40/retain/seed1", 0x6401cd4062a44ae3ULL},
+    {"round-robin/layered40/retain/seed2", 0x9df188ef254703f7ULL},
+    {"round-robin/layered40/retain/seed3", 0x1ae75082ff340ef6ULL},
+    {"round-robin/tree40/faultfree/seed1", 0x3a03ff96c21b0222ULL},
+    {"round-robin/tree40/faultfree/seed2", 0x3a03ff96c21b0222ULL},
+    {"round-robin/tree40/faultfree/seed3", 0x3a03ff96c21b0222ULL},
+    {"round-robin/tree40/retain/seed1", 0x33b84b63db6fd6caULL},
+    {"round-robin/tree40/retain/seed2", 0x3a03ff96c21b0222ULL},
+    {"round-robin/tree40/retain/seed3", 0xfe908959d48debc0ULL},
+    {"select-and-send/gnp40/faultfree/seed1", 0x6b40cfbc51414baeULL},
+    {"select-and-send/gnp40/faultfree/seed2", 0x6b40cfbc51414baeULL},
+    {"select-and-send/gnp40/faultfree/seed3", 0x6b40cfbc51414baeULL},
+    {"select-and-send/gnp40/retain/seed1", 0xb2d38871ebba1a1fULL},
+    {"select-and-send/gnp40/retain/seed2", 0x9437aa28275f2f7fULL},
+    {"select-and-send/gnp40/retain/seed3", 0x550c4adeb637443cULL},
+    {"select-and-send/layered40/faultfree/seed1", 0xd644fb394214173bULL},
+    {"select-and-send/layered40/faultfree/seed2", 0xd644fb394214173bULL},
+    {"select-and-send/layered40/faultfree/seed3", 0xd644fb394214173bULL},
+    {"select-and-send/layered40/retain/seed1", 0xa43d76bf54fa8c8aULL},
+    {"select-and-send/layered40/retain/seed2", 0xfd66a32504c1aa48ULL},
+    {"select-and-send/layered40/retain/seed3", 0x8549e8f5f8e382bfULL},
+    {"select-and-send/tree40/faultfree/seed1", 0x29cb7c2b1f329acfULL},
+    {"select-and-send/tree40/faultfree/seed2", 0x29cb7c2b1f329acfULL},
+    {"select-and-send/tree40/faultfree/seed3", 0x29cb7c2b1f329acfULL},
+    {"select-and-send/tree40/retain/seed1", 0x6eabf1b5fc8f1c24ULL},
+    {"select-and-send/tree40/retain/seed2", 0x73caa6dd110a3cddULL},
+    {"select-and-send/tree40/retain/seed3", 0x17248f1bd69a43dULL},
+    {"selective/gnp40/faultfree/seed1", 0xa8bba042b14aa983ULL},
+    {"selective/gnp40/faultfree/seed2", 0xa8bba042b14aa983ULL},
+    {"selective/gnp40/faultfree/seed3", 0xa8bba042b14aa983ULL},
+    {"selective/gnp40/retain/seed1", 0x3a2bae9642407ff6ULL},
+    {"selective/gnp40/retain/seed2", 0x71fda42f6be9a6a5ULL},
+    {"selective/gnp40/retain/seed3", 0x667f7270ec31d322ULL},
+    {"selective/layered40/faultfree/seed1", 0x27964b7cf2c27340ULL},
+    {"selective/layered40/faultfree/seed2", 0x27964b7cf2c27340ULL},
+    {"selective/layered40/faultfree/seed3", 0x27964b7cf2c27340ULL},
+    {"selective/layered40/retain/seed1", 0x996b12c76d1cc36cULL},
+    {"selective/layered40/retain/seed2", 0xb917cc7f51d52a60ULL},
+    {"selective/layered40/retain/seed3", 0xfef846b87d310f27ULL},
+    {"selective/tree40/faultfree/seed1", 0xa8f2a83e71fb1123ULL},
+    {"selective/tree40/faultfree/seed2", 0xa8f2a83e71fb1123ULL},
+    {"selective/tree40/faultfree/seed3", 0xa8f2a83e71fb1123ULL},
+    {"selective/tree40/retain/seed1", 0x531c00c6a1443bd5ULL},
+    {"selective/tree40/retain/seed2", 0x2a046517b294064cULL},
+    {"selective/tree40/retain/seed3", 0xa395f5a8d825242dULL},
+};
+
+const std::map<std::string, std::uint64_t> kAdversaryPins = {
+    {"interleaved", 0xb95ca36b50361b08ULL},
+    {"round-robin", 0x8634521356424a6cULL},
+    {"select-and-send", 0xe32268dd552eaff4ULL},
+};
+
+TEST(GoldenTest, ReferenceRunDigests) { expect_pins(kRunPins, observe_runs()); }
+
+TEST(GoldenTest, AdversarialNetworkDigests) {
+  const node_id n = 256;
+  const int d = 8;
+  const round_robin_protocol rr;
+  const select_and_send_protocol sas;
+  const interleaved_protocol inter;
+  std::map<std::string, std::uint64_t> observed;
+  observed["round-robin"] = network_digest(build_adversarial_network(rr, n, d));
+  observed["select-and-send"] =
+      network_digest(build_adversarial_network(sas, n, d));
+  observed["interleaved"] =
+      network_digest(build_adversarial_network(inter, n, d));
+  expect_pins(kAdversaryPins, observed);
+}
+
+}  // namespace
+}  // namespace radiocast
