@@ -257,6 +257,9 @@ engine_timing time_engine(const graph& g, const protocol& proto, int reps,
 // frontier stays ≤ a handful of nodes until the wave reaches the fat
 // layer. Checks the two engines produce bit-identical results where the
 // speedup is measured, and asserts the frontier engine actually wins.
+// Both legs run through virtual_view, i.e. virtual_run over per-node
+// traits_node objects, so the ratio measures the awake-set skip under
+// virtual dispatch.
 void check_frontier_speedup(bench::reporter& rep) {
   const node_id n = bench::smoke() ? 2048 : 16384;
   const int d = bench::smoke() ? 128 : 512;
@@ -264,12 +267,13 @@ void check_frontier_speedup(bench::reporter& rep) {
   // Fat layer last: awake-set size stays O(1) for d − 1 of the d hops.
   graph g = make_complete_layered_fat(n, d, /*fat_index=*/d);
   const auto proto = make_protocol("decay", n - 1);
+  const virtual_view virt(*proto);
 
   // Warm-up, then min-of-reps per engine.
-  time_engine(g, *proto, 1, step_engine::frontier);
-  const engine_timing ref = time_engine(g, *proto, reps,
+  time_engine(g, virt, 1, step_engine::frontier);
+  const engine_timing ref = time_engine(g, virt, reps,
                                         step_engine::reference);
-  const engine_timing fro = time_engine(g, *proto, reps,
+  const engine_timing fro = time_engine(g, virt, reps,
                                         step_engine::frontier);
 
   // Bit-identity enforced where the speedup is measured.
@@ -324,18 +328,21 @@ void check_frontier_speedup(bench::reporter& rep) {
 // network (all slack in layer 1) keeps essentially every node awake from
 // step 2 on, so the frontier engine's awake-set skip buys nothing and the
 // SoA engine's remaining levers — contiguous state, devirtualized step
-// loop — are what get measured. Also drives the engine's namesake
-// workload: a (smoke-scaled) million-node layered and sparse-G(n, p)
-// completion run each, recorded as wall clock + exact step counts.
+// loop — are what get measured (the frontier leg runs through
+// virtual_view: per-node traits_node objects behind virtual calls). Also
+// drives the engine's namesake workload: a (smoke-scaled) million-node
+// layered and sparse-G(n, p) completion run each, recorded as wall clock +
+// exact step counts.
 void check_mega_scale(bench::reporter& rep) {
   const node_id n = bench::smoke() ? (1 << 14) : (1 << 18);
   const int d = 64;
   const int reps = bench::smoke() ? 3 : 5;
   graph g = make_complete_layered_fat(n, d, /*fat_index=*/1);
   const auto proto = make_protocol("decay", n - 1);
+  const virtual_view virt(*proto);
 
   time_engine(g, *proto, 1, step_engine::soa);  // warm-up
-  const engine_timing fro = time_engine(g, *proto, reps,
+  const engine_timing fro = time_engine(g, virt, reps,
                                         step_engine::frontier);
   const engine_timing soa = time_engine(g, *proto, reps, step_engine::soa);
 
@@ -365,7 +372,7 @@ void check_mega_scale(bench::reporter& rep) {
   values.set("steps_per_sec_soa", steps_per_sec_soa);
   values.set("soa_speedup", soa_speedup);
 
-  // Million-node completion runs (soa only: the virtual engines take
+  // Million-node completion runs (soa only: the polling loops take
   // minutes at this size). Smoke shrinks n so CI stays in seconds.
   const node_id mega = bench::smoke() ? (1 << 17) : 1'000'000;
   double mega_wall = 0.0;
@@ -495,7 +502,9 @@ void require_identical(const run_result& a, const run_result& b,
 // while the combined ratio is dominated by the complete-layered leg and
 // only dips below 1× on a genuine step-loop regression. Also records a
 // step_threads = 4 sharded-step measurement so the multi-core intra-step
-// number lands in a committed baseline.
+// number lands in a committed baseline. The frontier legs run through
+// virtual_view (per-node traits_node objects behind virtual calls), so the
+// gate keeps comparing virtual dispatch against the SoA layout.
 void check_deterministic_scale(bench::reporter& rep) {
   const node_id n = bench::smoke() ? (1 << 13) : (1 << 18);
   const int d = bench::smoke() ? 32 : 1024;  // thin layers: width = n / d
@@ -522,9 +531,10 @@ void check_deterministic_scale(bench::reporter& rep) {
   const char* kTags[] = {"sas", "cl"};
   for (int p = 0; p < 2; ++p) {
     const auto proto = make_protocol(kProtos[p], n - 1);
+    const virtual_view virt(*proto);
     time_engine_window(g, *proto, 1, step_engine::soa, window, 1, 0);
     const engine_timing fro = time_engine_window(
-        g, *proto, reps, step_engine::frontier, window, 1, 0);
+        g, virt, reps, step_engine::frontier, window, 1, 0);
     const engine_timing soa = time_engine_window(
         g, *proto, reps, step_engine::soa, window, 1, 0);
     const engine_timing soa4 = time_engine_window(

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "core/echo.h"
-#include "core/echo_soa.h"
 #include "sim/soa_engine.h"
 
 namespace radiocast {
@@ -25,157 +24,13 @@ constexpr message_kind kStopLastTag = 9;
 
 constexpr selection_kinds kKinds{kOrder, kReply};
 
-class cl_node final : public protocol_node {
- public:
-  cl_node(node_id label, const protocol_params& params)
-      : label_(label), r_(params.r) {
-    if (label_ == 0) {
-      informed_ = true;
-      layer_ = 0;
-    }
-  }
-
-  std::optional<message> on_step(const node_context& ctx) override {
-    std::optional<message> out;
-    if (label_ == 0 && ctx.step == 0) {
-      awaiting_presence_ = true;
-      out = message{kAnnounce, 0, 0, 0, 0, 0};
-    } else if (auto due = pending_.take(ctx.step)) {
-      out = due;
-    } else if (head_ && ctx.step >= drive_start_) {
-      out = drive(ctx.step);
-    }
-    if (out) out->d = layer_;  // every message carries the sender's layer
-    return out;
-  }
-
-  void on_receive(const node_context& ctx, const message& msg) override {
-    if (!informed_) {
-      informed_ = true;
-      layer_ = static_cast<int>(msg.d) + 1;  // first contact fixes the layer
-    }
-    switch (msg.kind) {
-      case kAnnounce:
-        pending_.schedule(ctx.step + 2 * static_cast<std::int64_t>(label_),
-                          message{kPresence, label_, 0, 0, 0, 0});
-        break;
-      case kPresence:
-        if (label_ == 0 && awaiting_presence_) {
-          awaiting_presence_ = false;
-          successor_ = msg.from;
-          pending_.schedule(ctx.step + 1,
-                            message{kStopSelect, 0, msg.from, 0, 0, 0});
-        }
-        break;
-      case kStopSelect:
-        pending_.clear();  // cancel outstanding presence reservations
-        if (static_cast<node_id>(msg.a) == label_) {
-          become_head(msg.from, ctx.step + 1);
-        }
-        break;
-      case kSelect:
-        if (static_cast<node_id>(msg.a) == label_) {
-          // Start after the selector's stop-layer step.
-          become_head(msg.from, ctx.step + 2);
-        }
-        break;
-      case kOrder:
-        if (head_) break;  // a head never answers another head's order
-        schedule_echo_replies(
-            pending_, kKinds, msg, ctx.step, label_,
-            /*is_member=*/layer_ == static_cast<int>(msg.d) + 1);
-        break;
-      case kReply:
-        if (head_ && driver_) driver_->on_receive(msg);
-        break;
-      case kStopLayer:
-        if (layer_ == static_cast<int>(msg.b)) halted_ = true;
-        break;
-      case kStopAll:
-        halted_ = true;
-        // The final head's neighbours are L_{D−1} only (no intra-layer
-        // edges), so the rest of L_D never hears kStopAll. The node that
-        // chose the final head sits in L_{D−1} and relays: it stops L_D
-        // one step later.
-        if (msg.from == successor_) {
-          pending_.schedule(ctx.step + 1,
-                            message{kStopLayer, label_, 0, layer_ + 1, 0, 0});
-        }
-        break;
-      default:
-        break;
-    }
-  }
-
-  bool informed() const override { return informed_; }
-  bool halted() const override { return halted_; }
-
-  void on_restart(const node_context&) override {
-    // Amnesia reboot: re-derive the constructed state (the source knows
-    // its layer a priori; everyone else relearns it on first contact).
-    informed_ = (label_ == 0);
-    layer_ = (label_ == 0) ? 0 : -1;
-    halted_ = false;
-    head_ = false;
-    awaiting_presence_ = false;
-    helper_ = -1;
-    successor_ = -1;
-    drive_start_ = 0;
-    pending_.clear();
-    driver_.reset();
-  }
-
- private:
-  void become_head(node_id previous_head, std::int64_t start) {
-    head_ = true;
-    helper_ = previous_head;
-    drive_start_ = start;
-    pending_.clear();
-    driver_.emplace(kKinds, helper_, r_);
-  }
-
-  std::optional<message> drive(std::int64_t step) {
-    std::optional<message> out = driver_->on_step(step);
-    if (!driver_->finished()) return out;
-    head_ = false;
-    if (driver_->result() == selection_driver::status::selected) {
-      const node_id next = driver_->selected();
-      driver_.reset();
-      successor_ = next;
-      // Select now; order L_{k−1} to stop one step later.
-      pending_.schedule(step + 1,
-                        message{kStopLayer, label_, 0, layer_ - 1, 0, 0});
-      return message{kSelect, label_, next, 0, 0, 0};
-    }
-    // No next layer: k = D. Stop the neighbors and ourselves.
-    driver_.reset();
-    halted_ = true;
-    return message{kStopAll, label_, 0, 0, 0, 0};
-  }
-
-  node_id label_;
-  node_id r_;
-  bool informed_ = false;
-  bool halted_ = false;
-  bool head_ = false;
-  bool awaiting_presence_ = false;
-  int layer_ = -1;
-  node_id helper_ = -1;
-  node_id successor_ = -1;  // the head this node chose (source: v₁)
-  std::int64_t drive_start_ = 0;
-  pending_tx pending_;
-  std::optional<selection_driver> driver_;
-};
-
-// SoA mirror of cl_node (sim/soa_engine.h traits). pending_tx and
-// selection_driver are replaced by their POD mirrors (core/echo_soa.h);
-// every hook must stay behaviorally identical to the virtual node above —
-// the three-way differential suite and the chaos engine-bit-identity
-// invariant hold the pair together. The chain head's selection driver
-// never carries a metrics registry (become_head above never calls
-// set_metrics), so every sel_* call passes nullptr.
+// The protocol (sim/soa_engine.h traits): make_node wraps it in a
+// traits_node, soa_runner runs it on every step engine. The echo queue and
+// the selection initiator are the POD forms in core/echo.h. The chain
+// head's selection is not instrumented: every sel_* call passes a null
+// metrics registry.
 struct cl_soa_traits {
-  node_id r_bound = 1;  // shared config: the label bound r, set by the entry
+  node_id r_bound = 1;  // shared config: the label bound r (cl_traits)
 
   struct state {
     node_id label = -1;
@@ -259,7 +114,10 @@ struct cl_soa_traits {
         break;
       case kStopAll:
         s->halted = true;
-        // Relay to the rest of L_D (see cl_node).
+        // The final head's neighbours are L_{D−1} only (no intra-layer
+        // edges), so the rest of L_D never hears kStopAll. The node that
+        // chose the final head sits in L_{D−1} and relays: it stops L_D
+        // one step later.
         if (msg.from == s->successor) {
           s->pending.schedule_structural(ctx.step + 1, kStopLastTag);
         }
@@ -281,6 +139,8 @@ struct cl_soa_traits {
     return std::min(due, std::max<std::int64_t>(step + 1, s.drive_start));
   }
 
+  // Amnesia reboot: back to the initial state (the source knows its layer
+  // a priori; everyone else relearns it on first contact).
   void on_restart(state* s, const node_context&) const {
     init(s, s->label, protocol_params{});
   }
@@ -294,8 +154,8 @@ struct cl_soa_traits {
     sel_init(&s->sel, r_bound);
   }
 
-  // Mirror of pending_tx::take + the original schedule sites: reconstructs
-  // the due message from the structural kind and the node's state.
+  // The queued transmission due at `step`, if any: reconstructs the
+  // message from the structural kind and the node's state.
   std::optional<message> take_pending(state* s, std::int64_t step) const {
     switch (s->pending.take(step)) {
       case 1:
@@ -336,22 +196,21 @@ struct cl_soa_traits {
   }
 };
 
-run_result cl_soa_entry(const graph& g, const protocol&, node_id r,
-                        const run_options& opts) {
+cl_soa_traits cl_traits(node_id r) {
   cl_soa_traits traits;
   traits.r_bound = r;
-  return run_broadcast_soa(g, traits, r, opts);
+  return traits;
 }
 
 }  // namespace
 
 std::unique_ptr<protocol_node> complete_layered_protocol::make_node(
     node_id label, const protocol_params& params) const {
-  return std::make_unique<cl_node>(label, params);
+  return make_traits_node(cl_traits(params.r), label, params);
 }
 
 soa_entry complete_layered_protocol::soa_runner() const {
-  return &cl_soa_entry;
+  return &soa_entry_for<cl_traits>;
 }
 
 }  // namespace radiocast

@@ -12,78 +12,10 @@ namespace {
 
 constexpr message_kind kDecayPayload = 1;
 
-class decay_node final : public protocol_node {
- public:
-  decay_node(node_id label, const protocol_params& params)
-      : label_(label),
-        phase_len_(2 * std::max(1, ilog2_ceil(
-                           static_cast<std::uint64_t>(params.r) + 1))),
-        informed_(label == 0) {}
-
-  std::optional<message> on_step(const node_context& ctx) override {
-    if (!informed_) return std::nullopt;
-    const std::int64_t phase = ctx.step / phase_len_;
-    const std::int64_t offset = ctx.step % phase_len_;
-    if (informed_step_ >= phase * phase_len_) {
-      return std::nullopt;  // informed mid-phase; joins the next phase
-    }
-    if (phase != drawn_phase_) {
-      // Draw this phase's geometric cutoff: transmit in steps 0..cutoff−1.
-      drawn_phase_ = phase;
-      cutoff_ = 1;
-      while (cutoff_ < phase_len_ && ctx.gen->flip()) ++cutoff_;
-      if (ctx.metrics != nullptr) {
-        // Phase markers: which decay phase is live, and the distribution
-        // of drawn cutoffs (geometric, mean ≈ 2).
-        ctx.metrics->get_gauge("decay.phase").set(phase);
-        ctx.metrics->get_histogram("decay.cutoff").observe(cutoff_);
-      }
-    }
-    if (offset < cutoff_) {
-      if (ctx.metrics != nullptr) {
-        // Stage index within the phase: stage k transmits with effective
-        // probability 2⁻ᵏ across the informed population.
-        ctx.metrics->get_counter("decay.stage_tx", std::to_string(offset))
-            .add();
-      }
-      return message{kDecayPayload, label_, 0, 0, 0};
-    }
-    return std::nullopt;
-  }
-
-  void on_receive(const node_context& ctx, const message&) override {
-    if (!informed_) {
-      informed_ = true;
-      informed_step_ = ctx.step;
-    }
-  }
-
-  bool informed() const override { return informed_; }
-
-  void on_restart(const node_context&) override {
-    // Amnesia reboot: back to the constructed state (label_ and phase_len_
-    // are configuration; everything else is volatile).
-    informed_ = (label_ == 0);
-    informed_step_ = -1;
-    drawn_phase_ = -1;
-    cutoff_ = 0;
-  }
-
- private:
-  node_id label_;
-  std::int64_t phase_len_;
-  bool informed_;
-  std::int64_t informed_step_ = -1;  // source: before step 0
-  std::int64_t drawn_phase_ = -1;
-  std::int64_t cutoff_ = 0;
-};
-
-// SoA mirror of decay_node (sim/soa_engine.h traits). Every hook must stay
-// behaviorally identical to the virtual node above — same decisions, same
-// ctx.gen draw sequence, same metrics writes — the three-way differential
-// suite and the chaos engine-bit-identity invariant hold the pair together.
+// The protocol (sim/soa_engine.h traits): make_node wraps it in a
+// traits_node, soa_runner runs it on every step engine.
 struct decay_soa_traits {
-  std::int64_t phase_len = 1;  // shared config: 2⌈log(r+1)⌉, set by the entry
+  std::int64_t phase_len = 1;  // shared config: 2⌈log(r+1)⌉ (decay_traits)
 
   // Per-step cache (begin_step hoist): the phase arithmetic is a pure
   // function of the step number, identical for every node, so it is
@@ -126,12 +58,16 @@ struct decay_soa_traits {
       s->cutoff = 1;
       while (s->cutoff < phase_len && ctx.gen->flip()) ++s->cutoff;
       if (ctx.metrics != nullptr) {
+        // Phase markers: which decay phase is live, and the distribution
+        // of drawn cutoffs (geometric, mean ≈ 2).
         ctx.metrics->get_gauge("decay.phase").set(step_phase);
         ctx.metrics->get_histogram("decay.cutoff").observe(s->cutoff);
       }
     }
     if (step_offset < s->cutoff) {
       if (ctx.metrics != nullptr) {
+        // Stage index within the phase: stage k transmits with effective
+        // probability 2⁻ᵏ across the informed population.
         ctx.metrics->get_counter("decay.stage_tx",
                                  std::to_string(step_offset))
             .add();
@@ -151,6 +87,8 @@ struct decay_soa_traits {
   bool informed(const state& s) const { return s.informed; }
   bool halted(const state&) const { return false; }
 
+  // Amnesia reboot: back to the initial state (the label is configuration;
+  // everything else is volatile).
   void on_restart(state* s, const node_context&) const {
     s->informed = (s->label == 0);
     s->informed_step = -1;
@@ -159,21 +97,22 @@ struct decay_soa_traits {
   }
 };
 
-run_result decay_soa_entry(const graph& g, const protocol&, node_id r,
-                           const run_options& opts) {
+decay_soa_traits decay_traits(node_id r) {
   decay_soa_traits traits;
   traits.phase_len =
       2 * std::max(1, ilog2_ceil(static_cast<std::uint64_t>(r) + 1));
-  return run_broadcast_soa(g, traits, r, opts);
+  return traits;
 }
 
 }  // namespace
 
 std::unique_ptr<protocol_node> decay_protocol::make_node(
     node_id label, const protocol_params& params) const {
-  return std::make_unique<decay_node>(label, params);
+  return make_traits_node(decay_traits(params.r), label, params);
 }
 
-soa_entry decay_protocol::soa_runner() const { return &decay_soa_entry; }
+soa_entry decay_protocol::soa_runner() const {
+  return &soa_entry_for<decay_traits>;
+}
 
 }  // namespace radiocast

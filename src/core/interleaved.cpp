@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/select_and_send.h"
 #include "core/select_and_send_soa.h"
 #include "sim/soa_engine.h"
 #include "util/math.h"
@@ -13,59 +12,13 @@ namespace {
 
 constexpr message_kind kRoundRobinPayload = 100;
 
-class interleaved_node final : public protocol_node {
- public:
-  interleaved_node(node_id label, const protocol_params& params)
-      : label_(label),
-        modulus_(params.r + 1),
-        sas_(select_and_send_protocol().make_node(label, params)),
-        informed_(label == 0) {}
-
-  std::optional<message> on_step(const node_context& ctx) override {
-    if (ctx.step % 2 == 0) {
-      // Round-robin stream on virtual step ctx.step / 2.
-      const std::int64_t vstep = ctx.step / 2;
-      if (informed() && vstep % modulus_ == label_) {
-        return message{kRoundRobinPayload, label_, 0, 0, 0, 0};
-      }
-      return std::nullopt;
-    }
-    const node_context sub{(ctx.step - 1) / 2, ctx.gen};
-    return sas_->on_step(sub);
-  }
-
-  void on_receive(const node_context& ctx, const message& msg) override {
-    informed_ = true;
-    if (ctx.step % 2 == 1) {
-      const node_context sub{(ctx.step - 1) / 2, ctx.gen};
-      sas_->on_receive(sub, msg);
-    }
-    // Even-step (round-robin) receptions carry no protocol state beyond
-    // the source word itself.
-  }
-
-  bool informed() const override { return informed_ || sas_->informed(); }
-  bool halted() const override { return sas_->halted(); }
-
-  void on_restart(const node_context& ctx) override {
-    // Both interleaved streams lose their volatile state together.
-    informed_ = (label_ == 0);
-    sas_->on_restart(ctx);
-  }
-
- private:
-  node_id label_;
-  std::int64_t modulus_;
-  std::unique_ptr<protocol_node> sas_;
-  bool informed_;
-};
-
-// SoA mirror of interleaved_node (sim/soa_engine.h traits). The odd-step
+// The protocol (sim/soa_engine.h traits): make_node wraps it in a
+// traits_node, soa_runner runs it on every step engine. The odd-step
 // Select-and-Send stream reuses the shared sas_proto state machine
-// (core/select_and_send_soa.h) with a null metrics registry, matching the
-// virtual wrapper's sub-context. begin_step hoists the round-robin slot
-// and virtual-substep arithmetic out of the per-node loop: they depend
-// only on the global step, not on the node.
+// (core/select_and_send_soa.h) with a null metrics registry. begin_step
+// hoists the round-robin slot and virtual-substep arithmetic out of the
+// per-node loop: they depend only on the global step, not on the node.
+// on_receive reads the even_step hoist too.
 struct interleaved_soa_traits {
   node_id r_bound = 1;        // shared config: the label bound r
   std::int64_t modulus = 1;   // round-robin modulus, r + 1
@@ -138,23 +91,22 @@ struct interleaved_soa_traits {
   }
 };
 
-run_result interleaved_soa_entry(const graph& g, const protocol&, node_id r,
-                                 const run_options& opts) {
+interleaved_soa_traits interleaved_traits(node_id r) {
   interleaved_soa_traits traits;
   traits.r_bound = r;
   traits.modulus = static_cast<std::int64_t>(r) + 1;
-  return run_broadcast_soa(g, traits, r, opts);
+  return traits;
 }
 
 }  // namespace
 
 std::unique_ptr<protocol_node> interleaved_protocol::make_node(
     node_id label, const protocol_params& params) const {
-  return std::make_unique<interleaved_node>(label, params);
+  return make_traits_node(interleaved_traits(params.r), label, params);
 }
 
 soa_entry interleaved_protocol::soa_runner() const {
-  return &interleaved_soa_entry;
+  return &soa_entry_for<interleaved_traits>;
 }
 
 }  // namespace radiocast

@@ -23,8 +23,8 @@ class interleaved_protocol final : public protocol {
   bool deterministic() const override { return true; }
   std::unique_ptr<protocol_node> make_node(
       node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa): POD per-node state,
-  /// decisions and metrics writes bit-identical to the virtual node.
+  /// Runs every step engine on the protocol's traits (POD per-node state;
+  /// make_node wraps the same traits).
   soa_entry soa_runner() const override;
 };
 

@@ -56,86 +56,12 @@ kp_block make_block(int log_r, int log_d, std::int64_t stage_budget,
   return b;
 }
 
-class kp_node final : public protocol_node {
- public:
-  kp_node(node_id label,
-          std::shared_ptr<const kp_randomized_protocol::schedule> sched)
-      : label_(label), sched_(std::move(sched)), informed_(label == 0) {}
+}  // namespace
 
-  std::optional<message> on_step(const node_context& ctx) override {
-    if (!informed_) return std::nullopt;
-    const std::int64_t pos = ctx.step % sched_->total_length;
-    const kp_block& block = sched_->block_at(pos);
-    const std::int64_t in_block = pos - block.start;
-    if (in_block == 0) {
-      // "the source transmits" — the first step of each block.
-      if (label_ == 0) {
-        if (ctx.metrics != nullptr) {
-          ctx.metrics->get_counter("kp.tx", "source_step").add();
-        }
-        return payload();
-      }
-      return std::nullopt;
-    }
-    const std::int64_t stage_index = (in_block - 1) / block.stage_len;
-    const std::int64_t within = (in_block - 1) % block.stage_len;
-    // A node performs Stage(D, i) iff it received the source message before
-    // the stage began (paper: a node informed during stage i first
-    // transmits in stage i+1).
-    const std::int64_t stage_start_step = ctx.step - within;
-    if (informed_step_ >= stage_start_step) return std::nullopt;
-    const bool universal_step = within >= block.geometric_steps;
-    double p = 0.0;
-    if (!universal_step) {
-      p = std::ldexp(1.0, -static_cast<int>(within));  // 1/2ˡ
-    } else {
-      p = block.seq.probability_at(stage_index + 1);  // p_i, 1-based
-    }
-    if (ctx.gen->bernoulli(p)) {
-      if (ctx.metrics != nullptr) {
-        // Phase markers: which doubling block (log D guess) is live, how
-        // deep into its stage schedule we are, and whether the transmit
-        // came from the geometric cascade or the Lemma 1 universal step.
-        ctx.metrics->get_gauge("kp.block_log_d").set(block.log_d);
-        ctx.metrics->get_gauge("kp.stage").set(stage_index);
-        ctx.metrics->get_counter(
-                        "kp.tx", universal_step ? "universal" : "geometric")
-            .add();
-      }
-      return payload();
-    }
-    return std::nullopt;
-  }
-
-  void on_receive(const node_context& ctx, const message&) override {
-    if (!informed_) {
-      informed_ = true;
-      informed_step_ = ctx.step;
-    }
-  }
-
-  bool informed() const override { return informed_; }
-
-  void on_restart(const node_context&) override {
-    // Amnesia reboot: sched_ is shared immutable configuration; only the
-    // informed flag and its timestamp are volatile.
-    informed_ = (label_ == 0);
-    informed_step_ = -1;
-  }
-
- private:
-  message payload() const { return message{kKpPayload, label_, 0, 0, 0}; }
-
-  node_id label_;
-  std::shared_ptr<const kp_randomized_protocol::schedule> sched_;
-  bool informed_;
-  std::int64_t informed_step_ = -1;  // the source knows it from the start
-};
-
-// SoA mirror of kp_node (sim/soa_engine.h traits): the immutable schedule
-// stays shared configuration on the traits object; only the informed flag
-// and its timestamp are per-node state. Behavior must match kp_node bit for
-// bit — same bernoulli draws in the same order.
+// The protocol (sim/soa_engine.h traits), built by
+// kp_randomized_protocol::traits: the immutable schedule stays shared
+// configuration on the traits object; only the informed flag and its
+// timestamp are per-node state.
 struct kp_soa_traits {
   std::shared_ptr<const kp_randomized_protocol::schedule> sched;
 
@@ -196,6 +122,9 @@ struct kp_soa_traits {
     if (s->informed_step >= stage_start_step) return std::nullopt;
     if (ctx.gen->bernoulli(p)) {
       if (ctx.metrics != nullptr) {
+        // Phase markers: which doubling block (log D guess) is live, how
+        // deep into its stage schedule we are, and whether the transmit
+        // came from the geometric cascade or the Lemma 1 universal step.
         ctx.metrics->get_gauge("kp.block_log_d").set(block->log_d);
         ctx.metrics->get_gauge("kp.stage").set(stage_index);
         ctx.metrics->get_counter(
@@ -217,6 +146,7 @@ struct kp_soa_traits {
   bool informed(const state& s) const { return s.informed; }
   bool halted(const state&) const { return false; }
 
+  // Amnesia reboot: only the informed flag and its timestamp are volatile.
   void on_restart(state* s, const node_context&) const {
     s->informed = (s->label == 0);
     s->informed_step = -1;
@@ -227,8 +157,6 @@ struct kp_soa_traits {
     return message{kKpPayload, s->label, 0, 0, 0};
   }
 };
-
-}  // namespace
 
 kp_randomized_protocol::kp_randomized_protocol(node_id r, kp_options options)
     : r_(r), options_(options) {
@@ -285,14 +213,23 @@ std::int64_t kp_randomized_protocol::schedule_period() const {
   return schedule_->total_length;
 }
 
+kp_soa_traits kp_randomized_protocol::traits(node_id r) const {
+  RC_REQUIRE_MSG(r <= r_,
+                 "kp_randomized_protocol was built for a smaller label bound");
+  RC_CHECK(!use_bgi_fallback_);  // the fallback runs Decay's traits
+  kp_soa_traits t;
+  t.sched = schedule_;
+  return t;
+}
+
 std::unique_ptr<protocol_node> kp_randomized_protocol::make_node(
     node_id label, const protocol_params& params) const {
-  RC_REQUIRE_MSG(params.r <= r_,
-                 "kp_randomized_protocol was built for a smaller label bound");
   if (use_bgi_fallback_) {
+    RC_REQUIRE_MSG(params.r <= r_, "kp_randomized_protocol was built for a "
+                                   "smaller label bound");
     return decay_protocol().make_node(label, params);
   }
-  return std::make_unique<kp_node>(label, schedule_);
+  return make_traits_node(traits(params.r), label, params);
 }
 
 run_result kp_randomized_protocol::soa_entry_fn(const graph& g,
@@ -300,16 +237,11 @@ run_result kp_randomized_protocol::soa_entry_fn(const graph& g,
                                                 node_id r,
                                                 const run_options& opts) {
   const auto& kp = static_cast<const kp_randomized_protocol&>(proto);
-  RC_REQUIRE_MSG(r <= kp.r_,
-                 "kp_randomized_protocol was built for a smaller label bound");
-  RC_CHECK(!kp.use_bgi_fallback_);  // the fallback routes to Decay's entry
-  kp_soa_traits traits;
-  traits.sched = kp.schedule_;
-  return run_broadcast_soa(g, traits, r, opts);
+  return run_broadcast_soa(g, kp.traits(r), r, opts);
 }
 
 soa_entry kp_randomized_protocol::soa_runner() const {
-  // Mirror make_node: the BGI-fallback regime runs Decay, so its SoA form
+  // The BGI-fallback regime runs Decay (make_node above), so its SoA entry
   // is Decay's too.
   if (use_bgi_fallback_) return decay_protocol().soa_runner();
   return &kp_randomized_protocol::soa_entry_fn;

@@ -53,6 +53,8 @@ struct kp_options {
   bool ablate_universal_step = false;
 };
 
+struct kp_soa_traits;  // the protocol itself (kp_randomized.cpp)
+
 class kp_randomized_protocol final : public protocol {
  public:
   /// `r` is the label bound the nodes know (the schedule depends on it and
@@ -64,16 +66,19 @@ class kp_randomized_protocol final : public protocol {
   bool deterministic() const override { return false; }
   std::unique_ptr<protocol_node> make_node(
       node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa). In the BGI-fallback
-  /// regime this returns Decay's entry, mirroring make_node exactly.
+  /// Runs every step engine on the protocol's traits. In the BGI-fallback
+  /// regime this returns Decay's entry, as make_node returns Decay's nodes.
   soa_entry soa_runner() const override;
 
   /// Total schedule period (the wrapper repeats with this period).
   std::int64_t schedule_period() const;
 
-  struct schedule;  ///< implementation detail, public for the node type
+  struct schedule;  ///< implementation detail, public for the traits type
 
  private:
+  /// The configured traits for label bound r (≤ the constructor's r) —
+  /// the one place make_node and the SoA entry get them from.
+  kp_soa_traits traits(node_id r) const;
   static run_result soa_entry_fn(const graph& g, const protocol& proto,
                                  node_id r, const run_options& opts);
 

@@ -9,38 +9,10 @@ namespace {
 
 constexpr message_kind kRoundRobinPayload = 1;
 
-class round_robin_node final : public protocol_node {
- public:
-  round_robin_node(node_id label, const protocol_params& params)
-      : label_(label), modulus_(params.r + 1), informed_(label == 0) {}
-
-  std::optional<message> on_step(const node_context& ctx) override {
-    if (!informed_) return std::nullopt;
-    if (ctx.step % modulus_ == label_) {
-      return message{kRoundRobinPayload, label_, 0, 0, 0};
-    }
-    return std::nullopt;
-  }
-
-  void on_receive(const node_context&, const message&) override {
-    informed_ = true;
-  }
-
-  bool informed() const override { return informed_; }
-
-  void on_restart(const node_context&) override {
-    informed_ = (label_ == 0);  // the only volatile state
-  }
-
- private:
-  node_id label_;
-  std::int64_t modulus_;
-  bool informed_;
-};
-
-// SoA mirror of round_robin_node (sim/soa_engine.h traits).
+// The protocol (sim/soa_engine.h traits): make_node wraps it in a
+// traits_node, soa_runner runs it on every step engine.
 struct round_robin_soa_traits {
-  std::int64_t modulus = 1;  // shared config: r + 1, set by the entry
+  std::int64_t modulus = 1;  // shared config: r + 1 (round_robin_traits)
 
   // Per-step cache (begin_step hoist): the schedule slot is the same for
   // every node, so the division happens once per step, not per node.
@@ -85,22 +57,21 @@ struct round_robin_soa_traits {
   }
 };
 
-run_result round_robin_soa_entry(const graph& g, const protocol&, node_id r,
-                                 const run_options& opts) {
+round_robin_soa_traits round_robin_traits(node_id r) {
   round_robin_soa_traits traits;
-  traits.modulus = r + 1;
-  return run_broadcast_soa(g, traits, r, opts);
+  traits.modulus = static_cast<std::int64_t>(r) + 1;
+  return traits;
 }
 
 }  // namespace
 
 std::unique_ptr<protocol_node> round_robin_protocol::make_node(
     node_id label, const protocol_params& params) const {
-  return std::make_unique<round_robin_node>(label, params);
+  return make_traits_node(round_robin_traits(params.r), label, params);
 }
 
 soa_entry round_robin_protocol::soa_runner() const {
-  return &round_robin_soa_entry;
+  return &soa_entry_for<round_robin_traits>;
 }
 
 }  // namespace radiocast

@@ -19,8 +19,8 @@ class round_robin_protocol final : public protocol {
   bool deterministic() const override { return true; }
   std::unique_ptr<protocol_node> make_node(
       node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa) — deterministic, so the
-  /// mirror is trivial: label + informed flag.
+  /// Runs every step engine on the protocol's traits (per-node state:
+  /// label + informed flag).
   soa_entry soa_runner() const override;
 };
 

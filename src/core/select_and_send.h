@@ -9,9 +9,9 @@
 // Roles a node can play over its lifetime:
 //   * source: announces, collects the first presence reply, hands the token
 //     to the lowest-labeled neighbor j, and uses j as its Echo helper;
-//   * driver (token holder): runs a selection_driver; on success passes the
-//     token forward, on an empty neighbor set returns it to its parent and
-//     stops;
+//   * driver (token holder): runs a Binary-Selection (soa_selection); on
+//     success passes the token forward, on an empty neighbor set returns it
+//     to its parent and stops;
 //   * responder: any node replies to echo orders while unvisited, and
 //     replies as the helper in echo step 2 whenever an order names it —
 //     even after it stopped (the helper reply is part of the *caller's*
@@ -34,8 +34,8 @@ class select_and_send_protocol final : public protocol {
   bool deterministic() const override { return true; }
   std::unique_ptr<protocol_node> make_node(
       node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa): POD per-node state,
-  /// decisions and metrics writes bit-identical to the virtual node.
+  /// Runs every step engine on the protocol's traits (POD per-node state;
+  /// make_node wraps the same traits).
   soa_entry soa_runner() const override;
 };
 

@@ -1,20 +1,13 @@
-// POD mirror of the Select-and-Send node (core/select_and_send.cpp) for the
-// SoA step engine, shared between two traits: select_and_send's own SoA
-// form and the interleaved(rr+sas) form, which runs this exact state
-// machine on its odd-step subsequence (with a null metrics registry,
-// matching the virtual wrapper's sub-context). The message kinds live here
-// so the virtual node and the SoA mirror cannot drift apart.
-//
-// Every function must stay BEHAVIORALLY IDENTICAL to sas_node — same
-// emissions, same metrics writes, in the same order. The three-way
-// differential suite and the chaos engine-bit-identity invariant enforce
-// the pairing.
+// The Select-and-Send node state machine (paper §4.2) as flat POD state and
+// free functions, shared between two traits: select_and_send's own
+// (core/select_and_send.cpp) and interleaved(rr+sas), which runs this exact
+// machine on its odd-step subsequence with a null metrics registry.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
-#include "core/echo_soa.h"
+#include "core/echo.h"
 #include "obs/metrics.h"
 #include "sim/message.h"
 
@@ -30,8 +23,8 @@ constexpr message_kind kToken = 6;      // a = label receiving the token
 
 constexpr selection_kinds kKinds{kOrder, kReply};
 
-/// Flat per-node Select-and-Send state (56 bytes): the sas_node members
-/// with pending_tx/selection_driver replaced by their POD mirrors.
+/// Flat per-node Select-and-Send state (56 bytes), with the echo queue and
+/// the selection initiator embedded as POD (core/echo.h).
 struct sas_soa_state {
   node_id label = -1;
   node_id parent = -1;
@@ -54,10 +47,12 @@ inline void sas_soa_init(sas_soa_state* s, node_id label) {
   }
 }
 
-/// Mirror of sas_node::on_restart: back to the constructed state.
+/// Amnesia reboot: back to the initial state. A rebooted token holder
+/// orphans the traversal — the run may stall, which is exactly the
+/// brittleness the resilience bench measures.
 inline void sas_soa_restart(sas_soa_state* s) { sas_soa_init(s, s->label); }
 
-/// Mirror of sas_node::take_token.
+/// The token arrives (a first visit, or a child returning it).
 inline void sas_soa_take_token(sas_soa_state* s, node_id from, node_id r,
                                obs::metrics_registry* metrics) {
   if (!s->visited) {
@@ -79,9 +74,9 @@ inline void sas_soa_take_token(sas_soa_state* s, node_id from, node_id r,
   sel_init(&s->sel, r);
 }
 
-/// Mirror of pending_tx::take + the original schedule sites: reconstructs
-/// the due message from the structural kind and the node's state (the
-/// contents are pure functions of both — see echo_soa.h).
+/// The queued transmission due at `step`, if any: reconstructs the message
+/// from the structural kind and the node's state (the contents are pure
+/// functions of both — see soa_pending in core/echo.h).
 inline std::optional<message> sas_soa_take_pending(sas_soa_state* s,
                                                    std::int64_t step) {
   switch (s->pending.take(step)) {
@@ -99,7 +94,8 @@ inline std::optional<message> sas_soa_take_pending(sas_soa_state* s,
   }
 }
 
-/// Mirror of sas_node::drive.
+/// The token holder's step: advance the selection; on success pass the
+/// token to the selected neighbor, on S = ∅ return it to the parent.
 inline std::optional<message> sas_soa_drive(sas_soa_state* s,
                                             std::int64_t step, node_id r,
                                             obs::metrics_registry* metrics) {
@@ -129,7 +125,8 @@ inline std::optional<message> sas_soa_drive(sas_soa_state* s,
   return message{kToken, s->label, s->parent, 0, 0};
 }
 
-/// Mirror of sas_node::on_step.
+/// The node's step: the source's opening, then queued duties, then the
+/// token holder's selection.
 inline std::optional<message> sas_soa_on_step(sas_soa_state* s,
                                               std::int64_t step, node_id r,
                                               obs::metrics_registry* metrics) {
@@ -155,7 +152,7 @@ inline std::int64_t sas_soa_next_poll(const sas_soa_state& s,
   return s.pending.next_due(step);
 }
 
-/// Mirror of sas_node::on_receive.
+/// A delivery: every message informs; the kind drives the DFS.
 inline void sas_soa_on_receive(sas_soa_state* s, std::int64_t step, node_id r,
                                obs::metrics_registry* metrics,
                                const message& msg) {

@@ -2,57 +2,62 @@
 
 #include <algorithm>
 
+#include "sim/soa_engine.h"
 #include "util/assert.h"
 #include "util/math.h"
 
 namespace radiocast {
 
 namespace {
-
 constexpr message_kind kSelectivePayload = 1;
+}  // namespace
 
-class selective_node final : public protocol_node {
- public:
-  selective_node(node_id label, std::shared_ptr<const set_family> family)
-      : label_(label), family_(std::move(family)), informed_(label == 0) {
-    // Precompute this node's transmission slots within one pass.
-    for (std::size_t i = 0; i < family_->size(); ++i) {
-      const auto& set = (*family_)[i];
-      if (std::binary_search(set.begin(), set.end(),
-                             static_cast<int>(label_))) {
-        slots_.push_back(i);
-      }
-    }
+// The protocol (sim/soa_engine.h traits), built by
+// selective_broadcast_protocol::traits: the family stays shared
+// configuration on the traits object; a node's state is its label and
+// informed flag.
+struct selective_soa_traits {
+  std::shared_ptr<const set_family> family;  // every set sorted
+
+  // Per-step cache (begin_step hoist): F_{step mod |F|}, the same set for
+  // every node.
+  const std::vector<int>* current = nullptr;
+
+  struct state {
+    node_id label = 0;
+    bool informed = false;
+  };
+
+  void begin_step(std::int64_t step) {
+    const auto size = static_cast<std::int64_t>(family->size());
+    current = &(*family)[static_cast<std::size_t>(step % size)];
   }
 
-  std::optional<message> on_step(const node_context& ctx) override {
-    if (!informed_) return std::nullopt;
-    const auto pos = static_cast<std::size_t>(
-        ctx.step % static_cast<std::int64_t>(family_->size()));
-    if (std::binary_search(slots_.begin(), slots_.end(), pos)) {
-      return message{kSelectivePayload, label_, 0, 0, 0, 0};
+  void init(state* s, node_id label, const protocol_params&) const {
+    s->label = label;
+    s->informed = (label == 0);
+  }
+
+  std::optional<message> on_step(state* s, const node_context&) const {
+    if (!s->informed) return std::nullopt;
+    if (std::binary_search(current->begin(), current->end(),
+                           static_cast<int>(s->label))) {
+      return message{kSelectivePayload, s->label, 0, 0, 0, 0};
     }
     return std::nullopt;
   }
 
-  void on_receive(const node_context&, const message&) override {
-    informed_ = true;
+  void on_receive(state* s, const node_context&, const message&) const {
+    s->informed = true;
   }
 
-  bool informed() const override { return informed_; }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
 
-  void on_restart(const node_context&) override {
-    informed_ = (label_ == 0);  // family_/slots_ are configuration
+  void on_restart(state* s, const node_context&) const {
+    s->informed = (s->label == 0);  // the family is configuration
   }
-
- private:
-  node_id label_;
-  std::shared_ptr<const set_family> family_;
-  bool informed_;
-  std::vector<std::size_t> slots_;
 };
-
-}  // namespace
 
 selective_broadcast_protocol::selective_broadcast_protocol(node_id r, int k)
     : r_(r), k_(k) {
@@ -77,11 +82,28 @@ std::int64_t selective_broadcast_protocol::family_size() const {
   return static_cast<std::int64_t>(family_->size());
 }
 
+selective_soa_traits selective_broadcast_protocol::traits(node_id r) const {
+  RC_REQUIRE_MSG(r <= r_,
+                 "protocol built for a smaller label bound than the run's");
+  selective_soa_traits t;
+  t.family = family_;
+  return t;
+}
+
 std::unique_ptr<protocol_node> selective_broadcast_protocol::make_node(
     node_id label, const protocol_params& params) const {
-  RC_REQUIRE_MSG(params.r <= r_,
-                 "protocol built for a smaller label bound than the run's");
-  return std::make_unique<selective_node>(label, family_);
+  return make_traits_node(traits(params.r), label, params);
+}
+
+run_result selective_broadcast_protocol::soa_entry_fn(
+    const graph& g, const protocol& proto, node_id r,
+    const run_options& opts) {
+  const auto& sel = static_cast<const selective_broadcast_protocol&>(proto);
+  return run_broadcast_soa(g, sel.traits(r), r, opts);
+}
+
+soa_entry selective_broadcast_protocol::soa_runner() const {
+  return &selective_broadcast_protocol::soa_entry_fn;
 }
 
 }  // namespace radiocast

@@ -29,6 +29,8 @@
 
 namespace radiocast {
 
+struct selective_soa_traits;  // the protocol itself (selective_broadcast.cpp)
+
 class selective_broadcast_protocol final : public protocol {
  public:
   /// `r` is the label bound; `k` must exceed the maximum in-degree of any
@@ -39,6 +41,9 @@ class selective_broadcast_protocol final : public protocol {
   bool deterministic() const override { return true; }
   std::unique_ptr<protocol_node> make_node(
       node_id label, const protocol_params& params) const override;
+  /// Runs every step engine on the protocol's traits (per-node state:
+  /// label + informed flag; the family is shared).
+  soa_entry soa_runner() const override;
 
   /// Length of one pass over the family.
   std::int64_t family_size() const;
@@ -47,6 +52,12 @@ class selective_broadcast_protocol final : public protocol {
   const set_family& family() const { return *family_; }
 
  private:
+  /// The configured traits for label bound r (≤ the constructor's r) —
+  /// the one place make_node and the SoA entry get them from.
+  selective_soa_traits traits(node_id r) const;
+  static run_result soa_entry_fn(const graph& g, const protocol& proto,
+                                 node_id r, const run_options& opts);
+
   node_id r_;
   int k_;
   std::shared_ptr<const set_family> family_;

@@ -31,6 +31,7 @@
 #include "sim/message.h"                  // IWYU pragma: export
 #include "sim/protocol.h"                 // IWYU pragma: export
 #include "sim/simulator.h"                // IWYU pragma: export
+#include "sim/soa_engine.h"               // IWYU pragma: export
 #include "sim/trace.h"                    // IWYU pragma: export
 #include "util/assert.h"                  // IWYU pragma: export
 #include "util/cli.h"                     // IWYU pragma: export

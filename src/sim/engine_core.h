@@ -2,19 +2,21 @@
 // resolution, metrics, completion — everything a broadcast run needs except
 // the protocol-state representation and phase-1 stepping strategy.
 //
-// Three engines derive from run_base:
-//   * the virtual-dispatch engines (frontier + reference) in simulator.cpp,
-//     whose per-node state is a protocol_node object; and
-//   * the templated SoA engine (sim/soa_engine.h), whose per-node state is a
-//     contiguous POD array and whose phase loops can shard across a thread
-//     pool.
-// The derived class provides the protocol hooks (proto_step, proto_receive,
-// proto_informed, proto_halted, proto_restart), node construction
-// (init_nodes), and the step loop (run_engine); EVERYTHING else — fault
-// injection sites, collision/delivery resolution in touched order, trace
-// event ordering, per-step metrics, the outcome BFS — is this one body of
-// code. That is what makes the three-way differential suite meaningful: the
-// engines can only disagree in the parts that actually differ.
+// Two runs derive from run_base:
+//   * virtual_run (simulator.cpp), whose per-node state is a protocol_node
+//     object — the path for protocols without a traits form; and
+//   * the templated soa_run (sim/soa_engine.h), whose per-node state is a
+//     contiguous POD array. It runs all three step loops: run_reference and
+//     run_frontier below, and its own calendar loop whose phases can shard
+//     across a thread pool.
+// The derived class provides the protocol hooks (proto_begin_step,
+// proto_step, proto_receive, proto_informed, proto_halted, proto_restart),
+// node construction (init_nodes), and the step loop (run_engine);
+// EVERYTHING else — fault injection sites, collision/delivery resolution in
+// touched order, trace event ordering, per-step metrics, the outcome BFS —
+// is this one body of code. That is what makes the three-way differential
+// suite meaningful: the engines can only disagree in the parts that
+// actually differ.
 //
 // The base owns the per-node RNG pool (`gens_`, split from the root seed in
 // node order 0…n−1) so every engine draws the identical per-node streams.
@@ -677,6 +679,7 @@ class run_base {
       const std::int64_t suppressed_before = result_.suppressed_deliveries;
 
       if (faults_ != nullptr) apply_begin_step_faults(step);
+      derived().proto_begin_step(step);
 
       // Phase 1: transmit decisions from awake nodes only.
       transmitters_.clear();
@@ -711,6 +714,7 @@ class run_base {
       const std::int64_t suppressed_before = result_.suppressed_deliveries;
 
       if (faults_ != nullptr) apply_begin_step_faults(step);
+      derived().proto_begin_step(step);
 
       // Phase 1: collect transmit decisions from ALL nodes.
       transmitters_.clear();

@@ -6,6 +6,12 @@
 // `on_step` returns its transmit decision for the current step and whose
 // `on_receive` extends its history.
 //
+// Every shipped protocol except dfs_known writes that action function ONCE,
+// as SoA traits (a POD per-node state plus const hooks; sim/soa_engine.h).
+// make_node wraps those traits in a traits_node, and soa_runner hands the
+// same traits to the templated step loops; there is no hand-written
+// protocol_node to keep in step with them.
+//
 // Knowledge model (paper §1.3): a node knows a priori only its own label and
 // the bound r on labels. Procedures explicitly parameterized by D (such as
 // Randomized-Broadcasting(D)) receive it through `protocol_params::d_hint`;
@@ -79,11 +85,12 @@ class protocol;
 
 /// Entry point of a protocol's struct-of-arrays step engine: runs one full
 /// broadcast of `proto` on `g` with the given label bound and options,
-/// using the templated SoA loop instantiated for that protocol's POD state
-/// (see sim/soa_engine.h). A plain function pointer, not a virtual per-step
-/// call: run_broadcast_with_r resolves it ONCE per run through
-/// protocol::soa_runner, and the step loop it jumps into has no virtual
-/// dispatch at all — on_step is inlined into the loop body.
+/// using the templated SoA run instantiated for that protocol's POD state
+/// (see sim/soa_engine.h) on whichever step loop opts.engine names. A plain
+/// function pointer, not a virtual per-step call: run_broadcast_with_r
+/// resolves it ONCE per run through protocol::soa_runner, and the step
+/// loops it jumps into have no virtual dispatch at all — on_step is inlined
+/// into the loop body.
 using soa_entry = run_result (*)(const graph& g, const protocol& proto,
                                  node_id r, const run_options& opts);
 
@@ -165,16 +172,38 @@ class protocol {
   virtual std::unique_ptr<protocol_node> make_node(
       node_id label, const protocol_params& params) const = 0;
 
-  /// The protocol's struct-of-arrays step-engine entry, or nullptr when the
-  /// protocol has no SoA form (the default — protocols opt in by keeping a
-  /// POD mirror of their node state in sync with make_node; see
-  /// core/decay.cpp for the pattern). The returned entry must replicate the
-  /// virtual node's behavior EXACTLY — same decisions, same ctx.gen draw
-  /// sequence, same metrics writes — which the three-way differential suite
-  /// (tests/differential_test.cpp) and the chaos engine-bit-identity
-  /// invariant verify. Selecting step_engine::soa for a protocol that
-  /// returns nullptr is a checked error in run_broadcast_with_r.
+  /// The protocol's struct-of-arrays entry, or nullptr when the protocol
+  /// has no traits form (the default). A non-null entry runs EVERY engine —
+  /// reference, frontier and soa — on the protocol's traits; make_node is
+  /// then only for code that drives single nodes (the lower-bound
+  /// adversary, virtual_view below). Both must be built from the same
+  /// configured traits (make_traits_node in sim/soa_engine.h; core/decay.cpp
+  /// shows the pattern), so the two paths cannot disagree. A nullptr entry
+  /// runs reference and frontier through make_node's virtual nodes;
+  /// selecting step_engine::soa for it is a checked error in
+  /// run_broadcast_with_r.
   virtual soa_entry soa_runner() const { return nullptr; }
+};
+
+/// A view of `inner` with its traits form hidden: make_node forwards, and
+/// soa_runner() is null, so every run takes the virtual per-node path
+/// (virtual_run over traits_node objects for a traits protocol). The
+/// differential suite uses it to hold that path to the SoA run, and the
+/// throughput bench to time virtual dispatch against the SoA layout.
+/// `inner` must outlive the view.
+class virtual_view final : public protocol {
+ public:
+  explicit virtual_view(const protocol& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+  bool deterministic() const override { return inner_.deterministic(); }
+  std::unique_ptr<protocol_node> make_node(
+      node_id label, const protocol_params& params) const override {
+    return inner_.make_node(label, params);
+  }
+
+ private:
+  const protocol& inner_;
 };
 
 }  // namespace radiocast

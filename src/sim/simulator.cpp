@@ -13,13 +13,14 @@ namespace radiocast {
 
 namespace {
 
-/// The virtual-dispatch engines (frontier + reference): per-node state is a
-/// heap protocol_node object and every protocol hook is a virtual call.
-/// Everything else — setup, fault sites, reception resolution, metrics,
-/// completion — is the shared core in sim/engine_core.h, which is exactly
-/// what lets the differential suite compare this pair against the SoA
-/// engine (sim/soa_engine.h): the engines can only disagree in the parts
-/// that actually differ.
+/// The virtual-dispatch run, for protocols without a traits form
+/// (soa_runner() == nullptr): per-node state is a heap protocol_node object
+/// and every protocol hook is a virtual call; it runs the reference or the
+/// frontier loop. Everything else — setup, fault sites, reception
+/// resolution, metrics, completion — is the shared core in
+/// sim/engine_core.h, which is exactly what lets the differential suite
+/// compare it against soa_run (sim/soa_engine.h): the runs can only
+/// disagree in the parts that actually differ.
 class virtual_run final : public detail::run_base<virtual_run> {
   using base = detail::run_base<virtual_run>;
   friend base;
@@ -45,6 +46,7 @@ class virtual_run final : public detail::run_base<virtual_run> {
   // radiocast-analyze: hot-path-begin -- per-node dispatch, called once
   // per awake node per step.
 
+  void proto_begin_step(std::int64_t) {}  // nodes hoist for themselves
   std::optional<message> proto_step(node_id v, const node_context& ctx) {
     return nodes_[idx(v)]->on_step(ctx);
   }
@@ -88,16 +90,15 @@ run_result run_broadcast_with_r(const graph& g, const protocol& proto,
   obs::span_profiler* profiler =
       opts.profiler != nullptr ? opts.profiler : obs::global_profiler();
   obs::scoped_span run_span(profiler, "run_broadcast");
-  if (opts.engine == step_engine::soa) {
-    // One virtual call per RUN: resolve the protocol's templated SoA entry
-    // and jump into it — the step loop behind it has no virtual dispatch.
-    const soa_entry entry = proto.soa_runner();
-    RC_REQUIRE_MSG(entry != nullptr,
-                   "protocol '" + proto.name() +
-                       "' has no SoA step form (protocol::soa_runner "
-                       "returned null); use step_engine::frontier");
-    return entry(g, proto, r, opts);
-  }
+  // One virtual call per RUN: a protocol with a traits form runs every
+  // engine through its templated SoA entry — the step loops behind it have
+  // no virtual dispatch.
+  const soa_entry entry = proto.soa_runner();
+  if (entry != nullptr) return entry(g, proto, r, opts);
+  RC_REQUIRE_MSG(opts.engine != step_engine::soa,
+                 "protocol '" + proto.name() +
+                     "' has no SoA step form (protocol::soa_runner "
+                     "returned null); use step_engine::frontier");
   virtual_run run(g, proto, r, opts, profiler);
   obs::scoped_span loop_span(profiler, "step_loop");
   return run.run();

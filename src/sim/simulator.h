@@ -38,7 +38,10 @@ enum class stop_condition {
   all_halted,    ///< stop once every node reports halted() (token protocols)
 };
 
-/// Which step loop runs the broadcast (see docs/PERFORMANCE.md).
+/// Which step loop runs the broadcast (see docs/PERFORMANCE.md). A
+/// protocol with a traits form (protocol::soa_runner) runs every loop on
+/// its SoA state with the hooks inlined; any other protocol runs frontier
+/// and reference through its virtual protocol_node objects.
 enum class step_engine {
   /// Frontier-driven: phase 1 iterates only the awake set (source + every
   /// node that has received at least one message; crashed nodes leave it),
@@ -49,15 +52,15 @@ enum class step_engine {
   /// The pre-frontier loop, retained as the differential-testing oracle:
   /// phase 1 calls on_step on all n nodes every step.
   reference,
-  /// Struct-of-arrays engine (sim/soa_engine.h): per-node protocol state
-  /// lives in one contiguous POD array, the step loop is templated on the
-  /// protocol's traits so on_step inlines (no virtual call per node), and
-  /// phase 1 / phase 2 of a single step can shard across a thread pool
-  /// (run_options::step_threads) with an ordered-merge reduction. Trial
-  /// records, metrics dumps, and traces are bit-identical to frontier and
-  /// reference — the three-way differential suite holds it to that. Only
-  /// protocols that publish a SoA form (protocol::soa_runner) support it;
-  /// selecting it for any other protocol is a checked error.
+  /// The SoA step loop (sim/soa_engine.h): on top of the contiguous POD
+  /// state and inlined hooks every traits protocol gets, it skips awake
+  /// nodes whose traits declare a later next_poll (the quiescence
+  /// calendar), and phase 1 / phase 2 of a single step can shard across a
+  /// thread pool (run_options::step_threads) with an ordered-merge
+  /// reduction. Trial records, metrics dumps, and traces are bit-identical
+  /// to frontier and reference — the three-way differential suite holds it
+  /// to that. Only protocols that publish a SoA form (protocol::soa_runner)
+  /// support it; selecting it for any other protocol is a checked error.
   soa,
 };
 

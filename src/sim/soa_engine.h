@@ -1,9 +1,20 @@
-// Struct-of-arrays step engine: million-node single runs.
+// Struct-of-arrays step engine: the one run type for every protocol with a
+// traits form, on every step_engine.
 //
-// The virtual engines (sim/simulator.cpp) pay three taxes per awake node
-// per step: a unique_ptr chase to a heap-scattered node object, a virtual
-// on_step call the compiler cannot inline, and the cache misses both imply
-// once n outgrows the LLC. This engine removes all three:
+// A per-node protocol_node (sim/simulator.cpp's virtual_run) pays three
+// taxes per awake node per step: a unique_ptr chase to a heap-scattered
+// node object, a virtual on_step call the compiler cannot inline, and the
+// cache misses both imply once n outgrows the LLC. soa_run removes all
+// three, and run_broadcast_with_r sends every protocol whose soa_runner()
+// is non-null here whatever run_options::engine says:
+//
+//   * step_engine::reference runs run_base::run_reference (on_step on all
+//     n nodes), step_engine::frontier runs run_base::run_frontier (on_step
+//     on the awake list), and step_engine::soa runs the loop below (the
+//     quiescence calendar and intra-step sharding). The calendar and the
+//     pool exist only under step_engine::soa: the two polling loops are
+//     what the differential suite holds the next_poll hints and the
+//     dormant-node contract against;
 //
 //   * STATE: per-node protocol state is one contiguous std::vector of a POD
 //     `Traits::state` (plus the flat awake/crashed/received masks and the
@@ -79,7 +90,10 @@
 //   * Traits without next_poll compile, through `if constexpr`, to the
 //     plain awake-list walk.
 //
-// Traits requirements (see core/decay.cpp for the worked pattern):
+// Traits requirements (see core/decay.cpp for the worked pattern). The
+// traits struct IS the protocol: make_node wraps the same configured traits
+// in a traits_node (below), so there is no second implementation to keep
+// in step.
 //   struct state;                       // POD per-node protocol state
 //   void init(state*, node_id label, const protocol_params&) const;
 //   std::optional<message> on_step(state*, const node_context&) const;
@@ -95,21 +109,22 @@
 //       // no reception in between; kWakeOnReceive = only a reception.
 //       // The signature is exact (radiocast_analyze P3): a narrower type
 //       // would truncate steps.
-// begin_step is called ONCE per step, serially, before phase 1 (and before
-// the verify_sleepers sweep). Schedule arithmetic that depends only on the
-// step number — phase/offset divisions, block lookups, stage probabilities
-// — is identical for every node, so traits cache it here and on_step reads
-// the cache; during the sharded region workers only READ the traits
-// object, so the hoist is race-free. Every hook must replicate the
-// protocol's virtual node EXACTLY — same decisions, same ctx.gen draw
-// sequence, same metrics writes. The three-way differential suite and the
-// chaos invariants enforce this.
+// begin_step is called ONCE per step, serially, after the step's faults
+// and before phase 1 (and before the verify_sleepers sweep), on every
+// engine. Schedule arithmetic that depends only on the step number —
+// phase/offset divisions, block lookups, stage probabilities — is
+// identical for every node, so traits cache it here and on_step and
+// on_receive read the cache; during the sharded region workers only READ
+// the traits object, so the hoist is race-free. on_restart runs before the
+// step's begin_step and must not read the cache.
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "exec/sharding.h"
@@ -172,7 +187,9 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
           const run_options& opts, obs::span_profiler* profiler)
       : base(g, r, opts),
         traits_(traits),
-        step_threads_(exec::resolve_threads(opts.step_threads)),
+        soa_loop_(opts.engine == step_engine::soa),
+        step_threads_(soa_loop_ ? exec::resolve_threads(opts.step_threads)
+                                : 1),
         grain_(opts.step_shard_grain > 0 ? opts.step_shard_grain
                                          : kDefaultGrain) {
     this->finish_setup(profiler);
@@ -180,7 +197,7 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       // Pool and shard arenas are run-lifetime, sized once from the graph
       // here (still inside the "setup" span's wall-clock): the sharded
       // step loop below never allocates. Serial runs (step_threads == 1)
-      // never shard and skip all of it.
+      // and the two polling loops never shard and skip all of it.
       pool_ = std::make_unique<exec::thread_pool>(step_threads_ - 1);
       const auto n = static_cast<std::size_t>(this->n_);
       p1_tx_arena_.resize(n);
@@ -195,9 +212,10 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       p2_bounds_.reserve(static_cast<std::size_t>(step_threads_) + 1);
     }
     if constexpr (kCalendar) {
-      const auto n = static_cast<std::size_t>(this->n_);
-      wake_.assign(n, kWakeOnReceive);
-      reschedule(0, -1);  // the source, the only node awake at setup
+      if (soa_loop_) {
+        wake_.assign(static_cast<std::size_t>(this->n_), kWakeOnReceive);
+        reschedule(0, -1);  // the source, the only node awake at setup
+      }
     }
   }
 
@@ -217,12 +235,19 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
     }
   }
 
+  void proto_begin_step(std::int64_t step) {
+    if constexpr (detail::traits_have_begin_step<Traits>::value) {
+      traits_.begin_step(step);
+    }
+  }
   std::optional<message> proto_step(node_id v, const node_context& ctx) {
     return traits_.on_step(&states_[idx(v)], ctx);
   }
   void proto_receive(node_id v, const node_context& ctx, const message& m) {
     traits_.on_receive(&states_[idx(v)], ctx, m);
-    if constexpr (kCalendar) reschedule(v, ctx.step);
+    if constexpr (kCalendar) {
+      if (soa_loop_) reschedule(v, ctx.step);
+    }
   }
   bool proto_informed(node_id v) { return traits_.informed(states_[idx(v)]); }
   bool proto_halted(node_id v) { return traits_.halted(states_[idx(v)]); }
@@ -465,8 +490,23 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
     }
   }
 
-  // The step loop — structurally run_frontier with shardable phases.
   void run_engine() {
+    switch (this->opts_.engine) {
+      case step_engine::reference:
+        this->run_reference();
+        return;
+      case step_engine::frontier:
+        this->run_frontier();
+        return;
+      case step_engine::soa:
+        run_soa();
+        return;
+    }
+  }
+
+  // The soa step loop — structurally run_frontier with the calendar and
+  // shardable phases.
+  void run_soa() {
     for (std::int64_t step = 0; step < this->opts_.max_steps; ++step) {
       const std::int64_t collisions_before = this->result_.collisions;
       const std::int64_t deliveries_before = this->result_.deliveries;
@@ -474,10 +514,8 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
           this->result_.suppressed_deliveries;
 
       if (this->faults_ != nullptr) this->apply_begin_step_faults(step);
+      proto_begin_step(step);
 
-      if constexpr (detail::traits_have_begin_step<Traits>::value) {
-        traits_.begin_step(step);
-      }
       this->transmitters_.clear();
       if constexpr (kCalendar) {
         if (this->faults_ != nullptr) reschedule_recoveries(step);
@@ -511,11 +549,13 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
 
   Traits traits_;
   std::vector<typename Traits::state> states_;
+  const bool soa_loop_;  // step_engine::soa: calendar + sharding
   const int step_threads_;
   const std::int64_t grain_;
 
-  // Quiescence calendar, used only when kCalendar (see the header
-  // comment); wake_ holds kWakeOnReceive for a node waiting on a reception.
+  // Quiescence calendar, used only when kCalendar && soa_loop_ (see the
+  // header comment); wake_ holds kWakeOnReceive for a node waiting on a
+  // reception.
   struct cal_entry {
     std::int64_t step;
     node_id node;
@@ -558,6 +598,67 @@ run_result run_broadcast_soa(const graph& g, const Traits& traits, node_id r,
   soa_run<Traits> run(g, traits, r, opts, profiler);
   obs::scoped_span loop_span(profiler, "step_loop");
   return run.run();
+}
+
+/// The soa_entry of a protocol whose configured traits depend only on the
+/// label bound: `MakeTraits(r)` is the one place that configuration
+/// happens, shared with make_node (`make_traits_node(MakeTraits(params.r),
+/// …)`).
+template <auto MakeTraits>
+run_result soa_entry_for(const graph& g, const protocol&, node_id r,
+                         const run_options& opts) {
+  return run_broadcast_soa(g, MakeTraits(r), r, opts);
+}
+
+/// One node of a traits protocol behind the protocol_node interface, for
+/// code that drives nodes one by one: the lower-bound adversary, user code,
+/// and virtual_run when a protocol wrapper hides soa_runner() (the
+/// differential suite's virtual leg). It holds one traits copy and one
+/// state, and runs begin_step itself whenever it sees a new step — before
+/// on_step, on_receive and on_restart alike, since a node can receive in a
+/// step in which it was not polled and a hook may read the hoist.
+template <class Traits>
+class traits_node final : public protocol_node {
+ public:
+  traits_node(Traits traits, node_id label, const protocol_params& params)
+      : traits_(std::move(traits)) {
+    traits_.init(&state_, label, params);
+  }
+
+  std::optional<message> on_step(const node_context& ctx) override {
+    hoist(ctx.step);
+    return traits_.on_step(&state_, ctx);
+  }
+  void on_receive(const node_context& ctx, const message& msg) override {
+    hoist(ctx.step);
+    traits_.on_receive(&state_, ctx, msg);
+  }
+  bool informed() const override { return traits_.informed(state_); }
+  bool halted() const override { return traits_.halted(state_); }
+  void on_restart(const node_context& ctx) override {
+    hoist(ctx.step);
+    traits_.on_restart(&state_, ctx);
+  }
+
+ private:
+  void hoist(std::int64_t step) {
+    if constexpr (detail::traits_have_begin_step<Traits>::value) {
+      if (step == hoisted_step_) return;
+      traits_.begin_step(step);
+      hoisted_step_ = step;
+    }
+  }
+
+  Traits traits_;
+  typename Traits::state state_{};
+  std::int64_t hoisted_step_ = std::numeric_limits<std::int64_t>::min();
+};
+
+template <class Traits>
+std::unique_ptr<protocol_node> make_traits_node(Traits traits, node_id label,
+                                                const protocol_params& params) {
+  return std::make_unique<traits_node<Traits>>(std::move(traits), label,
+                                               params);
 }
 
 }  // namespace radiocast

@@ -424,7 +424,7 @@ TEST(AnalyzeTest, ContractFiresOnLossyNextPollSignature) {
 
 TEST(AnalyzeTest, ContractAcceptsNestedPodStateMembers) {
   // complete_layered's shape: the state embeds the POD echo/selection
-  // mirrors (core/echo_soa.h) as plain members. Nested POD structs are
+  // forms (core/echo.h) as plain members. Nested POD structs are
   // value types, not owning containers — the checker must stay quiet.
   const report rep = run_one("src/core/cl_like.cpp", R"cpp(
 struct cl_like_soa_traits {
@@ -500,11 +500,68 @@ struct il_bad_soa_traits {
   EXPECT_EQ(fired(rep, "contract"), 1);
 }
 
+// One implementation per protocol: the traits, wrapped by make_node.
+const char* kTraitsOnlyProtocol = R"cpp(
+struct one_soa_traits {
+  struct state {
+    node_id label = -1;
+    bool informed = false;
+  };
+  void init(state* s, node_id label, const protocol_params& p) const;
+  std::optional<message> on_step(state* s, const node_context& ctx) const;
+  void on_receive(state* s, const node_context& ctx, const message& m) const;
+  bool informed(const state& s) const;
+  bool halted(const state& s) const;
+  void on_restart(state* s, const node_context& ctx) const;
+};
+std::unique_ptr<protocol_node> one_protocol::make_node(
+    node_id label, const protocol_params& params) const {
+  return make_traits_node(one_soa_traits{}, label, params);
+}
+soa_entry one_protocol::soa_runner() const {
+  return &soa_entry_for<one_traits>;
+}
+)cpp";
+
+TEST(AnalyzeTest, ContractAcceptsTraitsWrappedByMakeNode) {
+  EXPECT_EQ(fired(run_one("src/core/one.cpp", kTraitsOnlyProtocol),
+                  "contract"),
+            0);
+}
+
+TEST(AnalyzeTest, ContractFiresOnHandWrittenNodeNextToTraits) {
+  // The duplicate the traits replaced: a protocol_node subclass in the
+  // same src/core file, with the base clause on the head line or wrapped.
+  const std::string inline_head = std::string(kTraitsOnlyProtocol) +
+                                  "class one_node final : public "
+                                  "protocol_node {\n};\n";
+  EXPECT_EQ(fired(run_one("src/core/one.cpp", inline_head), "contract"), 1);
+  const std::string wrapped_head = std::string(kTraitsOnlyProtocol) +
+                                   "class one_node final\n"
+                                   "    : public protocol_node {\n};\n";
+  EXPECT_EQ(fired(run_one("src/core/one.cpp", wrapped_head), "contract"), 1);
+  // Outside src/core (test fixtures, user protocols) the rule is silent,
+  // and so is a src/core file without traits (dfs_known's shape).
+  EXPECT_EQ(fired(run_one("tests/one.cpp", inline_head), "contract"), 0);
+  EXPECT_EQ(fired(run_one("src/core/dfs_like.cpp",
+                          "class dfs_like_node final : public "
+                          "protocol_node {\n};\n"),
+                  "contract"),
+            0);
+}
+
 TEST(AnalyzeTest, ContractFiresOnEntryWithoutTraits) {
   const report rep = run_one("src/core/bad.cpp", R"cpp(
 soa_entry bad_protocol::soa_runner() const { return &some_entry_fn; }
 )cpp");
   EXPECT_EQ(fired(rep, "contract"), 1);
+  // The generic entry helper's shape triggers the same check.
+  const report generic = run_one("src/core/bad2.cpp", R"cpp(
+soa_entry bad2_protocol::soa_runner() const {
+  return &soa_entry_for<bad2_traits>;
+}
+)cpp");
+  EXPECT_EQ(fired(generic, "contract"), 1);
 }
 
 TEST(AnalyzeTest, ContractIgnoresDelegatingAndNullRunners) {

@@ -438,13 +438,15 @@ TEST(DifferentialTest, TrialRecordsMatchTracedReruns) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential: soa vs frontier vs reference.
+// Engine differential: soa vs frontier vs reference, plus the virtual path.
 //
 // The frontier engine (docs/PERFORMANCE.md) skips dormant nodes in phase 1
 // and hoists the fault branches out of phase 2; the soa engine additionally
-// devirtualizes the protocol step and shards both phases of a single step
-// across threads with an ordered merge. The contract for BOTH is BIT
-// IDENTITY with the retained reference engine — not statistical agreement:
+// skips sleeping nodes through the quiescence calendar and shards both
+// phases of a single step across threads with an ordered merge. A traits
+// protocol runs all three on its SoA state; a virtual_view of it runs the
+// reference loop over traits_node objects instead. The contract for ALL is
+// BIT IDENTITY with the reference engine — not statistical agreement:
 // trial records, full metrics dumps, and event-for-event trace NDJSON must
 // all be byte-equal, across protocols, graph families, fault models, the
 // serial/parallel executors, and every intra-step thread count.
@@ -557,6 +559,13 @@ void expect_engines_agree(const graph& g, const protocol& proto,
       expect_observations_equal(
           ref, soa, what + "/soa@st" + std::to_string(st));
     }
+    // The virtual leg: with soa_runner hidden, the reference loop drives
+    // one traits_node per node through virtual_run — the per-node path
+    // the lower-bound adversary and user code take.
+    const virtual_view view(proto);
+    const engine_observation virt =
+        observe(g, view, step_engine::reference, faults, threads);
+    expect_observations_equal(ref, virt, what + "/virtual");
   }
 }
 
@@ -759,6 +768,27 @@ TEST(EngineDifferentialTest, CalendarFarWakesAndRecoveries) {
     expect_engines_agree(g, *proto, nullptr, 0, "tree150/" + proto_name);
     expect_engines_agree(g, *proto, retain, 0,
                          "tree150/retain/" + proto_name);
+  }
+}
+
+TEST(EngineDifferentialTest, VirtualViewOnFrontier) {
+  // The frontier loop never polls a dormant node, so a traits_node first
+  // hears a message in a step in which its on_step did not run: the
+  // adapter must run begin_step from on_receive itself (Interleaved's
+  // on_receive reads the step hoists). verify_sleepers also sweeps the
+  // dormant traits_nodes.
+  rng topo_gen(337);
+  const graph g = make_gnp_connected(24, 0.15, topo_gen);
+  for (const std::string proto_name :
+       {"decay", "kp-doubling", "select-and-send", "interleaved"}) {
+    const auto proto = make_protocol(proto_name, g.node_count() - 1);
+    const virtual_view view(*proto);
+    const engine_observation ref =
+        observe(g, *proto, step_engine::reference, nullptr, 0);
+    const engine_observation virt =
+        observe(g, view, step_engine::frontier, nullptr, 0);
+    expect_observations_equal(ref, virt,
+                              "gnp24/" + proto_name + "/virtual-frontier");
   }
 }
 

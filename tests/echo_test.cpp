@@ -1,14 +1,15 @@
 // Tests of the Echo / Binary-Selection machinery (core/echo.h), driven
 // directly against a simulated responder set: the harness plays the radio
-// channel for one initiator whose neighbors are the members of S plus the
-// helper w, reproducing the exactly-one-transmitter delivery rule.
+// channel for one initiator (soa_selection) whose neighbors are the members
+// of S plus the helper w, each answering orders through
+// soa_schedule_echo_replies and its own soa_pending queue, reproducing the
+// exactly-one-transmitter delivery rule.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
 #include "core/echo.h"
-#include "core/echo_soa.h"
 #include "sim/protocol.h"
 #include "util/math.h"
 #include "util/rng.h"
@@ -18,71 +19,74 @@ namespace {
 
 constexpr selection_kinds kKinds{40, 41};
 
-/// Runs the selection driver to completion against responder set `s`
-/// (labels ≥ 1), helper `w` (not in s). Returns the driver's result and
-/// reports the number of steps consumed via *steps_out.
-selection_driver::status run_selection(const std::set<node_id>& s,
-                                       node_id helper, node_id bound,
-                                       node_id* selected_out,
-                                       int* steps_out = nullptr,
-                                       int* segments_out = nullptr) {
-  selection_driver driver(kKinds, helper, bound);
-  pending_tx replies;  // union of all responders' scheduled replies
-  // member → pending reply steps; we model each responder separately to
-  // count transmitters per step.
+enum class selection_status { running, empty_set, selected };
+
+selection_status status_of(const soa_selection& sel) {
+  if (!sel_finished(sel)) return selection_status::running;
+  return sel_selected(sel) ? selection_status::selected
+                           : selection_status::empty_set;
+}
+
+/// Runs a selection to completion against responder set `s` (labels ≥ 1),
+/// helper `w` (not in s). Returns the selection's result and reports the
+/// number of steps consumed via *steps_out.
+selection_status run_selection(const std::set<node_id>& s, node_id helper,
+                               node_id bound, node_id* selected_out,
+                               int* steps_out = nullptr,
+                               int* segments_out = nullptr) {
+  soa_selection sel;
+  sel_init(&sel, bound);
+  // step → the responders transmitting a reply in that step; each
+  // responder is modelled separately to count transmitters per step.
   std::map<std::int64_t, std::vector<node_id>> tx_at;
 
   int steps = 0;
   for (std::int64_t step = 0; step < 100000; ++step) {
     ++steps;
     // Initiator acts.
-    std::optional<message> order = driver.on_step(step);
-    if (driver.finished()) break;
+    std::optional<message> order =
+        sel_on_step(&sel, kKinds, helper, bound, nullptr);
+    if (sel_finished(sel)) break;
     if (order) {
       order->from = -1;
       // Every member of S (and the helper) hears the order: the initiator
       // is their common neighbor and nothing else transmits this step.
-      for (node_id member : s) {
-        pending_tx out;
-        schedule_echo_replies(out, kKinds, *order, step, member,
-                              /*is_member=*/true);
+      const auto respond = [&](node_id self, bool is_member) {
+        soa_pending out;
+        soa_schedule_echo_replies(&out, kKinds, *order, step, self,
+                                  is_member);
         for (std::int64_t t = step + 1; t <= step + 2; ++t) {
-          if (out.take(t)) tx_at[t].push_back(member);
+          if (out.take(t) == 2) tx_at[t].push_back(self);
         }
-      }
-      pending_tx out;
-      schedule_echo_replies(out, kKinds, *order, step, helper,
-                            /*is_member=*/false);
-      for (std::int64_t t = step + 1; t <= step + 2; ++t) {
-        if (out.take(t)) tx_at[t].push_back(helper);
-      }
+      };
+      for (node_id member : s) respond(member, /*is_member=*/true);
+      respond(helper, /*is_member=*/false);
       continue;
     }
     // Channel: the initiator receives iff exactly one responder transmits.
     const auto it = tx_at.find(step);
     if (it != tx_at.end() && it->second.size() == 1) {
-      driver.on_receive(message{kKinds.reply, it->second[0], 0, 0, 0, 0});
+      sel_on_receive(&sel, kKinds,
+                     message{kKinds.reply, it->second[0], 0, 0, 0, 0});
     }
   }
   if (steps_out != nullptr) *steps_out = steps;
-  if (segments_out != nullptr) *segments_out = driver.segments_issued();
-  if (driver.result() == selection_driver::status::selected) {
-    *selected_out = driver.selected();
-  }
-  return driver.result();
+  if (segments_out != nullptr) *segments_out = sel.segments;
+  if (sel_selected(sel)) *selected_out = sel.heard1;
+  return status_of(sel);
 }
 
 TEST(EchoTest, EmptySetDetected) {
   node_id selected = -1;
   EXPECT_EQ(run_selection({}, 7, 63, &selected),
-            selection_driver::status::empty_set);
+            selection_status::empty_set);
 }
 
 TEST(EchoTest, SingletonSelectedImmediately) {
   node_id selected = -1;
   int segments = 0;
   EXPECT_EQ(run_selection({5}, 7, 63, &selected, nullptr, &segments),
-            selection_driver::status::selected);
+            selection_status::selected);
   EXPECT_EQ(selected, 5);
   EXPECT_EQ(segments, 1);  // the full probe already finds it
 }
@@ -90,14 +94,14 @@ TEST(EchoTest, SingletonSelectedImmediately) {
 TEST(EchoTest, PairSelectsExactlyOneMember) {
   node_id selected = -1;
   EXPECT_EQ(run_selection({3, 9}, 1, 63, &selected),
-            selection_driver::status::selected);
+            selection_status::selected);
   EXPECT_TRUE(selected == 3 || selected == 9);
 }
 
 TEST(EchoTest, AdjacentLabelsAreSeparated) {
   node_id selected = -1;
   EXPECT_EQ(run_selection({12, 13}, 1, 63, &selected),
-            selection_driver::status::selected);
+            selection_status::selected);
   EXPECT_TRUE(selected == 12 || selected == 13);
 }
 
@@ -106,7 +110,7 @@ TEST(EchoTest, LargeContiguousSet) {
   for (node_id v = 17; v < 49; ++v) s.insert(v);
   node_id selected = -1;
   EXPECT_EQ(run_selection(s, 3, 63, &selected),
-            selection_driver::status::selected);
+            selection_status::selected);
   EXPECT_TRUE(s.count(selected));
 }
 
@@ -114,7 +118,7 @@ TEST(EchoTest, MaxLabelOnlyMember) {
   // S = {bound}: doubling must walk to the top and still find it.
   node_id selected = -1;
   EXPECT_EQ(run_selection({63}, 1, 63, &selected),
-            selection_driver::status::selected);
+            selection_status::selected);
   EXPECT_EQ(selected, 63);
 }
 
@@ -132,7 +136,7 @@ TEST(EchoTest, SegmentCountIsLogarithmic) {
     node_id selected = -1;
     int segments = 0;
     ASSERT_EQ(run_selection(s, 0, bound, &selected, nullptr, &segments),
-              selection_driver::status::selected);
+              selection_status::selected);
     ASSERT_TRUE(s.count(selected));
     EXPECT_LE(segments, 2 * ilog2_ceil(bound + 1) + 2)
         << "trial " << trial << " size " << size;
@@ -154,9 +158,9 @@ TEST_P(EchoExhaustive, AllSubsetsSelectCorrectly) {
     node_id selected = -1;
     const auto result = run_selection(s, 0, bound, &selected);
     if (s.empty()) {
-      EXPECT_EQ(result, selection_driver::status::empty_set);
+      EXPECT_EQ(result, selection_status::empty_set);
     } else {
-      ASSERT_EQ(result, selection_driver::status::selected) << "mask=" << mask;
+      ASSERT_EQ(result, selection_status::selected) << "mask=" << mask;
       EXPECT_TRUE(s.count(selected)) << "mask=" << mask;
     }
   }
@@ -165,32 +169,31 @@ TEST_P(EchoExhaustive, AllSubsetsSelectCorrectly) {
 INSTANTIATE_TEST_SUITE_P(SmallUniverses, EchoExhaustive,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-TEST(EchoTest, PendingTxTakeRemovesEntry) {
-  pending_tx p;
-  p.schedule(5, message{1, 2, 0, 0, 0, 0});
-  EXPECT_TRUE(p.take(4) == std::nullopt);
-  auto got = p.take(5);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->kind, 1);
-  EXPECT_TRUE(p.empty());
-  EXPECT_TRUE(p.take(5) == std::nullopt);
+TEST(EchoTest, SoaPendingTakeRemovesEntry) {
+  soa_pending p;
+  p.schedule_structural(5, 1);
+  EXPECT_EQ(p.take(4), 0);
+  EXPECT_EQ(p.take(5), 1);
+  EXPECT_EQ(p.one_kind, 1);
+  EXPECT_EQ(p.next_due(5), kWakeOnReceive);  // nothing left queued
+  EXPECT_EQ(p.take(5), 0);
 }
 
 TEST(EchoTest, ScheduleEchoRepliesMemberAndHelper) {
-  pending_tx out;
+  soa_pending out;
   const message order{kKinds.order, -1, 10, 20, 7, 0};  // range [10,20], w=7
   // member in range: replies at both echo steps.
-  schedule_echo_replies(out, kKinds, order, 100, 15, true);
-  EXPECT_TRUE(out.take(101).has_value());
-  EXPECT_TRUE(out.take(102).has_value());
-  EXPECT_TRUE(out.empty());
+  soa_schedule_echo_replies(&out, kKinds, order, 100, 15, true);
+  EXPECT_EQ(out.take(101), 2);
+  EXPECT_EQ(out.take(102), 2);
+  EXPECT_EQ(out.next_due(102), kWakeOnReceive);
   // member out of range: silent.
-  schedule_echo_replies(out, kKinds, order, 100, 25, true);
-  EXPECT_TRUE(out.empty());
+  soa_schedule_echo_replies(&out, kKinds, order, 100, 25, true);
+  EXPECT_EQ(out.next_due(100), kWakeOnReceive);
   // helper: second echo step only.
-  schedule_echo_replies(out, kKinds, order, 100, 7, false);
-  EXPECT_FALSE(out.take(101).has_value());
-  EXPECT_TRUE(out.take(102).has_value());
+  soa_schedule_echo_replies(&out, kKinds, order, 100, 7, false);
+  EXPECT_EQ(out.take(101), 0);
+  EXPECT_EQ(out.take(102), 2);
 }
 
 TEST(EchoTest, SoaPendingNextDueIsTheCalendarHint) {

@@ -94,29 +94,39 @@ TEST(RobustnessTest, AdversaryMarksStuckConstruction) {
   EXPECT_EQ(radius_from(net.g), 8);
 }
 
+constexpr selection_kinds kSelKinds{1, 2};
+
+// One selection step with helper 5 and label bound 7.
+std::optional<message> sel_step(soa_selection* sel) {
+  return sel_on_step(sel, kSelKinds, /*helper=*/5, /*bound=*/7, nullptr);
+}
+
 TEST(RobustnessTest, SelectionDriverRejectsUseAfterFinish) {
-  selection_driver driver({1, 2}, /*helper=*/5, /*bound=*/7);
+  soa_selection sel;
+  EXPECT_THROW(sel_init(&sel, 0), precondition_error);  // empty label space
+  sel_init(&sel, 7);
   // Drive one full echo with an "empty" outcome: order, silence, helper.
-  (void)driver.on_step(0);
-  (void)driver.on_step(1);
-  (void)driver.on_step(2);
-  driver.on_receive(message{2, 5, 0, 0, 0, 0});  // helper reply (step 2)
-  (void)driver.on_step(3);                       // evaluate → empty_set
-  ASSERT_TRUE(driver.finished());
-  EXPECT_EQ(driver.result(), selection_driver::status::empty_set);
-  EXPECT_THROW(driver.on_step(4), precondition_error);
-  EXPECT_THROW(driver.selected(), precondition_error);
+  (void)sel_step(&sel);
+  (void)sel_step(&sel);
+  (void)sel_step(&sel);
+  sel_on_receive(&sel, kSelKinds, message{2, 5, 0, 0, 0, 0});  // step 2
+  (void)sel_step(&sel);  // evaluate → empty_set
+  ASSERT_TRUE(sel_finished(sel));
+  EXPECT_FALSE(sel_selected(sel));
+  EXPECT_THROW(sel_step(&sel), precondition_error);
 }
 
 TEST(RobustnessTest, SelectionDriverIgnoresForeignKinds) {
-  selection_driver driver({1, 2}, 5, 7);
-  (void)driver.on_step(0);
-  (void)driver.on_step(1);
-  driver.on_receive(message{99, 3, 0, 0, 0, 0});  // not a reply: ignored
-  (void)driver.on_step(2);
-  driver.on_receive(message{2, 5, 0, 0, 0, 0});
-  (void)driver.on_step(3);
-  EXPECT_EQ(driver.result(), selection_driver::status::empty_set);
+  soa_selection sel;
+  sel_init(&sel, 7);
+  (void)sel_step(&sel);
+  (void)sel_step(&sel);
+  sel_on_receive(&sel, kSelKinds, message{99, 3, 0, 0, 0, 0});  // ignored
+  (void)sel_step(&sel);
+  sel_on_receive(&sel, kSelKinds, message{2, 5, 0, 0, 0, 0});
+  (void)sel_step(&sel);
+  ASSERT_TRUE(sel_finished(sel));
+  EXPECT_FALSE(sel_selected(sel));
 }
 
 TEST(RobustnessTest, ModularFamilyWithTooFewPrimesFails) {

@@ -245,6 +245,26 @@ run_result run_slotted(bool late, bool verify) {
   return run_broadcast_soa(g, traits, 3, opts);
 }
 
+// slotted_soa_traits as a protocol, built the way src/core builds them.
+slotted_soa_traits slotted_traits(node_id r) {
+  slotted_soa_traits traits;
+  traits.modulus = static_cast<std::int64_t>(r) + 1;
+  return traits;
+}
+
+class slotted_protocol final : public protocol {
+ public:
+  std::string name() const override { return "slotted"; }
+  bool deterministic() const override { return true; }
+  std::unique_ptr<protocol_node> make_node(
+      node_id label, const protocol_params& params) const override {
+    return make_traits_node(slotted_traits(params.r), label, params);
+  }
+  soa_entry soa_runner() const override {
+    return &soa_entry_for<slotted_traits>;
+  }
+};
+
 TEST(SimTest, CalendarSweepAcceptsAnHonestHint) {
   const run_result r = run_slotted(/*late=*/false, /*verify=*/true);
   // Path 0-1-2-3, one hop per cycle of 4: steps 0, 1, 2 inform 1, 2, 3.
@@ -260,6 +280,76 @@ TEST(SimTest, CalendarSweepCatchesALateHint) {
   // The sweep runs on_step on a copy of every awake node the calendar
   // skipped, and node 1 transmits at step 1 before its answered wake.
   EXPECT_THROW(run_slotted(/*late=*/true, /*verify=*/true), invariant_error);
+}
+
+// A traits whose on_receive reads its begin_step hoist: the adapter that
+// make_node returns must hoist before a reception in a step where on_step
+// never ran (a dormant node's first delivery, or the adversary feeding a
+// candidate), and again before a restart.
+struct hoist_probe_traits {
+  std::int64_t hoisted = -1;
+
+  struct state {
+    node_id label = 0;
+    std::int64_t heard_hoist = -1;
+    bool informed = false;
+  };
+
+  void begin_step(std::int64_t step) { hoisted = step; }
+  void init(state* s, node_id label, const protocol_params&) const {
+    s->label = label;
+    s->informed = label == 0;
+  }
+  std::optional<message> on_step(state* s, const node_context&) const {
+    if (!s->informed) return std::nullopt;
+    return message{1, s->label, s->heard_hoist, hoisted, 0, 0};
+  }
+  void on_receive(state* s, const node_context&, const message&) const {
+    s->informed = true;
+    s->heard_hoist = hoisted;
+  }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
+  void on_restart(state* s, const node_context&) const {
+    s->informed = s->label == 0;
+    s->heard_hoist = hoisted;
+  }
+};
+
+TEST(SimTest, TraitsNodeHoistsBeforeEveryHook) {
+  rng gen(5);
+  const auto node = make_traits_node(hoist_probe_traits{}, 3,
+                                     protocol_params{7, -1});
+  EXPECT_FALSE(node->informed());
+  node->on_receive(node_context{4, &gen, nullptr}, message{});
+  const std::optional<message> out =
+      node->on_step(node_context{6, &gen, nullptr});
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->a, 4);  // the reception saw step 4's hoist
+  EXPECT_EQ(out->b, 6);  // the step saw its own
+  node->on_restart(node_context{9, &gen, nullptr});
+  EXPECT_FALSE(node->informed());
+  node->on_receive(node_context{9, &gen, nullptr}, message{});
+  EXPECT_EQ(node->on_step(node_context{10, &gen, nullptr})->a, 9);
+}
+
+TEST(SimTest, SoaEngineNeedsATraitsForm) {
+  graph g = make_path(3);
+  script_observer obs;
+  scripted_protocol proto({{0, {0}}}, &obs);
+  run_options opts = capped(4);
+  opts.engine = step_engine::soa;
+  EXPECT_THROW(run_broadcast(g, proto, opts), precondition_error);
+  // virtual_view hides a traits protocol's entry the same way, and leaves
+  // its virtual per-node path to the two polling engines.
+  const slotted_protocol slotted;
+  const virtual_view view(slotted);
+  EXPECT_EQ(view.soa_runner(), nullptr);
+  EXPECT_EQ(view.name(), slotted.name());
+  EXPECT_THROW(run_broadcast(g, view, opts), precondition_error);
+  opts.engine = step_engine::frontier;
+  EXPECT_EQ(run_broadcast(g, view, opts).informed_at,
+            run_broadcast(g, slotted, opts).informed_at);
 }
 
 TEST(SimTest, UnfinalizedGraphIsRejected) {

@@ -709,6 +709,7 @@ void run_contract(file_ctx& ctx) {
   }
 
   // Trigger 2: validate every *_soa_traits struct.
+  bool defines_traits = false;
   for (int ln = 1; ln <= ctx.line_count(); ++ln) {
     const std::string& code = ctx.code(ln);
     if (!contains_token(code, "struct")) continue;
@@ -716,6 +717,7 @@ void run_contract(file_ctx& ctx) {
     if (name_pos == std::string::npos) continue;
     const std::size_t open = code.find('{', name_pos);
     if (open == std::string::npos) continue;
+    defines_traits = true;
     const int end = match_brace(ctx, ln, open);
     if (end == 0) continue;
 
@@ -852,6 +854,34 @@ void run_contract(file_ctx& ctx) {
                      ret + " next_poll(" + trim(params) +
                      ")` would truncate or mismatch calendar steps");
       }
+    }
+  }
+
+  // Trigger 3 (src/core only): one implementation per protocol. A
+  // translation unit that defines SoA traits must not also derive from
+  // protocol_node — make_node wraps the traits in a traits_node
+  // (sim/soa_engine.h), so a hand-written node would be a second copy of
+  // the protocol that nothing but the differential suite keeps in step.
+  if (!defines_traits || !starts_with(ctx.file->path, "src/core/")) return;
+  for (int ln = 1; ln <= ctx.line_count(); ++ln) {
+    const std::string& code = ctx.code(ln);
+    if (!contains_token(code, "protocol_node")) continue;
+    // A base-clause mention: `: protocol_node` or `: public protocol_node`
+    // (the head may wrap, so only the text before the token is checked).
+    std::string before = trim(code.substr(0, code.find("protocol_node")));
+    for (const std::string access : {"public", "protected", "private"}) {
+      if (before.size() >= access.size() &&
+          before.compare(before.size() - access.size(), access.size(),
+                         access) == 0) {
+        before = trim(before.substr(0, before.size() - access.size()));
+        break;
+      }
+    }
+    if (!before.empty() && (before.back() == ':' || before.back() == ',')) {
+      ctx.emit("contract", ln,
+               "protocol_node subclass in a file that defines SoA traits — "
+               "the traits are the protocol's only implementation; return "
+               "make_traits_node(...) from make_node instead");
     }
   }
 }
@@ -1100,7 +1130,8 @@ const std::vector<pass_info>& passes() {
        "protocols exposing soa_runner() ship SoA traits with POD state, "
        "the full hook set including on_restart, and exact "
        "begin_step(std::int64_t) and std::int64_t next_poll(const state&, "
-       "std::int64_t) const signatures"},
+       "std::int64_t) const signatures; a src/core file defining traits "
+       "defines no protocol_node subclass"},
       {"hot-path",
        "no heap allocation, std::string, throw, or iostream inside "
        "annotated step-loop regions (RC_* assertion arguments exempt)"},

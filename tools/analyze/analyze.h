@@ -23,7 +23,9 @@
 //                 on_receive, informed, halted, on_restart — restart
 //                 tolerance is mandatory), and declares any begin_step hook
 //                 with the exact signature the engine detects
-//                 (`begin_step(std::int64_t)`).
+//                 (`begin_step(std::int64_t)`). A src/core file that
+//                 defines SoA traits may not also define a protocol_node
+//                 subclass: the traits are the only implementation.
 //   P4 hot-path   no heap allocation, std::string construction, throw, or
 //                 iostream inside the annotated step-loop regions
 //                 (`// radiocast-analyze: hot-path-begin` … `hot-path-end`)
