@@ -12,6 +12,11 @@
 // predate the single traits implementation; any behavioural drift in a
 // protocol, in the traits adapter, or in the engine routing changes a
 // digest. A mismatch prints the observed pin line.
+//
+// Metric pins digest the whole metrics export (to_json().dump()) of the
+// instrumented protocols, fault-free and under retain-mode crash-recovery,
+// so a change to how protocols reach their instruments cannot move a
+// counter, gauge, histogram or series unnoticed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,6 +36,7 @@
 #include "fault/recovery.h"
 #include "graph/analysis.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -59,6 +65,12 @@ std::uint64_t run_digest(const run_result& r) {
   d.add(r.collisions);
   d.add(r.deliveries);
   d.add(static_cast<std::int64_t>(informed.h));
+  return d.h;
+}
+
+std::uint64_t text_digest(const std::string& text) {
+  fnv d;
+  for (const char c : text) d.add(static_cast<unsigned char>(c));
   return d.h;
 }
 
@@ -368,6 +380,100 @@ TEST(GoldenTest, AdversarialNetworkDigests) {
   observed["interleaved"] =
       network_digest(build_adversarial_network(inter, n, d));
   expect_pins(kAdversaryPins, observed);
+}
+
+// Metrics exports of the instrumented protocols on one fixed graph, keyed
+// "<protocol>/<faults>/seed<k>". Every run is observed on the reference and
+// the soa engine; the two exports must match before the digest is taken.
+// "select-and-send-halted" runs the traversal to all_halted, so its export
+// also holds sas.subtrees_completed. `saw_recoveries` reports whether any
+// export counted echo.recoveries.
+std::map<std::string, std::uint64_t> observe_metric_exports(
+    bool* saw_recoveries) {
+  rng topo(4242);
+  const graph g = make_gnp_connected(40, 0.12, topo);
+  const std::vector<std::pair<std::string, int>> protos = {
+      {"decay", -1},           {"kp", 4},
+      {"kp-doubling", -1},     {"select-and-send", -1},
+      {"interleaved", -1},     {"complete-layered", -1},
+      {"select-and-send-halted", -1},
+  };
+  *saw_recoveries = false;
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, known_d] : protos) {
+    const bool halted = name == "select-and-send-halted";
+    const auto proto = make_protocol(halted ? "select-and-send" : name,
+                                     g.node_count() - 1, known_d);
+    for (const bool crash : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        std::string exports[2];
+        int e = 0;
+        for (const step_engine engine :
+             {step_engine::reference, step_engine::soa}) {
+          fault::recovery_options ro;
+          ro.crash_probability = 0.01;
+          ro.mode = fault::recovery_mode::retain;
+          ro.downtime = 6;
+          fault::recovery_model faults(ro);
+          obs::metrics_registry metrics;
+          run_options opts;
+          opts.seed = seed;
+          opts.max_steps = 20'000;
+          opts.engine = engine;
+          opts.faults = crash ? &faults : nullptr;
+          opts.metrics = &metrics;
+          if (halted) opts.stop = stop_condition::all_halted;
+          run_broadcast(g, *proto, opts);
+          const obs::counter* rec = metrics.find_counter("echo.recoveries");
+          if (rec != nullptr && rec->value() > 0) *saw_recoveries = true;
+          exports[e++] = metrics.to_json().dump();
+        }
+        const std::string key = name + (crash ? "/retain" : "/faultfree") +
+                                "/seed" + std::to_string(seed);
+        EXPECT_EQ(exports[0], exports[1]) << key;
+        out[key] = text_digest(exports[0]);
+      }
+    }
+  }
+  return out;
+}
+
+const std::map<std::string, std::uint64_t> kMetricPins = {
+    {"complete-layered/faultfree/seed1", 0xfd8c2add601fe430ULL},
+    {"complete-layered/faultfree/seed2", 0xfd8c2add601fe430ULL},
+    {"complete-layered/retain/seed1", 0x71423dcc480d0b05ULL},
+    {"complete-layered/retain/seed2", 0x8002509ac7d643aeULL},
+    {"decay/faultfree/seed1", 0x7f11e15ff61be671ULL},
+    {"decay/faultfree/seed2", 0x9ae8c0bf6b7813a9ULL},
+    {"decay/retain/seed1", 0xc75ba67d215ebb81ULL},
+    {"decay/retain/seed2", 0x5a87fcb54001f83aULL},
+    {"interleaved/faultfree/seed1", 0x6058dacee8d3e8a0ULL},
+    {"interleaved/faultfree/seed2", 0x6058dacee8d3e8a0ULL},
+    {"interleaved/retain/seed1", 0x6a20592fe7844a34ULL},
+    {"interleaved/retain/seed2", 0x9bad34038ee434dcULL},
+    {"kp-doubling/faultfree/seed1", 0x158fe9bd4ffd6c53ULL},
+    {"kp-doubling/faultfree/seed2", 0x788d68b867c835e8ULL},
+    {"kp-doubling/retain/seed1", 0x9ea6a94dc162b500ULL},
+    {"kp-doubling/retain/seed2", 0xab12eadf7147f1c1ULL},
+    {"kp/faultfree/seed1", 0x4a07b0de201480e3ULL},
+    {"kp/faultfree/seed2", 0x322eb9ac751c88f5ULL},
+    {"kp/retain/seed1", 0xba5e3b8a97556e70ULL},
+    {"kp/retain/seed2", 0xa6a2509387a89450ULL},
+    {"select-and-send-halted/faultfree/seed1", 0x215a46bef1fd472fULL},
+    {"select-and-send-halted/faultfree/seed2", 0x215a46bef1fd472fULL},
+    {"select-and-send-halted/retain/seed1", 0xfb9f9171422787bdULL},
+    {"select-and-send-halted/retain/seed2", 0x57bc3888bbe3edf8ULL},
+    {"select-and-send/faultfree/seed1", 0xa49ce7f8ce5c1c07ULL},
+    {"select-and-send/faultfree/seed2", 0xa49ce7f8ce5c1c07ULL},
+    {"select-and-send/retain/seed1", 0xcfe6f1a5c8fe80e3ULL},
+    {"select-and-send/retain/seed2", 0x7ef369785169250fULL},
+};
+
+TEST(GoldenTest, MetricExportDigests) {
+  bool saw_recoveries = false;
+  expect_pins(kMetricPins, observe_metric_exports(&saw_recoveries));
+  EXPECT_TRUE(saw_recoveries)
+      << "no crash-recovery run exercised echo.recoveries";
 }
 
 }  // namespace
