@@ -1,9 +1,13 @@
 #include "core/decay.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "sim/soa_engine.h"
+#include "util/assert.h"
 #include "util/math.h"
 
 namespace radiocast {
@@ -11,6 +15,27 @@ namespace radiocast {
 namespace {
 
 constexpr message_kind kDecayPayload = 1;
+
+// Phase markers (obs/metrics.h handles, resolved once per registry).
+const obs::metric_key kPhase("decay.phase");
+const obs::metric_key kCutoff("decay.cutoff");
+
+// decay.stage_tx{k}, indexed by the step offset k within a phase. A phase
+// lasts 2⌈log(r+1)⌉ steps, and r+1 ≤ 2³¹ for any node_id, so 62 keys
+// cover every offset.
+constexpr std::int64_t kMaxPhaseLen =
+    2 * std::numeric_limits<node_id>::digits;
+
+std::vector<obs::metric_key> stage_tx_keys() {
+  std::vector<obs::metric_key> keys;
+  keys.reserve(kMaxPhaseLen);
+  for (std::int64_t k = 0; k < kMaxPhaseLen; ++k) {
+    keys.emplace_back("decay.stage_tx", std::to_string(k));
+  }
+  return keys;
+}
+
+const std::vector<obs::metric_key> kStageTx = stage_tx_keys();
 
 // The protocol (sim/soa_engine.h traits): make_node wraps it in a
 // traits_node, soa_runner runs it on every step engine.
@@ -33,6 +58,8 @@ struct decay_soa_traits {
     bool informed = false;
   };
 
+  // radiocast-analyze: hot-path-begin -- the per-step hooks, called for
+  // every awake node (on_step) or every step (begin_step).
   void begin_step(std::int64_t step) {
     step_phase = step / phase_len;
     step_offset = step % phase_len;
@@ -60,16 +87,16 @@ struct decay_soa_traits {
       if (ctx.metrics != nullptr) {
         // Phase markers: which decay phase is live, and the distribution
         // of drawn cutoffs (geometric, mean ≈ 2).
-        ctx.metrics->get_gauge("decay.phase").set(step_phase);
-        ctx.metrics->get_histogram("decay.cutoff").observe(s->cutoff);
+        ctx.metrics->gauge_at(kPhase).set(step_phase);
+        ctx.metrics->histogram_at(kCutoff).observe(s->cutoff);
       }
     }
     if (step_offset < s->cutoff) {
       if (ctx.metrics != nullptr) {
         // Stage index within the phase: stage k transmits with effective
         // probability 2⁻ᵏ across the informed population.
-        ctx.metrics->get_counter("decay.stage_tx",
-                                 std::to_string(step_offset))
+        RC_CHECK(step_offset < kMaxPhaseLen);
+        ctx.metrics->counter_at(kStageTx[static_cast<std::size_t>(step_offset)])
             .add();
       }
       return message{kDecayPayload, s->label, 0, 0, 0};
@@ -95,6 +122,7 @@ struct decay_soa_traits {
     s->drawn_phase = -1;
     s->cutoff = 0;
   }
+  // radiocast-analyze: hot-path-end
 };
 
 decay_soa_traits decay_traits(node_id r) {

@@ -72,6 +72,21 @@ struct selection_kinds {
   message_kind reply = 0;
 };
 
+namespace soa_echo_detail {
+
+// Echo metrics (obs/metrics.h handles, resolved once per registry).
+inline const obs::metric_key kRecoveries("echo.recoveries");
+// echo.segments{tag}, indexed by soa_selection::phase.
+inline const obs::metric_key kSegments[] = {
+    obs::metric_key("echo.segments", "full_probe"),
+    obs::metric_key("echo.segments", "doubling"),
+    obs::metric_key("echo.segments", "binary")};
+
+}  // namespace soa_echo_detail
+
+// radiocast-analyze: hot-path-begin -- the pending queue and the selection
+// run inside the on_step/on_receive hooks of every echo-based protocol.
+
 /// Future-transmission window (12 bytes): one structural entry (kind +
 /// step) plus an 8-bit reply window anchored at reply_base (bit k set ⇔ a
 /// reply is owed at step reply_base + k).
@@ -216,7 +231,7 @@ inline constexpr int kOutcomeEmpty = 0, kOutcomeUnique = 1, kOutcomeMulti = 2;
 inline void sel_recover(soa_selection* s, node_id bound,
                         obs::metrics_registry* metrics) {
   if (metrics != nullptr) {
-    metrics->get_counter("echo.recoveries").add();
+    metrics->counter_at(kRecoveries).add();
   }
   s->phase = kFullProbe;
   s->doubling_k = 0;
@@ -227,12 +242,7 @@ inline void sel_recover(soa_selection* s, node_id bound,
 inline void sel_note_segment(soa_selection* s,
                              obs::metrics_registry* metrics) {
   ++s->segments;
-  if (metrics != nullptr) {
-    const char* tag = s->phase == kFullProbe ? "full_probe"
-                      : s->phase == kDoubling ? "doubling"
-                                              : "binary";
-    metrics->get_counter("echo.segments", tag).add();
-  }
+  if (metrics != nullptr) metrics->counter_at(kSegments[s->phase]).add();
 }
 
 // One echo's outcome moves the probe: full probe → doubling over [1, 2ᵏ]
@@ -389,5 +399,6 @@ inline bool sel_finished(const soa_selection& s) {
 inline bool sel_selected(const soa_selection& s) {
   return s.status == soa_echo_detail::kSelected;
 }
+// radiocast-analyze: hot-path-end
 
 }  // namespace radiocast

@@ -13,6 +13,13 @@ namespace radiocast {
 
 namespace {
 constexpr message_kind kKpPayload = 1;
+
+// Phase markers (obs/metrics.h handles, resolved once per registry).
+const obs::metric_key kTxSourceStep("kp.tx", "source_step");
+const obs::metric_key kTxUniversal("kp.tx", "universal");
+const obs::metric_key kTxGeometric("kp.tx", "geometric");
+const obs::metric_key kBlockLogD("kp.block_log_d");
+const obs::metric_key kStage("kp.stage");
 }  // namespace
 
 /// One Randomized-Broadcasting(D) block of the (possibly doubling) schedule.
@@ -88,6 +95,8 @@ struct kp_soa_traits {
     s->informed_step = -1;
   }
 
+  // radiocast-analyze: hot-path-begin -- the per-step hooks, called for
+  // every awake node (on_step) or every step (begin_step).
   void begin_step(std::int64_t step) {
     const std::int64_t pos = step % sched->total_length;
     block = &sched->block_at(pos);
@@ -110,7 +119,7 @@ struct kp_soa_traits {
       // "the source transmits" — the first step of each block.
       if (s->label == 0) {
         if (ctx.metrics != nullptr) {
-          ctx.metrics->get_counter("kp.tx", "source_step").add();
+          ctx.metrics->counter_at(kTxSourceStep).add();
         }
         return payload(s);
       }
@@ -125,10 +134,9 @@ struct kp_soa_traits {
         // Phase markers: which doubling block (log D guess) is live, how
         // deep into its stage schedule we are, and whether the transmit
         // came from the geometric cascade or the Lemma 1 universal step.
-        ctx.metrics->get_gauge("kp.block_log_d").set(block->log_d);
-        ctx.metrics->get_gauge("kp.stage").set(stage_index);
-        ctx.metrics->get_counter(
-                        "kp.tx", universal_step ? "universal" : "geometric")
+        ctx.metrics->gauge_at(kBlockLogD).set(block->log_d);
+        ctx.metrics->gauge_at(kStage).set(stage_index);
+        ctx.metrics->counter_at(universal_step ? kTxUniversal : kTxGeometric)
             .add();
       }
       return payload(s);
@@ -156,6 +164,7 @@ struct kp_soa_traits {
   static message payload(const state* s) {
     return message{kKpPayload, s->label, 0, 0, 0};
   }
+  // radiocast-analyze: hot-path-end
 };
 
 kp_randomized_protocol::kp_randomized_protocol(node_id r, kp_options options)

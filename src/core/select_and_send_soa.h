@@ -23,6 +23,14 @@ constexpr message_kind kToken = 6;      // a = label receiving the token
 
 constexpr selection_kinds kKinds{kOrder, kReply};
 
+// DFS metrics (obs/metrics.h handles, resolved once per registry).
+inline const obs::metric_key kFirstVisits("sas.first_visits");
+inline const obs::metric_key kTokenHops("sas.token_hops");
+inline const obs::metric_key kSelections("sas.selections");
+inline const obs::metric_key kSubtreesCompleted("sas.subtrees_completed");
+inline const obs::metric_key kSegmentsPerSelection(
+    "sas.segments_per_selection");
+
 /// Flat per-node Select-and-Send state (56 bytes), with the echo queue and
 /// the selection initiator embedded as POD (core/echo.h).
 struct sas_soa_state {
@@ -38,6 +46,8 @@ struct sas_soa_state {
   bool awaiting_presence = false;
 };
 
+// radiocast-analyze: hot-path-begin -- the per-node hooks both traits
+// forward to (init and restart included: they run on every reboot).
 inline void sas_soa_init(sas_soa_state* s, node_id label) {
   *s = sas_soa_state{};
   s->label = label;
@@ -60,12 +70,12 @@ inline void sas_soa_take_token(sas_soa_state* s, node_id from, node_id r,
     s->parent = from;
     s->helper = from;
     if (metrics != nullptr) {
-      metrics->get_counter("sas.first_visits").add();
+      metrics->counter_at(kFirstVisits).add();
     }
   }
   if (metrics != nullptr) {
     // Phase marker: every DFS token hop (forward passes and returns).
-    metrics->get_counter("sas.token_hops").add();
+    metrics->counter_at(kTokenHops).add();
   }
   // (visited && token addressed to us) ⇒ a child returned the token:
   // resume the DFS with a fresh probe either way.
@@ -105,21 +115,20 @@ inline std::optional<message> sas_soa_drive(sas_soa_state* s,
   if (!sel_finished(s->sel)) return out;
   s->driving = false;
   if (metrics != nullptr) {
-    metrics->get_histogram("sas.segments_per_selection")
-        .observe(s->sel.segments);
+    metrics->histogram_at(kSegmentsPerSelection).observe(s->sel.segments);
   }
   if (sel_selected(s->sel)) {
     // Pass the token forward; we resume when it comes back.
     const node_id next = s->sel.heard1;
     if (metrics != nullptr) {
-      metrics->get_counter("sas.selections").add();
+      metrics->counter_at(kSelections).add();
     }
     return message{kToken, s->label, next, 0, 0};
   }
   // S = ∅: the subtree below us is complete.
   s->halted = true;
   if (metrics != nullptr) {
-    metrics->get_counter("sas.subtrees_completed").add();
+    metrics->counter_at(kSubtreesCompleted).add();
   }
   if (s->label == 0) return std::nullopt;  // the traversal is over
   return message{kToken, s->label, s->parent, 0, 0};
@@ -193,5 +202,6 @@ inline void sas_soa_on_receive(sas_soa_state* s, std::int64_t step, node_id r,
       break;
   }
 }
+// radiocast-analyze: hot-path-end
 
 }  // namespace radiocast::sas_proto

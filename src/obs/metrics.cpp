@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
+#include <atomic>
 #include <bit>
+#include <limits>
 
 namespace radiocast::obs {
 
@@ -11,7 +13,7 @@ int histogram::bucket_index(std::int64_t v) {
 }
 
 std::int64_t histogram::bucket_upper_bound(int i) {
-  if (i >= 63) return std::int64_t{1} << 62;  // saturated top bucket
+  if (i >= 63) return std::numeric_limits<std::int64_t>::max();
   return std::int64_t{1} << i;
 }
 
@@ -56,6 +58,36 @@ std::string metrics_registry::key(const std::string& name,
                                   const std::string& label) {
   if (label.empty()) return name;
   return name + "{" + label + "}";
+}
+
+namespace {
+
+std::atomic<std::uint32_t> next_metric_key_id{0};
+
+template <typename T>
+T& resolve_in(std::map<std::string, T>& instruments,
+              detail::handle_cache<T>& cache, const metric_key& k) {
+  T& instrument = instruments[k.key()];
+  cache.put(k.id(), &instrument);
+  return instrument;
+}
+
+}  // namespace
+
+metric_key::metric_key(const std::string& name, const std::string& label)
+    : key_(metrics_registry::key(name, label)),
+      id_(next_metric_key_id.fetch_add(1, std::memory_order_relaxed)) {}
+
+counter& metrics_registry::resolve_counter(const metric_key& k) {
+  return resolve_in(counters_, counter_cache_, k);
+}
+
+gauge& metrics_registry::resolve_gauge(const metric_key& k) {
+  return resolve_in(gauges_, gauge_cache_, k);
+}
+
+histogram& metrics_registry::resolve_histogram(const metric_key& k) {
+  return resolve_in(histograms_, histogram_cache_, k);
 }
 
 counter& metrics_registry::get_counter(const std::string& name,
@@ -120,6 +152,9 @@ void metrics_registry::clear() {
   gauges_.clear();
   histograms_.clear();
   series_.clear();
+  counter_cache_.clear();
+  gauge_cache_.clear();
+  histogram_cache_.clear();
 }
 
 json_value metrics_registry::to_json() const {

@@ -8,8 +8,12 @@
 //      assertion in bench_simulator_throughput).
 //   2. Cheap when enabled. Lookups return stable references (the registry
 //      is node-based), so hot loops resolve a metric once and then touch a
-//      single int64. The simulator's per-step series append is an
-//      amortized O(1) vector push.
+//      single int64. Protocol code, which has no setup phase of its own,
+//      declares a `metric_key` per instrument once at namespace scope and
+//      reaches it through `counter_at`/`gauge_at`/`histogram_at`: a bounds
+//      check and a pointer load per hit, no string built and no map walked.
+//      The string-keyed `get_*` accessors are for setup-time lookups. The
+//      simulator's per-step series append is an amortized O(1) vector push.
 //   3. Everything exports. The whole registry serializes to one JSON
 //      object with deterministic (sorted) key order, so artifacts diff
 //      cleanly across runs.
@@ -23,7 +27,7 @@
 //
 // Labeled lookup: every accessor takes an optional label; (name, label)
 // pairs are distinct instruments, exported as `name{label}`. Protocols use
-// labels for phase markers, e.g. counter("kp.stage_tx", "2").
+// labels for phase markers, e.g. metric_key("kp.tx", "universal").
 //
 // Not thread-safe: one registry per run (the simulator is single-threaded).
 // Parallel trial execution (src/exec/parallel_trials.h) follows from this:
@@ -37,6 +41,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -88,7 +93,8 @@ class histogram {
   /// 2^{i-1} < v ≤ 2^i (i.e. upper bounds 1, 2, 4, 8, …).
   static int bucket_index(std::int64_t v);
 
-  /// Inclusive upper bound of bucket i (2^i; bucket 0 ⇒ 1).
+  /// Inclusive upper bound of bucket i (2^i; bucket 0 ⇒ 1; the top bucket,
+  /// which holds (2^62, 2^63 − 1], ⇒ INT64_MAX).
   static std::int64_t bucket_upper_bound(int i);
 
   void observe(std::int64_t v);
@@ -138,12 +144,86 @@ class series {
   std::vector<std::int64_t> values_;
 };
 
+/// A resolve-once handle for the instrument `name{label}`, declared once
+/// (at namespace scope) by the code that writes it. It holds the export key
+/// and a process-wide dense id; each registry caches id → instrument, so a
+/// hit costs one bounds check and one pointer load. Keys carry no
+/// instrument kind: the accessor used (counter_at, gauge_at, histogram_at)
+/// picks the kind, exactly as with the string-keyed get_* accessors.
+class metric_key {
+ public:
+  explicit metric_key(const std::string& name, const std::string& label = {});
+
+  /// Export key: `name` or `name{label}` (metrics_registry::key).
+  const std::string& key() const { return key_; }
+  std::uint32_t id() const { return id_; }
+
+ private:
+  std::string key_;
+  std::uint32_t id_;
+};
+
+namespace detail {
+
+/// One registry's metric_key id → instrument table for one instrument kind.
+/// The pointers address nodes of the registry's own maps, which never move,
+/// so they stay valid until the registry is cleared. A copy starts empty
+/// (the source's pointers address the source's maps); a move carries the
+/// table along with the map nodes it points into.
+template <typename T>
+class handle_cache {
+ public:
+  handle_cache() = default;
+  handle_cache(const handle_cache&) {}
+  handle_cache& operator=(const handle_cache&) {
+    slots_.clear();
+    return *this;
+  }
+  handle_cache(handle_cache&& other) noexcept
+      : slots_(std::exchange(other.slots_, {})) {}
+  handle_cache& operator=(handle_cache&& other) noexcept {
+    slots_ = std::exchange(other.slots_, {});
+    return *this;
+  }
+
+  T* find(std::uint32_t id) const {
+    return id < slots_.size() ? slots_[id] : nullptr;
+  }
+  void put(std::uint32_t id, T* instrument) {
+    if (id >= slots_.size()) slots_.resize(id + 1, nullptr);
+    slots_[id] = instrument;
+  }
+  void clear() { slots_.clear(); }
+
+ private:
+  std::vector<T*> slots_;
+};
+
+}  // namespace detail
+
 /// Owner of all instruments for one run (or one bench process).
 ///
 /// References returned by the accessors are stable for the registry's
-/// lifetime; callers on hot paths should resolve once and reuse.
+/// lifetime (until clear()). Setup code resolves once through get_* and
+/// keeps the reference; protocol code goes through a metric_key.
 class metrics_registry {
  public:
+  /// Handle lookups: the same instrument get_*(name, label) returns, and
+  /// created on first use exactly like it, so an instrument that is never
+  /// hit never appears in the export.
+  counter& counter_at(const metric_key& k) {
+    if (counter* c = counter_cache_.find(k.id())) return *c;
+    return resolve_counter(k);
+  }
+  gauge& gauge_at(const metric_key& k) {
+    if (gauge* g = gauge_cache_.find(k.id())) return *g;
+    return resolve_gauge(k);
+  }
+  histogram& histogram_at(const metric_key& k) {
+    if (histogram* h = histogram_cache_.find(k.id())) return *h;
+    return resolve_histogram(k);
+  }
+
   counter& get_counter(const std::string& name,
                        const std::string& label = {});
   gauge& get_gauge(const std::string& name, const std::string& label = {});
@@ -171,7 +251,7 @@ class metrics_registry {
   /// Export key for a (name, label) pair: `name` or `name{label}`.
   static std::string key(const std::string& name, const std::string& label);
 
-  /// Drops every instrument.
+  /// Drops every instrument (and every cached handle resolution).
   void clear();
 
   /// Merges `other` into this registry, instrument by instrument (matched
@@ -189,10 +269,17 @@ class metrics_registry {
   json_value to_json() const;
 
  private:
+  counter& resolve_counter(const metric_key& k);
+  gauge& resolve_gauge(const metric_key& k);
+  histogram& resolve_histogram(const metric_key& k);
+
   std::map<std::string, counter> counters_;
   std::map<std::string, gauge> gauges_;
   std::map<std::string, histogram> histograms_;
   std::map<std::string, series> series_;
+  detail::handle_cache<counter> counter_cache_;
+  detail::handle_cache<gauge> gauge_cache_;
+  detail::handle_cache<histogram> histogram_cache_;
 };
 
 }  // namespace radiocast::obs

@@ -114,7 +114,10 @@ struct node_context {
   /// (run_options::metrics). Protocols use it to tag phase markers —
   /// decay stage draws, kp block/stage indices, DFS token hops, echo
   /// rounds — and MUST guard every use with a null check so that
-  /// metrics-disabled runs stay free of instrumentation cost. The
+  /// metrics-disabled runs stay free of instrumentation cost. Reach each
+  /// instrument through an obs::metric_key declared once at namespace
+  /// scope (`metrics->counter_at(kKey)`), never through the string-keyed
+  /// get_* lookups, which build a key and walk a map on every call. The
   /// registry carries no protocol semantics; it never feeds decisions.
   obs::metrics_registry* metrics = nullptr;
 };

@@ -61,10 +61,13 @@
 //   serial code in sim/engine_core.h, operating on merged state that is
 //   byte-identical to what a serial phase produced.
 //
-// Metrics-enabled runs pin phase 1 serial: protocols write gauges from
-// on_step, and a gauge's last-write-wins value is only reproducible in
-// serial order (counters and histograms would merge fine; gauges cannot).
-// Phase 2 never calls protocol code, so it shards regardless.
+// Metrics-enabled runs pin phase 1 serial: protocols write their metrics
+// from on_step, and every shard would write through the one registry
+// (instruments and handle caches alike). Per-shard registries merged in
+// shard order would reproduce the serial values — counters and histograms
+// add, and gauge::merge_from keeps the last shard's write, which is the
+// serial last write — but phase 1 does not have them yet. Phase 2 never
+// calls protocol code, so it shards regardless.
 //
 // QUIESCENCE CALENDAR (traits with next_poll): a token protocol never lets
 // an informed node go dormant, yet almost every awake node is waiting — for

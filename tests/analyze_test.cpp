@@ -595,6 +595,49 @@ void step() {
   EXPECT_EQ(fired(rep, "hot-path"), 4);  // new, string, to_string, throw
 }
 
+TEST(AnalyzeTest, HotPathFiresOnStringKeyedMetricLookups) {
+  const report rep = run_one("src/core/foo.cpp", R"cpp(
+// radiocast-analyze: hot-path-begin
+std::optional<message> on_step(state* s, const node_context& ctx) const {
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->get_counter("foo.tx", "universal").add();
+    ctx.metrics->get_gauge("foo.stage").set(s->stage);
+    ctx.metrics->get_histogram("foo.cutoff").observe(s->cutoff);
+    ctx.metrics->get_series("foo.frontier").push(1);
+  }
+  return std::nullopt;
+}
+// radiocast-analyze: hot-path-end
+)cpp");
+  EXPECT_EQ(fired(rep, "hot-path"), 4);
+  for (const finding& f : rep.findings) {
+    if (f.pass != "hot-path") continue;
+    EXPECT_NE(f.message.find("metric_key"), std::string::npos) << f.message;
+  }
+}
+
+TEST(AnalyzeTest, HotPathAcceptsMetricKeyHandles) {
+  // Keys declared outside the region, reached through the handle accessors
+  // inside it; setup-time get_* outside the region stays legal.
+  const report rep = run_one("src/core/foo.cpp", R"cpp(
+const obs::metric_key kTx("foo.tx", "universal");
+const obs::metric_key kStage("foo.stage");
+const obs::metric_key kCutoff("foo.cutoff");
+void setup(obs::metrics_registry* m) { frontier_ = &m->get_series("f"); }
+// radiocast-analyze: hot-path-begin
+std::optional<message> on_step(state* s, const node_context& ctx) const {
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->counter_at(kTx).add();
+    ctx.metrics->gauge_at(kStage).set(s->stage);
+    ctx.metrics->histogram_at(kCutoff).observe(s->cutoff);
+  }
+  return std::nullopt;
+}
+// radiocast-analyze: hot-path-end
+)cpp");
+  EXPECT_EQ(fired(rep, "hot-path"), 0);
+}
+
 TEST(AnalyzeTest, HotPathIgnoresCodeOutsideRegions) {
   const report rep = run_one("src/sim/foo.h", R"cpp(
 void setup() { auto* p = new int(3); }

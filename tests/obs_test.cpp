@@ -1,13 +1,15 @@
 // Tests of the observability layer: the metrics registry (counter / gauge /
-// histogram bucket boundaries / series), the JSON document model and its
-// parser (round-trips), the span profiler, the trace ring buffer and its
-// NDJSON export, and the simulator-facing instrumentation contract
-// (metrics/series filled when a registry is attached, run_trials reporting
-// timeouts as data).
+// histogram bucket boundaries / series) and its metric_key handles, the
+// JSON document model and its parser (round-trips), the span profiler, the
+// trace ring buffer and its NDJSON export, and the simulator-facing
+// instrumentation contract (metrics/series filled when a registry is
+// attached, run_trials reporting timeouts as data).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "campaign/artifact.h"
 #include "core/runner.h"
@@ -120,6 +122,194 @@ TEST(MetricsTest, ToJsonExportsAllKinds) {
   EXPECT_EQ(j.find_path("histograms.h.count")->as_int(), 1);
   ASSERT_NE(j.find_path("series.s"), nullptr);
   EXPECT_EQ(j.find_path("series.s")->items().size(), 1u);
+}
+
+TEST(MetricsTest, HistogramTopBucketBoundIsInt64Max) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(obs::histogram::bucket_index(kMax), 63);
+  EXPECT_EQ(obs::histogram::bucket_upper_bound(63), kMax);
+  EXPECT_LT(obs::histogram::bucket_upper_bound(62),
+            obs::histogram::bucket_upper_bound(63));
+
+  obs::histogram top;
+  top.observe(kMax);
+  EXPECT_EQ(top.percentile_bound(100.0), kMax);
+
+  // Buckets 62 and 63 both non-empty: their exported bounds must differ.
+  obs::metrics_registry reg;
+  obs::histogram& h = reg.get_histogram("h");
+  h.observe(3);
+  h.observe((std::int64_t{1} << 61) + 1);  // bucket 62
+  h.observe((std::int64_t{1} << 62) + 1);  // bucket 63
+  const obs::json_value exported = reg.to_json();
+  const obs::json_value* le = exported.find_path("histograms.h.bucket_le");
+  ASSERT_NE(le, nullptr);
+  ASSERT_EQ(le->items().size(), 3u);
+  for (std::size_t i = 1; i < le->items().size(); ++i) {
+    EXPECT_LT(le->items()[i - 1].as_int(), le->items()[i].as_int());
+  }
+  EXPECT_EQ(le->items().back().as_int(), kMax);
+}
+
+// ---------------------------------------------------------------------------
+// metric_key handles
+// ---------------------------------------------------------------------------
+
+TEST(MetricKeyTest, HandleAndStringLookupReachTheSameInstrument) {
+  const obs::metric_key tx("tx", "universal");
+  const obs::metric_key phase("phase");
+  const obs::metric_key cutoff("cutoff");
+  EXPECT_EQ(tx.key(), "tx{universal}");
+  EXPECT_EQ(phase.key(), "phase");
+
+  obs::metrics_registry reg;
+  reg.counter_at(tx).add(2);
+  reg.get_counter("tx", "universal").add(3);
+  EXPECT_EQ(&reg.counter_at(tx), &reg.get_counter("tx", "universal"));
+  EXPECT_EQ(reg.counter_at(tx).value(), 5);
+
+  reg.gauge_at(phase).set(4);
+  EXPECT_EQ(&reg.gauge_at(phase), &reg.get_gauge("phase"));
+  EXPECT_EQ(reg.get_gauge("phase").value(), 4);
+
+  reg.histogram_at(cutoff).observe(9);
+  EXPECT_EQ(&reg.histogram_at(cutoff), &reg.get_histogram("cutoff"));
+  EXPECT_EQ(reg.get_histogram("cutoff").count(), 1);
+
+  // Resolved first through the string form, then through the handle.
+  const obs::metric_key late("late");
+  obs::counter& by_name = reg.get_counter("late");
+  EXPECT_EQ(&reg.counter_at(late), &by_name);
+}
+
+TEST(MetricKeyTest, DistinctKeysHaveDistinctIds) {
+  const obs::metric_key a("a");
+  const obs::metric_key b("a");  // same name, separate declaration
+  const obs::metric_key c("c");
+  EXPECT_NE(a.id(), b.id());
+  EXPECT_NE(a.id(), c.id());
+  obs::metrics_registry reg;
+  reg.counter_at(a).add();
+  reg.counter_at(b).add();
+  EXPECT_EQ(reg.get_counter("a").value(), 2);  // one instrument, one key
+}
+
+TEST(MetricKeyTest, NoInstrumentExistsBeforeFirstUse) {
+  const obs::metric_key tx("tx", "geometric");
+  const obs::metric_key stage("stage");
+  const obs::metric_key cutoff("cutoff");
+  obs::metrics_registry reg;
+  const std::string empty = reg.to_json().dump();
+  EXPECT_EQ(reg.find_counter("tx", "geometric"), nullptr);
+  EXPECT_EQ(reg.find_gauge("stage"), nullptr);
+  EXPECT_EQ(reg.find_histogram("cutoff"), nullptr);
+
+  reg.counter_at(tx).add();
+  EXPECT_NE(reg.find_counter("tx", "geometric"), nullptr);
+  EXPECT_EQ(reg.find_gauge("stage"), nullptr);
+  EXPECT_EQ(reg.find_histogram("cutoff"), nullptr);
+  EXPECT_NE(reg.to_json().dump(), empty);
+
+  // A key resolved for one kind creates nothing of another kind.
+  EXPECT_EQ(reg.find_gauge("tx", "geometric"), nullptr);
+}
+
+TEST(MetricKeyTest, ClearMakesHandlesResolveFreshInstruments) {
+  const obs::metric_key tx("tx");
+  const obs::metric_key phase("phase");
+  obs::metrics_registry reg;
+  reg.counter_at(tx).add(7);
+  reg.gauge_at(phase).set(3);
+  reg.clear();
+  EXPECT_EQ(reg.find_counter("tx"), nullptr);
+  EXPECT_EQ(reg.find_gauge("phase"), nullptr);
+
+  reg.counter_at(tx).add();
+  EXPECT_EQ(reg.counter_at(tx).value(), 1);
+  EXPECT_EQ(&reg.counter_at(tx), reg.find_counter("tx"));
+  EXPECT_EQ(reg.gauge_at(phase).writes(), 0);
+  EXPECT_EQ(reg.find_gauge("phase")->writes(), 0);
+}
+
+TEST(MetricKeyTest, CopiedRegistryHandlesWriteOnlyTheCopy) {
+  const obs::metric_key tx("tx");
+  const obs::metric_key cutoff("cutoff");
+  obs::metrics_registry reg;
+  reg.counter_at(tx).add(2);
+  reg.histogram_at(cutoff).observe(4);
+
+  obs::metrics_registry copy = reg;
+  copy.counter_at(tx).add(10);
+  copy.histogram_at(cutoff).observe(8);
+  EXPECT_EQ(reg.get_counter("tx").value(), 2);
+  EXPECT_EQ(reg.get_histogram("cutoff").count(), 1);
+  EXPECT_EQ(copy.get_counter("tx").value(), 12);
+  EXPECT_EQ(copy.get_histogram("cutoff").count(), 2);
+
+  obs::metrics_registry assigned;
+  assigned.counter_at(tx).add(100);
+  assigned = reg;
+  assigned.counter_at(tx).add();
+  EXPECT_EQ(reg.get_counter("tx").value(), 2);
+  EXPECT_EQ(assigned.get_counter("tx").value(), 3);
+}
+
+TEST(MetricKeyTest, MovedRegistryKeepsItsHandles) {
+  const obs::metric_key tx("tx");
+  obs::metrics_registry reg;
+  obs::counter& before = reg.counter_at(tx);
+  before.add(5);
+  obs::metrics_registry moved = std::move(reg);
+  EXPECT_EQ(&moved.counter_at(tx), &before);
+  moved.counter_at(tx).add();
+  EXPECT_EQ(moved.get_counter("tx").value(), 6);
+
+  obs::metrics_registry assigned;
+  assigned.counter_at(tx).add(100);
+  assigned = std::move(moved);
+  EXPECT_EQ(&assigned.counter_at(tx), &before);
+  EXPECT_EQ(assigned.get_counter("tx").value(), 6);
+}
+
+TEST(MetricKeyTest, RegistriesAreIndependentUnderOneKey) {
+  const obs::metric_key tx("tx", "source_step");
+  obs::metrics_registry a, b;
+  a.counter_at(tx).add(3);
+  b.counter_at(tx).add(4);
+  a.counter_at(tx).add();
+  EXPECT_NE(&a.counter_at(tx), &b.counter_at(tx));
+  EXPECT_EQ(a.get_counter("tx", "source_step").value(), 4);
+  EXPECT_EQ(b.get_counter("tx", "source_step").value(), 4);
+  EXPECT_EQ(b.find_counter("tx", "source_step"), &b.counter_at(tx));
+}
+
+TEST(MetricKeyTest, MergedShardsAfterHandleUseEqualTheSerialRegistry) {
+  const obs::metric_key tx("tx", "geometric");
+  const obs::metric_key stage("stage");
+  const obs::metric_key cutoff("cutoff");
+  // One "trial" writes through the handles; a serial registry sees all of
+  // them, each shard registry a contiguous run, folded in shard order.
+  const auto trial = [&](obs::metrics_registry& reg, int t) {
+    for (int i = 0; i <= t % 4; ++i) reg.counter_at(tx).add();
+    if (t % 3 != 0) reg.gauge_at(stage).set(t);
+    reg.histogram_at(cutoff).observe(t * t);
+  };
+  obs::metrics_registry serial;
+  for (int t = 0; t < 12; ++t) trial(serial, t);
+
+  obs::metrics_registry merged;
+  obs::counter& resolved = merged.counter_at(tx);  // resolved before merging
+  for (const auto& [lo, hi] : {std::pair{0, 5}, std::pair{5, 6},
+                               std::pair{6, 12}}) {
+    obs::metrics_registry shard;
+    for (int t = lo; t < hi; ++t) trial(shard, t);
+    merged.merge(shard);
+  }
+  EXPECT_EQ(merged.to_json().dump(), serial.to_json().dump());
+  // Handles resolved against the merged registry see the merged values.
+  EXPECT_EQ(&merged.counter_at(tx), &resolved);
+  EXPECT_EQ(resolved.value(), serial.counter_at(tx).value());
+  EXPECT_EQ(merged.gauge_at(stage).value(), 11);
 }
 
 // ---------------------------------------------------------------------------

@@ -896,6 +896,11 @@ constexpr std::array<const char*, 16> kHotBannedIdents = {
     "clog",       "printf",      "fprintf",     "sprintf",
     "snprintf",   "endl",        "stringstream", "ostringstream"};
 
+// String-keyed registry lookups build a key and walk a map per call; step
+// code reaches instruments through a resolved reference or a metric_key.
+constexpr std::array<const char*, 4> kHotBannedLookups = {
+    "get_counter", "get_gauge", "get_histogram", "get_series"};
+
 void run_hot_path(file_ctx& ctx) {
   int region_begin = 0;  // 0 = outside; otherwise the begin line
   bool pending_rc = false;
@@ -976,6 +981,14 @@ void run_hot_path(file_ctx& ctx) {
         ban("'throw'");
       } else if (tok == "string") {
         ban("std::string");
+      } else if (std::find(kHotBannedLookups.begin(), kHotBannedLookups.end(),
+                           tok) != kHotBannedLookups.end()) {
+        ctx.emit("hot-path", ln,
+                 "string-keyed metric lookup '" + tok +
+                     "' inside a hot-path region — resolve it once at "
+                     "setup, or declare an obs::metric_key and use "
+                     "counter_at/gauge_at/histogram_at "
+                     "(docs/OBSERVABILITY.md)");
       } else {
         for (const char* b : kHotBannedIdents) {
           if (tok == b) {
@@ -1133,8 +1146,10 @@ const std::vector<pass_info>& passes() {
        "std::int64_t) const signatures; a src/core file defining traits "
        "defines no protocol_node subclass"},
       {"hot-path",
-       "no heap allocation, std::string, throw, or iostream inside "
-       "annotated step-loop regions (RC_* assertion arguments exempt)"},
+       "no heap allocation, std::string, throw, iostream, or string-keyed "
+       "metric lookup (get_counter/get_gauge/get_histogram/get_series) "
+       "inside annotated step-loop regions (RC_* assertion arguments "
+       "exempt)"},
   };
   return kPasses;
 }

@@ -26,13 +26,15 @@
 //                 (`begin_step(std::int64_t)`). A src/core file that
 //                 defines SoA traits may not also define a protocol_node
 //                 subclass: the traits are the only implementation.
-//   P4 hot-path   no heap allocation, std::string construction, throw, or
-//                 iostream inside the annotated step-loop regions
-//                 (`// radiocast-analyze: hot-path-begin` … `hot-path-end`)
-//                 of sim/engine_core.h, sim/soa_engine.h, simulator.cpp.
-//                 Text inside RC_CHECK*/RC_REQUIRE* macro arguments is
-//                 exempt — the assertion-failure path is cold by
-//                 definition.
+//   P4 hot-path   no heap allocation, std::string construction, throw,
+//                 iostream, or string-keyed metric lookup (get_counter,
+//                 get_gauge, get_histogram, get_series) inside the
+//                 annotated step-loop regions (`// radiocast-analyze:
+//                 hot-path-begin` … `hot-path-end`) of sim/engine_core.h,
+//                 sim/soa_engine.h, simulator.cpp and the per-step traits
+//                 hooks of the instrumented protocols. Text inside
+//                 RC_CHECK*/RC_REQUIRE* macro arguments is exempt — the
+//                 assertion-failure path is cold by definition.
 //
 // Findings are suppressed per line with
 //   // radiocast-analyze: allow(<pass>) -- <justification>
