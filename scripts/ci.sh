@@ -45,10 +45,11 @@
 #      a scratch directory so the committed full-run artifacts at the
 #      repository root are untouched.
 #   6. Campaign smoke + regression gate (build/ci-campaign) — the
-#      interruption drill: runs a 4-shard campaign, stops it after 2 shards
-#      (--stop-after), resumes it, merges, validates the merged artifact,
-#      and diffs it against an uninterrupted single-pass merge — the two
-#      must be bit-identical outside wall-clock keys. Then the
+#      interruption drill: runs an 8-shard campaign on 2 threads, stops it
+#      after 3 shards (--stop-after), resumes it, merges, validates the
+#      merged artifact, and diffs it against an uninterrupted single-pass
+#      merge — the two must be bit-identical outside wall-clock keys, and
+#      no run may leave a *.tmp under shards/. Then the
 #      perf-regression gate: `radiocast_inspect regress` compares stage 4's
 #      fresh smoke artifacts against the committed bench/baselines/ and
 #      fails CI on any gated drop (see scripts/update_baselines.sh).
@@ -166,7 +167,7 @@ cat > "$campaign_dir"/manifest.json <<'EOF'
   "name": "ci-smoke-campaign",
   "base_seed": 1,
   "trials_per_point": 4,
-  "shard_size": 2,
+  "shard_size": 1,
   "threads": 2,
   "max_steps": 100000,
   "grid": [
@@ -176,17 +177,27 @@ cat > "$campaign_dir"/manifest.json <<'EOF'
   ]
 }
 EOF
-# Interruption drill: 4 shards total — stop after 2, resume, merge.
+# A finished or cleanly stopped run renames every shard it wrote.
+no_tmp_left() {
+  if compgen -G "$1/shards/*.tmp" > /dev/null; then
+    echo "ci: campaign run left a .tmp under $1/shards" >&2
+    exit 1
+  fi
+}
+# Interruption drill: 8 shards on 2 threads — stop after 3, resume, merge.
 build/tools/radiocast_campaign run "$campaign_dir"/manifest.json \
-  --out "$campaign_dir"/interrupted --stop-after 2
+  --out "$campaign_dir"/interrupted --stop-after 3
+no_tmp_left "$campaign_dir"/interrupted
 build/tools/radiocast_campaign run "$campaign_dir"/manifest.json \
   --out "$campaign_dir"/interrupted
+no_tmp_left "$campaign_dir"/interrupted
 build/tools/radiocast_campaign merge "$campaign_dir"/manifest.json \
   --out "$campaign_dir"/interrupted \
   --output "$campaign_dir"/merged-interrupted.json
 # Control: the same campaign in one uninterrupted pass.
 build/tools/radiocast_campaign run "$campaign_dir"/manifest.json \
   --out "$campaign_dir"/straight
+no_tmp_left "$campaign_dir"/straight
 build/tools/radiocast_campaign merge "$campaign_dir"/manifest.json \
   --out "$campaign_dir"/straight \
   --output "$campaign_dir"/merged-straight.json

@@ -1,6 +1,7 @@
 #include "campaign/artifact.h"
 
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "obs/ndjson.h"
@@ -9,12 +10,29 @@ namespace radiocast::campaign {
 
 namespace {
 
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// The integer member `key` of `doc`, checked to lie in [lo, hi] (see
+/// json_value::as_exact_int). std::nullopt on a missing or invalid value,
+/// with a diagnostic naming the key in *error when given.
+std::optional<std::int64_t> int_field(
+    const obs::json_value& doc, const std::string& key,
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max(),
+    std::string* error = nullptr) {
+  const obs::json_value* v = doc.find(key);
+  if (v == nullptr) {
+    if (error != nullptr) *error = "missing integer \"" + key + "\"";
+    return std::nullopt;
+  }
+  return obs::int_in_range(*v, key, lo, hi, error);
+}
+
 bool get_int(const obs::json_value& doc, const std::string& key,
              std::int64_t* out) {
-  const obs::json_value* v = doc.find(key);
-  if (v == nullptr || !v->is_number()) return false;
-  *out = v->as_int();
-  return true;
+  const std::optional<std::int64_t> v = int_field(doc, key);
+  if (v) *out = *v;
+  return v.has_value();
 }
 
 }  // namespace
@@ -86,21 +104,29 @@ std::optional<shard_header> parse_header(const obs::json_value& doc,
   h.campaign = campaign->as_string();
   h.case_name = case_name->as_string();
   h.params = *params;
-  std::int64_t shard = 0, point = 0, first = 0, trials = 0, base_seed = 0;
-  if (!get_int(doc, "shard", &shard) || !get_int(doc, "point", &point) ||
-      !get_int(doc, "first_trial", &first) ||
-      !get_int(doc, "trials", &trials) ||
-      !get_int(doc, "base_seed", &base_seed)) {
-    return fail("shard header is missing an integer field");
-  }
-  h.shard = static_cast<int>(shard);
-  h.point = static_cast<int>(point);
-  h.first_trial = static_cast<int>(first);
-  h.trials = static_cast<int>(trials);
-  h.base_seed = static_cast<std::uint64_t>(base_seed);
-  if (h.shard < 0 || h.point < 0 || h.first_trial < 0 || h.trials < 1) {
-    return fail("shard header fields out of range");
-  }
+  std::string detail;
+  const std::optional<std::int64_t> shard =
+      int_field(doc, "shard", 0, kIntMax, &detail);
+  if (!shard) return fail("shard header: " + detail);
+  const std::optional<std::int64_t> point =
+      int_field(doc, "point", 0, kIntMax, &detail);
+  if (!point) return fail("shard header: " + detail);
+  const std::optional<std::int64_t> first =
+      int_field(doc, "first_trial", 0, kIntMax, &detail);
+  if (!first) return fail("shard header: " + detail);
+  const std::optional<std::int64_t> trials =
+      int_field(doc, "trials", 1, kIntMax, &detail);
+  if (!trials) return fail("shard header: " + detail);
+  // A seed is a 64-bit pattern, written as int64.
+  const std::optional<std::int64_t> base_seed =
+      int_field(doc, "base_seed", std::numeric_limits<std::int64_t>::min(),
+                std::numeric_limits<std::int64_t>::max(), &detail);
+  if (!base_seed) return fail("shard header: " + detail);
+  h.shard = static_cast<int>(*shard);
+  h.point = static_cast<int>(*point);
+  h.first_trial = static_cast<int>(*first);
+  h.trials = static_cast<int>(*trials);
+  h.base_seed = static_cast<std::uint64_t>(*base_seed);
   return h;
 }
 
@@ -215,11 +241,10 @@ std::optional<shard_artifact> read_shard_file(const std::string& path,
       out.trials.push_back(*t);
     } else if (kind == "footer") {
       if (!saw_header) return fail("footer record before the header");
-      std::int64_t written = 0;
-      if (!get_int(*doc, "trials_written", &written)) {
-        return fail("footer missing trials_written");
-      }
-      footer_trials = static_cast<int>(written);
+      const std::optional<std::int64_t> written =
+          int_field(*doc, "trials_written", 0, kIntMax, &detail);
+      if (!written) return fail("footer: " + detail);
+      footer_trials = static_cast<int>(*written);
     } else {
       return fail("unknown record type \"" + kind + "\"");
     }

@@ -1,16 +1,21 @@
 #include "campaign/campaign.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <mutex>
+#include <sstream>
 #include <utility>
 
 #include "campaign/artifact.h"
 #include "campaign/checkpoint.h"
-#include "exec/parallel_trials.h"
+#include "exec/thread_pool.h"
+#include "obs/span.h"
 #include "util/assert.h"
 #include "util/stats.h"
 
@@ -24,13 +29,14 @@ std::vector<shard_plan> plan_shards(const manifest& m) {
   std::vector<shard_plan> plan;
   int id = 0;
   for (int point = 0; point < static_cast<int>(m.grid.size()); ++point) {
-    for (int first = 0; first < m.trials_per_point; first += slice) {
+    for (int first = 0; first < m.trials_per_point;) {
       shard_plan s;
       s.shard = id++;
       s.point = point;
       s.first_trial = first;
       s.count = std::min(slice, m.trials_per_point - first);
       s.base_seed = m.base_seed + static_cast<std::uint64_t>(first);
+      first += s.count;  // never past trials_per_point, so never overflows
       plan.push_back(s);
     }
   }
@@ -62,46 +68,220 @@ shard_header make_header(const manifest& m, const shard_plan& s) {
   return h;
 }
 
-/// Executes one shard: streams header + trial lines + footer to a `.tmp`
-/// file (records retire in seed order through the exec hooks and are
-/// discarded from memory), then renames the artifact into place.
-void execute_shard(const manifest& m, const shard_plan& s,
-                   const std::string& out_dir, const graph& g,
-                   const protocol& proto) {
-  const std::string final_path = shard_path(out_dir, s.shard);
-  const std::string tmp_path = final_path + ".tmp";
-  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-  RC_CHECK_MSG(static_cast<bool>(out),
-               "cannot open shard temp file " + tmp_path);
-  header_record(make_header(m, s)).write(out);
-  out << '\n';
+/// Pool chunks a worker may run ahead of the in-order retire cursor. Bounds
+/// the trial text held in memory to a few chunks per worker while keeping
+/// every worker busy past one slow chunk.
+constexpr std::size_t kChunksAheadPerWorker = 3;
 
-  int written = 0;
-  trial_options topts;
-  topts.trials = s.count;
-  topts.base_seed = s.base_seed;
-  topts.max_steps = m.max_steps;
-  topts.threads = m.threads;
-  topts.hooks.discard_records = true;
-  topts.hooks.on_done = [&out, &written](const shard_info&,
-                                         const trial_set& batch) {
-    for (const trial_record& t : batch.trials) {
-      trial_record_json(t).write(out);
-      out << '\n';
-      ++written;
+/// One unit of pool work: a contiguous seed slice of one pending shard.
+struct chunk {
+  const shard_plan* shard = nullptr;
+  int first = 0;  ///< offset of the chunk's first trial within its shard
+  int count = 0;
+  bool opens_shard = false;   ///< first chunk of its shard
+  bool closes_shard = false;  ///< last chunk of its shard
+  bool closes_point = false;  ///< last pending chunk of its grid point
+  // Filled in before `done` is set; read by the retiring thread after.
+  std::string text;  ///< the chunk's trial lines, NDJSON
+  std::exception_ptr error;
+  bool done = false;  ///< guarded by run_pending's mutex
+};
+
+/// Cuts the pending shards into chunks, in plan order. A shard of more than
+/// ⌈pending trials / (4·workers)⌉ trials splits into equal chunks, so the
+/// pool has a few chunks per worker even when there are fewer shards than
+/// workers; smaller shards stay whole.
+std::vector<chunk> plan_chunks(const std::vector<const shard_plan*>& pending,
+                               int workers) {
+  std::int64_t total = 0;
+  for (const shard_plan* s : pending) total += s->count;
+  const std::int64_t target_chunks = 4 * static_cast<std::int64_t>(workers);
+  const std::int64_t cap = (total + target_chunks - 1) / target_chunks;
+  std::vector<chunk> chunks;
+  for (const shard_plan* s : pending) {
+    const int pieces = static_cast<int>((s->count + cap - 1) / cap);
+    const int base = s->count / pieces;
+    const int rem = s->count % pieces;
+    int first = 0;
+    for (int i = 0; i < pieces; ++i) {
+      chunk c;
+      c.shard = s;
+      c.first = first;
+      c.count = base + (i < rem ? 1 : 0);
+      c.opens_shard = i == 0;
+      c.closes_shard = i == pieces - 1;
+      first += c.count;
+      chunks.push_back(std::move(c));
     }
-  };
-  parallel_run_trials(g, proto, topts);
-  RC_CHECK_MSG(written == s.count, "shard streamed a partial trial batch");
+  }
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    chunks[i].closes_point = i + 1 == chunks.size() ||
+                             chunks[i + 1].shard->point !=
+                                 chunks[i].shard->point;
+  }
+  return chunks;
+}
 
-  footer_record(s.shard, written).write(out);
-  out << '\n';
-  out.flush();
-  RC_CHECK_MSG(static_cast<bool>(out),
-               "short write to shard temp file " + tmp_path);
-  out.close();
-  RC_CHECK_MSG(std::rename(tmp_path.c_str(), final_path.c_str()) == 0,
-               "cannot rename " + tmp_path + " over " + final_path);
+/// A grid point's topology and protocol, shared read-only by its chunks.
+struct point_state {
+  graph g;
+  std::unique_ptr<protocol> proto;
+};
+
+/// Runs one chunk through the serial run_trials and serializes its records
+/// to NDJSON text — on a pool worker, so the retiring thread only copies
+/// bytes to the artifact.
+std::string run_chunk(const manifest& m, const point_state& point,
+                      const chunk& c) {
+  // Private: a worker must not fall back to the process-wide
+  // global_profiler, which is not thread-safe.
+  obs::span_profiler profiler;
+  trial_options topts;
+  topts.trials = c.count;
+  topts.base_seed = c.shard->base_seed + static_cast<std::uint64_t>(c.first);
+  topts.max_steps = m.max_steps;
+  topts.profiler = &profiler;
+  const trial_set set = run_trials(point.g, *point.proto, topts);
+  RC_CHECK_MSG(static_cast<int>(set.trials.size()) == c.count,
+               "chunk returned a partial trial batch");
+  std::ostringstream out;
+  for (const trial_record& t : set.trials) {
+    trial_record_json(t).write(out);
+    out << '\n';
+  }
+  return std::move(out).str();
+}
+
+/// Executes the pending shards on one pool and retires them in plan order
+/// on the calling thread: the first chunk of a shard opens its `.tmp` and
+/// writes the header, every chunk appends its text, the last one writes the
+/// footer, renames the artifact into place and rewrites the checkpoint.
+/// Throws the first failure in plan order, with every earlier shard
+/// retired and checkpointed; after a failure no later chunk starts.
+void run_pending(const manifest& m,
+                 const std::vector<const shard_plan*>& pending,
+                 const campaign_options& opts, checkpoint& cp,
+                 const std::string& cp_path, campaign_result& result) {
+  const int threads = exec::resolve_threads(m.threads);
+  std::vector<chunk> chunks = plan_chunks(pending, threads);
+  const int workers = static_cast<int>(
+      std::min<std::size_t>(static_cast<std::size_t>(threads), chunks.size()));
+  const std::size_t window =
+      kChunksAheadPerWorker * static_cast<std::size_t>(workers);
+
+  // Declared before the pool: tasks reference them until the pool joins.
+  std::mutex mu;
+  std::condition_variable chunk_done;
+  // Chunks after this index never start: the first failed chunk (or the
+  // retire cursor, when retiring fails). Guarded by mu.
+  std::size_t stop_after = std::numeric_limits<std::size_t>::max();
+  const auto fail_at = [&mu, &stop_after](std::size_t i) {
+    const std::lock_guard<std::mutex> lock(mu);
+    stop_after = std::min(stop_after, i);
+  };
+  std::vector<std::unique_ptr<point_state>> points(m.grid.size());
+  exec::thread_pool pool(workers);
+
+  // Hands chunk i to the pool, building its point's graph and protocol on
+  // the point's first chunk. A failed build becomes the chunk's error, and
+  // no later chunk is submitted.
+  std::size_t submit_end = chunks.size();
+  const auto submit = [&](std::size_t i) {
+    chunk& c = chunks[i];
+    std::unique_ptr<point_state>& point =
+        points[static_cast<std::size_t>(c.shard->point)];
+    try {
+      if (point == nullptr) {
+        const grid_point& gp = m.grid[static_cast<std::size_t>(c.shard->point)];
+        point = std::make_unique<point_state>(
+            point_state{build_graph(gp), build_protocol(gp)});
+      }
+    } catch (...) {
+      c.error = std::current_exception();
+      c.done = true;  // the pool never saw it: no lock needed
+      fail_at(i);
+      submit_end = i + 1;
+      return;
+    }
+    pool.submit([&, i, state = point.get()] {
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        if (i > stop_after) return;  // never retired
+      }
+      std::string text;
+      std::exception_ptr error;
+      try {
+        text = run_chunk(m, *state, chunks[i]);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        chunks[i].text = std::move(text);
+        chunks[i].error = error;
+        chunks[i].done = true;
+        if (error != nullptr) stop_after = std::min(stop_after, i);
+      }
+      chunk_done.notify_all();
+    });
+  };
+
+  std::size_t retired = 0;
+  try {
+    std::size_t submitted = 0;
+    std::ofstream out;
+    std::string tmp_path;
+    for (; retired < chunks.size(); ++retired) {
+      for (; submitted < submit_end && submitted < retired + window;
+           ++submitted) {
+        submit(submitted);
+      }
+      chunk& c = chunks[retired];
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        chunk_done.wait(lock, [&c] { return c.done; });
+      }
+      if (c.error != nullptr) std::rethrow_exception(c.error);
+      const shard_plan& s = *c.shard;
+      const std::string final_path = shard_path(opts.out_dir, s.shard);
+      if (c.opens_shard) {
+        tmp_path = final_path + ".tmp";
+        out.open(tmp_path, std::ios::binary | std::ios::trunc);
+        RC_CHECK_MSG(static_cast<bool>(out),
+                     "cannot open shard temp file " + tmp_path);
+        header_record(make_header(m, s)).write(out);
+        out << '\n';
+      }
+      out << c.text;
+      std::string().swap(c.text);
+      if (c.closes_shard) {
+        footer_record(s.shard, s.count).write(out);
+        out << '\n';
+        out.flush();
+        RC_CHECK_MSG(static_cast<bool>(out),
+                     "short write to shard temp file " + tmp_path);
+        out.close();
+        RC_CHECK_MSG(std::rename(tmp_path.c_str(), final_path.c_str()) == 0,
+                     "cannot rename " + tmp_path + " over " + final_path);
+        cp.mark_completed(s.shard);
+        save_checkpoint(cp, cp_path);
+        ++result.executed;
+        if (opts.log != nullptr) {
+          *opts.log << "[campaign] shard " << s.shard + 1 << "/"
+                    << result.total_shards << " done ("
+                    << m.grid[static_cast<std::size_t>(s.point)].case_name()
+                    << " trials " << s.first_trial << ".."
+                    << s.first_trial + s.count - 1 << ")\n";
+        }
+      }
+      if (c.closes_point) points[static_cast<std::size_t>(s.point)].reset();
+    }
+  } catch (...) {
+    // The pool drains its whole queue on destruction: stop every chunk
+    // that has not started yet before unwinding into it.
+    fail_at(retired);
+    throw;
+  }
 }
 
 }  // namespace
@@ -148,44 +328,30 @@ campaign_result run_campaign(const manifest& m,
       }
     }
 
-    // Cache the point's topology/protocol across its consecutive shards.
-    int built_point = -1;
-    std::optional<graph> g;
-    std::unique_ptr<protocol> proto;
-
+    // The shards this invocation runs: a shard counts as done only when
+    // BOTH the checkpoint lists it and its artifact file survives — a
+    // deleted artifact is re-run. --stop-after keeps the first N.
+    std::vector<const shard_plan*> pending;
+    bool stopped = false;
     for (const shard_plan& s : plan) {
-      // A shard counts as done only when BOTH the checkpoint lists it and
-      // its artifact file survives — a deleted artifact is re-run.
       if (cp.is_completed(s.shard) &&
           fs::exists(shard_path(opts.out_dir, s.shard))) {
         ++result.skipped;
         continue;
       }
-      if (opts.stop_after >= 0 && result.executed >= opts.stop_after) {
-        result.ok = true;
-        return result;  // clean interruption: checkpoint already durable
+      if (opts.stop_after >= 0 &&
+          static_cast<int>(pending.size()) >= opts.stop_after) {
+        stopped = true;  // clean interruption: the checkpoint stays durable
+        break;
       }
-      if (s.point != built_point) {
-        const grid_point& point = m.grid[static_cast<std::size_t>(s.point)];
-        g.emplace(build_graph(point));
-        proto = build_protocol(point);
-        built_point = s.point;
-      }
-      execute_shard(m, s, opts.out_dir, *g, *proto);
-      cp.mark_completed(s.shard);
-      save_checkpoint(cp, cp_path);
-      ++result.executed;
-      if (opts.log != nullptr) {
-        *opts.log << "[campaign] shard " << s.shard + 1 << "/"
-                  << result.total_shards << " done ("
-                  << m.grid[static_cast<std::size_t>(s.point)].case_name()
-                  << " trials " << s.first_trial << ".."
-                  << s.first_trial + s.count - 1 << ")\n";
-      }
+      pending.push_back(&s);
+    }
+    if (!pending.empty()) {
+      run_pending(m, pending, opts, cp, cp_path, result);
     }
     result.ok = true;
     result.finished =
-        result.skipped + result.executed == result.total_shards;
+        !stopped && result.skipped + result.executed == result.total_shards;
     return result;
   } catch (const std::exception& e) {
     return fail(e.what());
@@ -207,9 +373,9 @@ std::optional<obs::json_value> merge_campaign(const manifest& m,
     const grid_point& gp = m.grid[static_cast<std::size_t>(point)];
     trial_set merged;
     merged.trials.reserve(static_cast<std::size_t>(m.trials_per_point));
-    // Fold this point's shards in seed order — the same order the serial
-    // fold of parallel_run_trials uses, which is what makes the merged
-    // document independent of interruption history and thread count.
+    // Fold this point's shards in seed order — the order of a serial
+    // run_trials, which is what makes the merged document independent of
+    // interruption history and thread count.
     for (; next < plan.size() && plan[next].point == point; ++next) {
       const shard_plan& s = plan[next];
       const std::string path = out_dir + "/shards/" + shard_file_name(s.shard);

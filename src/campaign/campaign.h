@@ -7,18 +7,27 @@
 // host's core count or of how often the campaign was interrupted — which
 // is what makes artifacts comparable across machines and resumes.
 //
-// Each shard runs as ONE parallel_run_trials call (src/exec): the
-// manifest's thread count parallelizes inside the shard, and the shard
-// lifecycle hooks stream every trial record to the shard's NDJSON artifact
-// (campaign/artifact.h) as sub-shards retire in seed order — trial records
-// never accumulate in process memory. The artifact is written to a `.tmp`
-// file and renamed into place only after its footer lands, then the
-// checkpoint (campaign/checkpoint.h) is atomically rewritten. Kill the
-// runner at ANY point and rerun: completed shards are skipped, the
-// half-written `.tmp` of the interrupted shard is simply overwritten.
+// A run_campaign call executes its pending shards on ONE exec::thread_pool
+// of the manifest's thread count, fed with CHUNKS: contiguous seed slices
+// of the pending shards, in plan order. A shard runs as one chunk unless it
+// holds more than ⌈pending trials / (4·workers)⌉ trials, in which case it
+// splits into equal chunks — so `threads` parallelizes across shards and
+// within them, and a plan of few large shards still keeps every worker
+// busy. Each worker runs its chunk through the serial run_trials on the
+// point's shared graph and protocol and serializes the trial records to
+// NDJSON text itself. The calling thread retires chunks strictly in plan
+// order: a shard's first chunk opens its `.tmp` artifact and writes the
+// header (campaign/artifact.h), every chunk appends its text, and the last
+// one writes the footer, renames the artifact into place and atomically
+// rewrites the checkpoint (campaign/checkpoint.h). Submission runs a few
+// chunks per worker ahead of the retire cursor, so trial records never
+// accumulate in process memory. After a failure no later chunk starts and
+// the call returns the error with every earlier shard checkpointed. Kill
+// the runner at ANY point and rerun: completed shards are skipped; `.tmp`
+// files and renamed-but-unlisted artifacts are simply re-run.
 //
 // `merge_campaign` folds the shard artifacts back — in (point, seed)
-// order, exactly like the serial fold of parallel_run_trials — into one
+// order, the order of serial run_trials — into one
 // "radiocast.bench.v1" document, byte-identical (wall-clock keys aside)
 // whether the campaign ran uninterrupted, was resumed five times, or ran
 // with any thread count. See docs/CAMPAIGNS.md.
@@ -75,7 +84,7 @@ struct campaign_result {
 
 /// Runs (or resumes) the campaign into opts.out_dir. Creates the directory
 /// tree, skips checkpointed shards whose artifact files exist, executes
-/// the rest in shard order, and checkpoints after every shard.
+/// the rest on one pool, and retires and checkpoints them in shard order.
 campaign_result run_campaign(const manifest& m, const campaign_options& opts);
 
 /// Folds a finished campaign's shard artifacts into one

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -72,20 +73,36 @@ std::optional<checkpoint> parse_checkpoint(const obs::json_value& doc,
   const obs::json_value* fp = doc.find("manifest_fingerprint");
   const obs::json_value* total = doc.find("total_shards");
   const obs::json_value* updated = doc.find("updated_unix_ms");
-  if (fp == nullptr || !fp->is_number() || total == nullptr ||
-      !total->is_number() || updated == nullptr || !updated->is_number()) {
+  if (fp == nullptr || total == nullptr || updated == nullptr) {
     return fail("checkpoint is missing an integer field");
   }
-  cp.manifest_fingerprint = static_cast<std::uint64_t>(fp->as_int());
-  cp.total_shards = static_cast<int>(total->as_int());
-  cp.updated_unix_ms = updated->as_int();
+  constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  std::string detail;
+  // The fingerprint is a 64-bit pattern, written as int64.
+  const std::optional<std::int64_t> fp_value = obs::int_in_range(
+      *fp, "manifest_fingerprint", kInt64Min, kInt64Max, &detail);
+  if (!fp_value) return fail(detail);
+  const std::optional<std::int64_t> total_value =
+      obs::int_in_range(*total, "total_shards", 0, kIntMax, &detail);
+  if (!total_value) return fail(detail);
+  const std::optional<std::int64_t> updated_value = obs::int_in_range(
+      *updated, "updated_unix_ms", kInt64Min, kInt64Max, &detail);
+  if (!updated_value) return fail(detail);
+  cp.manifest_fingerprint = static_cast<std::uint64_t>(*fp_value);
+  cp.total_shards = static_cast<int>(*total_value);
+  cp.updated_unix_ms = *updated_value;
   const obs::json_value* done = doc.find("completed");
   if (done == nullptr || !done->is_array()) {
     return fail("checkpoint needs a \"completed\" array");
   }
-  for (const obs::json_value& v : done->items()) {
-    if (!v.is_number()) return fail("completed entries must be integers");
-    cp.completed.push_back(static_cast<int>(v.as_int()));
+  for (std::size_t i = 0; i < done->items().size(); ++i) {
+    const std::optional<std::int64_t> shard = obs::int_in_range(
+        done->items()[i], "completed[" + std::to_string(i) + "]", 0, kIntMax,
+        &detail);
+    if (!shard) return fail(detail);
+    cp.completed.push_back(static_cast<int>(*shard));
   }
   if (!std::is_sorted(cp.completed.begin(), cp.completed.end())) {
     return fail("completed shard list is not sorted");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -23,6 +24,32 @@ bool family_is_randomized(const std::string& family) {
 bool family_uses_d(const std::string& family) {
   return family == "complete-layered" || family == "layered-fat";
 }
+
+/// Reads the optional integer member `key` of `obj` into *out, checked to
+/// lie in [lo, hi]; an absent key leaves *out as it is. A present but
+/// invalid value returns false with a diagnostic naming the key (prefixed
+/// by `where`, e.g. "grid[1]: ").
+template <typename T>
+bool read_int(const obs::json_value& obj, const std::string& key,
+              std::int64_t lo, std::int64_t hi, T* out, std::string* error,
+              const std::string& where = "") {
+  const obs::json_value* v = obj.find(key);
+  if (v == nullptr) return true;
+  std::string detail;
+  const std::optional<std::int64_t> i =
+      obs::int_in_range(*v, key, lo, hi, &detail);
+  if (!i) {
+    if (error != nullptr) *error = where + detail;
+    return false;
+  }
+  *out = static_cast<T>(*i);
+  return true;
+}
+
+constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 std::string format_p(double p) {
   std::ostringstream ss;
@@ -107,26 +134,18 @@ std::optional<manifest> parse_manifest(const obs::json_value& doc,
     return fail("manifest needs a nonempty string \"name\"");
   }
   m.name = name->as_string();
-  if (const obs::json_value* v = doc.find("base_seed")) {
-    m.base_seed = static_cast<std::uint64_t>(v->as_int());
+  // Seeds are 64-bit patterns: to_json writes them as int64, so any int64
+  // reads back.
+  if (!read_int(doc, "base_seed", kInt64Min, kInt64Max, &m.base_seed,
+                error) ||
+      !read_int(doc, "trials_per_point", 1, kIntMax, &m.trials_per_point,
+                error) ||
+      !read_int(doc, "shard_size", 0, kIntMax, &m.shard_size, error) ||
+      !read_int(doc, "threads", 0, kIntMax, &m.threads, error) ||
+      !read_int(doc, "max_steps", 1, kInt64Max, &m.max_steps, error)) {
+    return std::nullopt;
   }
-  if (const obs::json_value* v = doc.find("trials_per_point")) {
-    m.trials_per_point = static_cast<int>(v->as_int());
-  }
-  if (m.trials_per_point < 1) return fail("trials_per_point must be ≥ 1");
-  if (const obs::json_value* v = doc.find("shard_size")) {
-    m.shard_size = static_cast<int>(v->as_int());
-  }
-  if (m.shard_size < 0) return fail("shard_size must be ≥ 0");
   if (m.shard_size == 0) m.shard_size = m.trials_per_point;
-  if (const obs::json_value* v = doc.find("threads")) {
-    m.threads = static_cast<int>(v->as_int());
-  }
-  if (m.threads < 0) return fail("threads must be ≥ 0");
-  if (const obs::json_value* v = doc.find("max_steps")) {
-    m.max_steps = v->as_int();
-  }
-  if (m.max_steps < 1) return fail("max_steps must be ≥ 1");
 
   const obs::json_value* grid_json = doc.find("grid");
   if (grid_json == nullptr || !grid_json->is_array() ||
@@ -149,25 +168,27 @@ std::optional<manifest> parse_manifest(const obs::json_value& doc,
         families.end()) {
       return fail(where + ": unknown family \"" + point.family + "\"");
     }
-    const obs::json_value* n = pj.find("n");
-    if (n == nullptr || !n->is_number() || n->as_int() < 2) {
-      return fail(where + " needs integer \"n\" ≥ 2");
-    }
-    point.n = static_cast<node_id>(n->as_int());
-    if (const obs::json_value* v = pj.find("d")) {
-      point.d = static_cast<int>(v->as_int());
+    if (!pj.contains("n")) return fail(where + " needs integer \"n\" ≥ 2");
+    if (!read_int(pj, "n", 2, std::numeric_limits<node_id>::max(), &point.n,
+                  error, where + ": ") ||
+        !read_int(pj, "d", kIntMin, kIntMax, &point.d, error, where + ": ") ||
+        !read_int(pj, "graph_seed", kInt64Min, kInt64Max, &point.graph_seed,
+                  error, where + ": ") ||
+        !read_int(pj, "known_d", kIntMin, kIntMax, &point.known_d, error,
+                  where + ": ")) {
+      return std::nullopt;
     }
     if (family_uses_d(point.family) &&
         (point.d < 1 || point.d >= point.n)) {
       return fail(where + ": family \"" + point.family +
                   "\" needs 1 ≤ d < n");
     }
-    if (const obs::json_value* v = pj.find("p")) point.p = v->as_double();
+    if (const obs::json_value* v = pj.find("p")) {
+      if (!v->is_number()) return fail(where + ": \"p\" must be a number");
+      point.p = v->as_double();
+    }
     if (point.family == "gnp" && (point.p <= 0.0 || point.p > 1.0)) {
       return fail(where + ": gnp needs 0 < p ≤ 1");
-    }
-    if (const obs::json_value* v = pj.find("graph_seed")) {
-      point.graph_seed = static_cast<std::uint64_t>(v->as_int());
     }
     const obs::json_value* proto = pj.find("protocol");
     if (proto == nullptr || !proto->is_string()) {
@@ -177,9 +198,6 @@ std::optional<manifest> parse_manifest(const obs::json_value& doc,
     if (std::find(protocols.begin(), protocols.end(), point.protocol) ==
         protocols.end()) {
       return fail(where + ": unknown protocol \"" + point.protocol + "\"");
-    }
-    if (const obs::json_value* v = pj.find("known_d")) {
-      point.known_d = static_cast<int>(v->as_int());
     }
     if (point.protocol == "kp" && point.known_d < 1) {
       return fail(where + ": protocol \"kp\" needs known_d ≥ 1");

@@ -21,9 +21,9 @@
 //     are still running. With hooks.discard_records, peak memory is
 //     bounded by in-flight shards, not the whole batch.
 //
-// trial_options::shard_size pins the shard boundaries (campaigns need
-// artifact files that are a function of the manifest, not the host's core
-// count); 0 keeps the auto split, a few shards per worker.
+// trial_options::shard_size pins the shard boundaries (a function of the
+// batch alone, not of the host's core count); 0 keeps the auto split, a
+// few shards per worker.
 //
 // Determinism contract (tested by tests/parallel_test.cpp, run under TSan
 // by scripts/ci.sh): for every thread count, the resulting trial_set and

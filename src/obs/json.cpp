@@ -18,6 +18,30 @@ void json_value::set(const std::string& key, json_value v) {
   members_.emplace_back(key, std::move(v));
 }
 
+std::optional<std::int64_t> json_value::as_exact_int() const {
+  if (kind_ == kind::integer) return int_;
+  if (kind_ != kind::number) return std::nullopt;
+  if (!(num_ >= -0x1p63 && num_ < 0x1p63) || std::trunc(num_) != num_) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(num_);
+}
+
+std::optional<std::int64_t> int_in_range(const json_value& v,
+                                         const std::string& key,
+                                         std::int64_t lo, std::int64_t hi,
+                                         std::string* error) {
+  const std::optional<std::int64_t> i = v.as_exact_int();
+  if (i && *i >= lo && *i <= hi) return i;
+  if (error != nullptr) {
+    *error = "\"" + key + "\" must be an integer";
+    if (lo != INT64_MIN || hi != INT64_MAX) {
+      *error += " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    }
+  }
+  return std::nullopt;
+}
+
 const json_value* json_value::find(const std::string& key) const {
   if (kind_ != kind::object) return nullptr;
   for (const auto& [k, v] : members_) {

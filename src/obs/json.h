@@ -56,9 +56,20 @@ class json_value {
   bool is_string() const { return kind_ == kind::string; }
 
   bool as_bool() const { return bool_; }
+  /// The value as an integer, unchecked: a double truncates toward zero
+  /// and saturates at the int64 bounds (NaN reads as 0); a non-number
+  /// reads as 0. Input files read their integers with as_exact_int.
   std::int64_t as_int() const {
-    return kind_ == kind::number ? static_cast<std::int64_t>(num_) : int_;
+    if (kind_ != kind::number) return int_;
+    if (num_ >= 0x1p63) return INT64_MAX;
+    if (num_ >= -0x1p63) return static_cast<std::int64_t>(num_);
+    return num_ < 0 ? INT64_MIN : 0;  // below the range, or NaN
   }
+  /// The integer this value holds exactly: an integer, or a double with no
+  /// fractional part inside the int64 range. std::nullopt for anything
+  /// else — non-numbers (booleans and numeric strings included),
+  /// fractions, NaN and out-of-range doubles.
+  std::optional<std::int64_t> as_exact_int() const;
   double as_double() const {
     return kind_ == kind::integer ? static_cast<double>(int_) : num_;
   }
@@ -106,6 +117,14 @@ class json_value {
   std::vector<json_value> items_;
   std::vector<std::pair<std::string, json_value>> members_;
 };
+
+/// `v` as an integer in [lo, hi] (see json_value::as_exact_int). Otherwise
+/// std::nullopt and, when `error` is given, a diagnostic naming `key`:
+/// "\"threads\" must be an integer in [0, 2147483647]".
+std::optional<std::int64_t> int_in_range(const json_value& v,
+                                         const std::string& key,
+                                         std::int64_t lo, std::int64_t hi,
+                                         std::string* error = nullptr);
 
 /// Escapes and quotes `s` as a JSON string literal.
 void write_json_string(std::ostream& os, const std::string& s);

@@ -204,9 +204,9 @@ struct shard_info {
 
 /// Lifecycle hooks for sharded trial execution. Honored ONLY by
 /// parallel_run_trials (run_trials is always plain-serial and ignores
-/// them, exactly like trial_options::threads). They are what lets a
-/// campaign stream trial records to durable artifacts instead of folding
-/// every shard back through process memory (docs/CAMPAIGNS.md):
+/// them, exactly like trial_options::threads). They let a caller stream
+/// trial records out, or time shards, instead of folding every shard back
+/// through process memory:
 ///
 ///   * on_start fires from WORKER threads as shards begin, in no
 ///     particular order — the callback must be thread-safe;
@@ -255,9 +255,9 @@ struct trial_options {
   /// Explicit shard size for parallel_run_trials: 0 = auto (a few shards
   /// per worker, balanced), N ≥ 1 = contiguous shards of exactly N trials
   /// in seed order (the last one smaller when N does not divide trials).
-  /// Campaigns pin this so shard boundaries — and therefore artifact
-  /// files — are a function of the manifest alone, not the host's core
-  /// count. run_trials ignores this field, like `threads`.
+  /// Pinning it makes shard boundaries — and so the on_done calls — a
+  /// function of the batch alone, not of the host's core count.
+  /// run_trials ignores this field, like `threads`.
   int shard_size = 0;
   /// Shard lifecycle hooks (see shard_hooks above). parallel_run_trials
   /// only; run_trials ignores them.

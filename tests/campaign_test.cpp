@@ -5,6 +5,7 @@
 // gate driven by radiocast_inspect regress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -109,13 +110,16 @@ TEST(ManifestTest, ParsesAndRoundTripsThroughToJson) {
 }
 
 TEST(ManifestTest, RejectsSchemaViolations) {
-  auto rejects = [](const std::string& mutation, const std::string& why) {
+  // `key`, when given, must be named in the diagnostic.
+  auto rejects = [](const std::string& mutation, const std::string& why,
+                    const std::string& key = "") {
     obs::json_value doc = parse(kManifestText);
     obs::json_value patch = parse(mutation);
-    for (const auto& [key, v] : patch.members()) doc.set(key, v);
+    for (const auto& [k, v] : patch.members()) doc.set(k, v);
     std::string error;
     EXPECT_FALSE(campaign::parse_manifest(doc, &error).has_value()) << why;
     EXPECT_FALSE(error.empty()) << why;
+    EXPECT_NE(error.find(key), std::string::npos) << why << ": " << error;
   };
   rejects(R"({"schema": "radiocast.campaign.v2"})", "wrong schema tag");
   rejects(R"({"name": ""})", "empty name");
@@ -137,6 +141,50 @@ TEST(ManifestTest, RejectsSchemaViolations) {
           "gnp needs p in (0,1]");
   rejects(R"({"grid": [{"family": "path", "n": 8, "protocol": "kp"}]})",
           "kp needs known_d");
+
+  // Integer fields are type- and range-checked, never truncated.
+  rejects(R"({"threads": "8"})", "numeric string", "\"threads\"");
+  rejects(R"({"threads": true})", "boolean", "\"threads\"");
+  rejects(R"({"threads": 5000000000})", "beyond int", "\"threads\"");
+  rejects(R"({"threads": -1})", "negative threads", "\"threads\"");
+  rejects(R"({"trials_per_point": 4294967297})", "wraps to 1",
+          "\"trials_per_point\"");
+  rejects(R"({"trials_per_point": 10.9})", "fraction",
+          "\"trials_per_point\"");
+  rejects(R"({"shard_size": 1e300})", "double beyond int64",
+          "\"shard_size\"");
+  rejects(R"({"max_steps": -1e300})", "double below int64",
+          "\"max_steps\"");
+  rejects(R"({"base_seed": 1.5})", "fractional seed", "\"base_seed\"");
+  rejects(R"({"grid": [{"family": "path", "n": 8.5, "protocol": "decay"}]})",
+          "fractional n", "grid[0]: \"n\"");
+  rejects(R"({"grid": [{"family": "path", "n": 4294967298,
+                        "protocol": "decay"}]})",
+          "n beyond node_id", "grid[0]: \"n\"");
+  rejects(R"({"grid": [{"family": "path", "n": 8, "protocol": "kp",
+                        "known_d": "4"}]})",
+          "numeric-string known_d", "grid[0]: \"known_d\"");
+
+  // The campaign's other input files read their integers the same way.
+  std::string error;
+  obs::json_value cp = parse(R"({"schema": "radiocast.checkpoint.v1",
+      "campaign": "c", "manifest_fingerprint": 1, "total_shards": 4,
+      "completed": [0, 2.5], "updated_unix_ms": 0})");
+  EXPECT_FALSE(campaign::parse_checkpoint(cp, &error).has_value());
+  EXPECT_NE(error.find("\"completed[1]\""), std::string::npos) << error;
+
+  campaign::shard_header h;
+  h.campaign = "c";
+  h.shard = 3;
+  h.point = 1;
+  h.case_name = "path/n=8/decay";
+  h.params = obs::json_value::object();
+  h.trials = 2;
+  obs::json_value header = campaign::header_record(h);
+  ASSERT_TRUE(campaign::parse_header(header, &error).has_value()) << error;
+  header.set("trials", static_cast<std::int64_t>(4294967298));
+  EXPECT_FALSE(campaign::parse_header(header, &error).has_value());
+  EXPECT_NE(error.find("\"trials\""), std::string::npos) << error;
 }
 
 TEST(ManifestTest, FingerprintChangesWithContent) {
@@ -554,6 +602,169 @@ TEST(CampaignTest, DeletedShardArtifactIsReExecuted) {
   std::string error;
   EXPECT_TRUE(campaign::merge_campaign(m, dir.string(), &error).has_value())
       << error;
+}
+
+/// The merged document of a finished campaign, wall-clock keys stripped and
+/// the echoed thread count blanked (it is the one config key that may
+/// differ between runs that must agree).
+std::string merged_doc(const manifest& m, const fs::path& dir) {
+  std::string error;
+  const auto merged = campaign::merge_campaign(m, dir.string(), &error);
+  EXPECT_TRUE(merged.has_value()) << error;
+  if (!merged) return {};
+  obs::json_value doc = campaign::strip_wall_clock_keys(*merged);
+  obs::json_value config = *doc.find("config");
+  config.set("threads", 0);
+  doc.set("config", std::move(config));
+  return doc.dump();
+}
+
+/// The checkpointed shard ids under `dir`.
+std::vector<int> checkpointed(const fs::path& dir) {
+  std::string error;
+  const auto cp =
+      campaign::load_checkpoint((dir / "checkpoint.json").string(), &error);
+  EXPECT_TRUE(cp.has_value()) << error;
+  return cp ? cp->completed : std::vector<int>{};
+}
+
+/// The file names under `dir`/shards, sorted.
+std::vector<std::string> shard_files(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir / "shards")) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::vector<int> iota_ids(int count) {
+  std::vector<int> ids(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) ids[static_cast<std::size_t>(i)] = i;
+  return ids;
+}
+
+TEST(CampaignTest, ThreadCountsMergeIdenticallyAcrossShardLayouts) {
+  struct layout {
+    const char* name;
+    int trials_per_point;
+    int shard_size;  // 0: one shard per point, split into chunks
+  };
+  for (const layout& l : {layout{"divides", 6, 2}, layout{"remainder", 7, 3},
+                          layout{"whole", 9, 0}}) {
+    manifest m = test_manifest();
+    m.trials_per_point = l.trials_per_point;
+    m.shard_size = l.shard_size;
+    const int total = static_cast<int>(campaign::plan_shards(m).size());
+    std::string reference;
+    for (const int threads : {1, 2, 3, 8}) {
+      SCOPED_TRACE(std::string(l.name) + " threads=" +
+                   std::to_string(threads));
+      m.threads = threads;
+      const fs::path dir = test_dir(std::string("matrix-") + l.name + "-" +
+                                    std::to_string(threads));
+      campaign::campaign_options opts;
+      opts.out_dir = dir.string();
+      const campaign::campaign_result r = campaign::run_campaign(m, opts);
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_TRUE(r.finished);
+      EXPECT_EQ(r.executed, total);
+      EXPECT_EQ(checkpointed(dir), iota_ids(total));
+      for (const std::string& name : shard_files(dir)) {
+        EXPECT_EQ(fs::path(name).extension(), ".ndjson") << name;
+      }
+      const std::string doc = merged_doc(m, dir);
+      if (threads == 1) {
+        reference = doc;
+      } else {
+        EXPECT_EQ(doc, reference);
+      }
+    }
+  }
+}
+
+TEST(CampaignTest, StopAfterRetiresExactlyTheFirstPendingShards) {
+  manifest m = test_manifest();
+  m.trials_per_point = 8;
+  m.shard_size = 1;  // 16 shards on 4 threads
+  m.threads = 4;
+  const fs::path dir = test_dir("stop-after");
+  campaign::campaign_options opts;
+  opts.out_dir = dir.string();
+  opts.stop_after = 3;
+  const campaign::campaign_result cut = campaign::run_campaign(m, opts);
+  ASSERT_TRUE(cut.ok) << cut.error;
+  EXPECT_EQ(cut.executed, 3);
+  EXPECT_FALSE(cut.finished);
+  EXPECT_EQ(checkpointed(dir), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(shard_files(dir),
+            (std::vector<std::string>{campaign::shard_file_name(0),
+                                      campaign::shard_file_name(1),
+                                      campaign::shard_file_name(2)}));
+
+  opts.stop_after = -1;
+  const campaign::campaign_result rest = campaign::run_campaign(m, opts);
+  ASSERT_TRUE(rest.ok) << rest.error;
+  EXPECT_EQ(rest.skipped, 3);
+  EXPECT_EQ(rest.executed, 13);
+  EXPECT_TRUE(rest.finished);
+
+  const fs::path straight = test_dir("stop-after-straight");
+  campaign::campaign_options once;
+  once.out_dir = straight.string();
+  ASSERT_TRUE(campaign::run_campaign(m, once).ok);
+  EXPECT_EQ(merged_doc(m, dir), merged_doc(m, straight));
+}
+
+TEST(CampaignTest, FailureMidPlanKeepsEarlierShardsAndResumes) {
+  manifest m = test_manifest();
+  m.trials_per_point = 8;  // 8 shards of 2 on 4 threads
+  m.threads = 4;
+  const fs::path dir = test_dir("mid-plan-failure");
+  // A directory where shard 2's temp file must go: opening it fails.
+  const std::string blocker =
+      dir.string() + "/shards/" + campaign::shard_file_name(2) + ".tmp";
+  fs::create_directories(blocker);
+  campaign::campaign_options opts;
+  opts.out_dir = dir.string();
+  const campaign::campaign_result failed = campaign::run_campaign(m, opts);
+  EXPECT_FALSE(failed.ok);
+  EXPECT_NE(failed.error.find(blocker), std::string::npos) << failed.error;
+  EXPECT_EQ(failed.executed, 2);
+  EXPECT_EQ(checkpointed(dir), (std::vector<int>{0, 1}));
+  for (int shard = 2; shard < 8; ++shard) {
+    EXPECT_FALSE(fs::exists(dir / "shards" / campaign::shard_file_name(shard)))
+        << shard;
+  }
+
+  fs::remove_all(blocker);
+  const campaign::campaign_result resumed = campaign::run_campaign(m, opts);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_EQ(resumed.skipped, 2);
+  EXPECT_EQ(resumed.executed, 6);
+  EXPECT_TRUE(resumed.finished);
+
+  const fs::path clean = test_dir("mid-plan-clean");
+  campaign::campaign_options once;
+  once.out_dir = clean.string();
+  ASSERT_TRUE(campaign::run_campaign(m, once).ok);
+  EXPECT_EQ(merged_doc(m, dir), merged_doc(m, clean));
+}
+
+TEST(CampaignTest, UnbuildablePointFailsAfterEarlierPointsCheckpoint) {
+  manifest m = test_manifest();
+  m.threads = 3;
+  m.grid[1].family = "torus";  // parse_manifest would refuse this
+  const fs::path dir = test_dir("unbuildable-point");
+  campaign::campaign_options opts;
+  opts.out_dir = dir.string();
+  const campaign::campaign_result r = campaign::run_campaign(m, opts);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("torus"), std::string::npos) << r.error;
+  EXPECT_EQ(checkpointed(dir), (std::vector<int>{0, 1}));
+  EXPECT_EQ(shard_files(dir),
+            (std::vector<std::string>{campaign::shard_file_name(0),
+                                      campaign::shard_file_name(1)}));
 }
 
 // ---------------------------------------------------------------------------

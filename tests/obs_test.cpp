@@ -363,6 +363,37 @@ TEST(JsonTest, FindPathDescendsDottedKeys) {
   EXPECT_EQ(doc->find_path("a.x.c"), nullptr);
 }
 
+TEST(JsonTest, ExactIntAcceptsOnlyIntegralNumbersInRange) {
+  const auto exact = [](const char* text) {
+    const auto doc = obs::json_parse(text);
+    EXPECT_TRUE(doc.has_value()) << text;
+    return doc ? doc->as_exact_int() : std::nullopt;
+  };
+  EXPECT_EQ(exact("42"), 42);
+  EXPECT_EQ(exact("-7"), -7);
+  EXPECT_EQ(exact("1e6"), 1000000);
+  EXPECT_EQ(exact("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  for (const char* bad : {"10.9", "1e300", "-1e300", "9223372036854775808",
+                          "true", "\"8\"", "null", "[1]"}) {
+    EXPECT_FALSE(exact(bad).has_value()) << bad;
+  }
+
+  std::string error;
+  EXPECT_EQ(obs::int_in_range(obs::json_value(5), "k", 0, 9, &error), 5);
+  EXPECT_FALSE(obs::int_in_range(obs::json_value(10), "k", 0, 9, &error));
+  EXPECT_EQ(error, "\"k\" must be an integer in [0, 9]");
+}
+
+TEST(JsonTest, AsIntSaturatesOutOfRangeDoubles) {
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(obs::json_value(1e300).as_int(), kMax);
+  EXPECT_EQ(obs::json_value(-1e300).as_int(), kMin);
+  EXPECT_EQ(obs::json_value(std::nan("")).as_int(), 0);
+  EXPECT_EQ(obs::json_value(-2.9).as_int(), -2);
+}
+
 // ---------------------------------------------------------------------------
 // Span profiler
 // ---------------------------------------------------------------------------
