@@ -1,17 +1,18 @@
 // Golden pins: fixed-seed digests of whole runs on step_engine::reference.
 //
-// Every shipped protocol with a traits form is pinned on three graph
-// families (sparse G(n,p), complete layered, random tree), fault-free and
-// under retain-mode crash-recovery. A digest folds the run's steps,
-// informed_step, transmissions, collisions, deliveries and the full
-// informed_at vector. The lower-bound adversary is pinned too: it drives
-// protocol nodes through protocol::make_node, so its edge lists cover the
-// per-node path that the engines do not take.
+// Every shipped protocol is pinned on three graph families (sparse G(n,p),
+// complete layered, random tree), fault-free and under retain-mode
+// crash-recovery. A digest folds the run's steps, informed_step,
+// transmissions, collisions, deliveries and the full informed_at vector.
+// The lower-bound adversary is pinned too: it drives protocol nodes through
+// protocol::make_node, so its edge lists cover the per-node path that the
+// engines do not take.
 //
 // The values were captured from the hand-written protocol_node classes that
-// predate the single traits implementation; any behavioural drift in a
-// protocol, in the traits adapter, or in the engine routing changes a
-// digest. A mismatch prints the observed pin line.
+// predate the single traits implementation (dfs_known, which has no traits
+// form, from its protocol_node on the per-node reference loop); any
+// behavioural drift in a protocol, in the traits adapter, or in the engine
+// routing changes a digest. A mismatch prints the observed pin line.
 //
 // Metric pins digest the whole metrics export (to_json().dump()) of the
 // instrumented protocols, fault-free and under retain-mode crash-recovery,
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "adversary/lower_bound_builder.h"
+#include "core/dfs_known.h"
 #include "core/interleaved.h"
 #include "core/kp_randomized.h"
 #include "core/round_robin.h"
@@ -98,6 +100,10 @@ std::vector<std::pair<std::string, protocol_factory>> pinned_protocols() {
   };
   return {
       {"decay", by_name("decay", -1)},
+      {"dfs-known",
+       [](const graph& g) -> std::unique_ptr<protocol> {
+         return std::make_unique<dfs_known_protocol>(g);
+       }},
       {"kp-doubling", by_name("kp-doubling", -1)},
       {"kp-d4", by_name("kp", 4)},
       {"kp-ablated-d4", by_name("kp-ablated", 4)},
@@ -213,6 +219,24 @@ const std::map<std::string, std::uint64_t> kRunPins = {
     {"decay/tree40/retain/seed1", 0x8c2e7d48f03e2f7fULL},
     {"decay/tree40/retain/seed2", 0x5c2219d2ebae315eULL},
     {"decay/tree40/retain/seed3", 0x75922e92c77807feULL},
+    {"dfs-known/gnp40/faultfree/seed1", 0xdee44bf66d04da31ULL},
+    {"dfs-known/gnp40/faultfree/seed2", 0xdee44bf66d04da31ULL},
+    {"dfs-known/gnp40/faultfree/seed3", 0xdee44bf66d04da31ULL},
+    {"dfs-known/gnp40/retain/seed1", 0xb2cec2605f4db9a5ULL},
+    {"dfs-known/gnp40/retain/seed2", 0xd7c124d9ea4df97ULL},
+    {"dfs-known/gnp40/retain/seed3", 0x18f877d12135866aULL},
+    {"dfs-known/layered40/faultfree/seed1", 0x279d04877bc88780ULL},
+    {"dfs-known/layered40/faultfree/seed2", 0x279d04877bc88780ULL},
+    {"dfs-known/layered40/faultfree/seed3", 0x279d04877bc88780ULL},
+    {"dfs-known/layered40/retain/seed1", 0x8a0da6db4a85bd3eULL},
+    {"dfs-known/layered40/retain/seed2", 0xf60707e4f3f1cd7fULL},
+    {"dfs-known/layered40/retain/seed3", 0x9e10dc91514dc385ULL},
+    {"dfs-known/tree40/faultfree/seed1", 0xd0a75ae76707dd18ULL},
+    {"dfs-known/tree40/faultfree/seed2", 0xd0a75ae76707dd18ULL},
+    {"dfs-known/tree40/faultfree/seed3", 0xd0a75ae76707dd18ULL},
+    {"dfs-known/tree40/retain/seed1", 0x4de5dc373c540287ULL},
+    {"dfs-known/tree40/retain/seed2", 0xba4685d95dc4e6cbULL},
+    {"dfs-known/tree40/retain/seed3", 0x7ad504a6f3689349ULL},
     {"interleaved/gnp40/faultfree/seed1", 0x314f63cb96620079ULL},
     {"interleaved/gnp40/faultfree/seed2", 0x314f63cb96620079ULL},
     {"interleaved/gnp40/faultfree/seed3", 0x314f63cb96620079ULL},
