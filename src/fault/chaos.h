@@ -3,7 +3,7 @@
 //
 // The fault subsystem's correctness story rests on contracts — exactly-one
 // -transmitter delivery, no spontaneous transmissions, faults only ever
-// ERASE deliveries, frontier/reference bit-identity, zero-intensity models
+// ERASE deliveries, soa/reference bit-identity, zero-intensity models
 // are perfect no-ops. Each contract has targeted tests; the chaos harness
 // is the complementary sweep that samples random COMPOSITIONS (random
 // graph family × protocol × stacked fault models × step cap) and checks
@@ -20,10 +20,11 @@
 //   * informed events must be monotone modulo amnesia evictions;
 //   * run_result counters must equal the trace's event totals, and the
 //     outcome classification must match a reachability recomputation;
-//   * the frontier and reference engines must agree byte-for-byte (trial
-//     fields, informed_at, per-node energy, trace NDJSON) — and when the
-//     protocol has a struct-of-arrays step form, the intra-step-sharded
-//     soa engine joins the same comparison;
+//   * a serial soa run (step_threads = 1) and the reference run must agree
+//     byte-for-byte (trial fields, informed_at, per-node energy, trace
+//     NDJSON) — and when the protocol has a struct-of-arrays step form, an
+//     intra-step-sharded soa run joins the same comparison, so two
+//     fast-path configurations are held to the oracle;
 //   * a zero-intensity composition must be bit-identical to the fault-free
 //     run.
 //
@@ -59,7 +60,7 @@ enum class chaos_invariant {
   fault_schedule_replay,        ///< trace fault events == model replay
   fault_accounting,             ///< result counters == trace event totals
   completion_semantics,         ///< completed/outcome match final state
-  engine_bit_identity,          ///< frontier ≡ reference, byte-for-byte
+  engine_bit_identity,          ///< soa (serial, sharded) ≡ reference
   zero_intensity_identity,      ///< zero-intensity model ≡ fault-free run
 };
 inline constexpr int kChaosInvariantCount = 10;
@@ -97,13 +98,13 @@ struct soa_check_options {
 };
 
 /// Runs `proto` on `g` with node 0 as source under `model` (nullable ⇒
-/// fault-free), once per engine with full traces, and checks every
-/// invariant. When the protocol has an SoA step form (soa_runner() non
-/// null) a third, intra-step-sharded soa run joins the bit-identity
-/// comparison under `soa`'s knobs. `seed` seeds every run;
-/// `zero_intensity` additionally runs the fault-free twin and demands
-/// bit-identity. Requires identity labeling (the trace oracle equates
-/// message labels with node ids).
+/// fault-free), once on the reference engine and once on the serial soa
+/// engine, with full traces, and checks every invariant. When the protocol
+/// has an SoA step form (soa_runner() non null) a third, intra-step-sharded
+/// soa run joins the bit-identity comparison under `soa`'s knobs. `seed`
+/// seeds every run; `zero_intensity` additionally runs the fault-free twin
+/// of the serial soa run and demands bit-identity. Requires identity
+/// labeling (the trace oracle equates message labels with node ids).
 scenario_check_result check_scenario(const graph& g, const protocol& proto,
                                      fault_model* model, std::uint64_t seed,
                                      std::int64_t max_steps,

@@ -2,21 +2,20 @@
 // resolution, metrics, completion — everything a broadcast run needs except
 // the protocol-state representation and phase-1 stepping strategy.
 //
-// Two runs derive from run_base:
-//   * virtual_run (simulator.cpp), whose per-node state is a protocol_node
-//     object — the path for protocols without a traits form; and
-//   * the templated soa_run (sim/soa_engine.h), whose per-node state is a
-//     contiguous POD array. It runs all three step loops: run_reference and
-//     run_frontier below, and its own calendar loop whose phases can shard
-//     across a thread pool.
+// One run derives from run_base: the templated soa_run
+// (sim/soa_engine.h), whose per-node state is a contiguous POD array — a
+// traits protocol's own state, or a pointer to a virtual protocol_node for
+// a protocol without a traits form. It runs both step loops: run_reference
+// below, and its own awake-list walk with the quiescence calendar and
+// phases that can shard across a thread pool.
 // The derived class provides the protocol hooks (proto_begin_step,
 // proto_step, proto_receive, proto_informed, proto_halted, proto_restart),
 // node construction (init_nodes), and the step loop (run_engine);
 // EVERYTHING else — fault injection sites, collision/delivery resolution in
 // touched order, trace event ordering, per-step metrics, the outcome BFS —
-// is this one body of code. That is what makes the three-way differential
-// suite meaningful: the engines can only disagree in the parts that
-// actually differ.
+// is this one body of code. That is what makes the differential suite
+// meaningful: the two engines can only disagree in the parts that actually
+// differ.
 //
 // The base owns the per-node RNG pool (`gens_`, split from the root seed in
 // node order 0…n−1) so every engine draws the identical per-node streams.
@@ -336,8 +335,8 @@ class run_base {
 
   // Phase-1 body shared by every engine: ask node v for its transmit
   // decision and record it. `check_spontaneous` is compile-time so the
-  // frontier loop (where awake membership already implies the check) pays
-  // nothing for it.
+  // awake-list walk (where awake membership already implies the check)
+  // pays nothing for it.
   template <bool check_spontaneous>
   void step_node(node_id v, std::int64_t step) {
     node_context ctx{step, &gens_[idx(v)], opts_.metrics};
@@ -637,9 +636,9 @@ class run_base {
     }
   }
 
-  // Phase 2 with hoisted fault branches, shared by the frontier and SoA
-  // engines: the loop body is selected once per step, and the per-slot
-  // down-edge mask is consulted only while an edge is actually down.
+  // Phase 2 of the soa loop's serial steps, with hoisted fault branches:
+  // the loop body is selected once per step, and the per-slot down-edge
+  // mask is consulted only while an edge is actually down.
   void phase_two_hoisted(std::int64_t step) {
     if (faults_ == nullptr) {
       for (const node_id t : transmitters_) {
@@ -669,42 +668,7 @@ class run_base {
     }
   }
 
-  // The frontier-driven engine: phase 1 costs O(|awake|). Crashed nodes
-  // were already removed from the list, and dormant nodes are no-ops by
-  // contract — so the sweep is bit-identical to stepping all n.
-  void run_frontier() {
-    for (std::int64_t step = 0; step < opts_.max_steps; ++step) {
-      const std::int64_t collisions_before = result_.collisions;
-      const std::int64_t deliveries_before = result_.deliveries;
-      const std::int64_t suppressed_before = result_.suppressed_deliveries;
-
-      if (faults_ != nullptr) apply_begin_step_faults(step);
-      derived().proto_begin_step(step);
-
-      // Phase 1: transmit decisions from awake nodes only.
-      transmitters_.clear();
-      for (const node_id v : awake_list_) {
-        step_node</*check_spontaneous=*/false>(v, step);
-      }
-      if (opts_.verify_sleepers) sweep_sleepers(step);
-      result_.transmissions += static_cast<std::int64_t>(transmitters_.size());
-
-      // Phase 2: resolve receptions — touch only transmitters'
-      // out-neighbors (contiguous CSR rows).
-      touched_.clear();
-      phase_two_hoisted(step);
-
-      commit_receptions(step);
-      if (opts_.metrics != nullptr) {
-        push_step_metrics(collisions_before, deliveries_before,
-                          suppressed_before);
-      }
-      merge_newly_awake();
-      if (step_epilogue(step)) break;
-    }
-  }
-
-  // The reference engine — the pre-frontier loop, kept as the oracle the
+  // The reference engine — the model as written, kept as the oracle the
   // differential suite runs against: phase 1 calls on_step on every node,
   // and phase 2 keeps its per-neighbor fault branch.
   void run_reference() {

@@ -10,7 +10,9 @@
 // as SoA traits (a POD per-node state plus const hooks; sim/soa_engine.h).
 // make_node wraps those traits in a traits_node, and soa_runner hands the
 // same traits to the templated step loops; there is no hand-written
-// protocol_node to keep in step with them.
+// protocol_node to keep in step with them. A protocol without traits
+// (dfs_known, test fixtures, user code) runs the same step loops on its
+// protocol_node objects.
 //
 // Knowledge model (paper §1.3): a node knows a priori only its own label and
 // the bound r on labels. Procedures explicitly parameterized by D (such as
@@ -22,15 +24,18 @@
 // std::nullopt — no spontaneous transmissions, (b) draw NOTHING from
 // ctx.gen, and (c) mutate no internal state. Equivalently: an uninformed
 // node's behavior is independent of time, and calling — or not calling —
-// on_step on it is unobservable. The frontier-driven simulator relies on
-// this to skip dormant nodes entirely (docs/PERFORMANCE.md): phase 1
-// iterates only the awake set (source + every node that has received at
-// least one message), which is bit-identical to stepping all n nodes
-// exactly because dormant on_step is a no-op. The contract is enforced
-// three ways: the reference engine's spontaneous-transmission check, the
-// run_options::verify_sleepers sweep (calls dormant on_step and RC_CHECKs
-// nullopt + untouched rng state), and the reference-vs-frontier-vs-soa
-// differential suite (any dormant state mutation diverges there). The
+// on_step on it is unobservable. The soa engine relies on this to skip
+// dormant nodes entirely (docs/PERFORMANCE.md): phase 1 iterates only the
+// awake set (source + every node that has received at least one message),
+// which is bit-identical to stepping all n nodes exactly because dormant
+// on_step is a no-op. This is the paper's model (§1) — no spontaneous
+// transmissions — and it is why two engines suffice: `reference` polls all
+// n nodes as the model is written, `soa` skips the dormant ones. The
+// contract is enforced three ways: the reference engine's
+// spontaneous-transmission check, the run_options::verify_sleepers sweep
+// (calls dormant on_step and RC_CHECKs nullopt + untouched rng state), and
+// the reference-vs-soa differential suite (any dormant state mutation
+// diverges there). The
 // lower-bound adversary also relies on it to keep dormant candidate nodes
 // fresh.
 //
@@ -39,7 +44,7 @@
 // sim/engine_core.h, split from the root seed in node order 0…n−1 — the
 // generator is no longer embedded in the node object. This is only sound
 // BECAUSE of the dormant-node contract: a dormant node never advances its
-// pool slot, so an engine that skips dormant nodes (frontier, soa) leaves
+// pool slot, so an engine that skips dormant nodes (soa) leaves
 // the pool byte-identical to one that steps all n (reference), and the
 // sharded soa engine can hand each intra-step shard its contiguous slice
 // of the pool — per-shard RNG streams with no cross-shard draws — while
@@ -60,7 +65,7 @@
 // on_step, on_receive, and recovery. Between two polls, calling on_step
 // must therefore be a no-op exactly like a dormant node's: verify_sleepers
 // checks that on a copy of every awake, not-due node's state, and the
-// three-way differential suite checks that skipping it is unobservable.
+// differential suite checks that skipping it is unobservable.
 #pragma once
 
 #include <cstdint>
@@ -147,7 +152,7 @@ class protocol_node {
   /// return to their freshly-constructed state — exactly what make_node
   /// produced for this label — and MUST NOT draw from ctx.gen (a restart
   /// never perturbs the per-node coin-flip stream; guarded by the
-  /// frontier/reference differential suite). After on_restart the source
+  /// reference/soa differential suite). After on_restart the source
   /// (label 0) is informed() again — the message is its own — and every
   /// other node is uninformed and dormant, subject to the dormant-node
   /// contract above, until re-informed by a fresh delivery. The default
@@ -176,23 +181,23 @@ class protocol {
       node_id label, const protocol_params& params) const = 0;
 
   /// The protocol's struct-of-arrays entry, or nullptr when the protocol
-  /// has no traits form (the default). A non-null entry runs EVERY engine —
-  /// reference, frontier and soa — on the protocol's traits; make_node is
-  /// then only for code that drives single nodes (the lower-bound
-  /// adversary, virtual_view below). Both must be built from the same
-  /// configured traits (make_traits_node in sim/soa_engine.h; core/decay.cpp
-  /// shows the pattern), so the two paths cannot disagree. A nullptr entry
-  /// runs reference and frontier through make_node's virtual nodes;
-  /// selecting step_engine::soa for it is a checked error in
-  /// run_broadcast_with_r.
+  /// has no traits form (the default). A non-null entry runs both engines —
+  /// reference and soa — on the protocol's traits; make_node is then only
+  /// for code that drives single nodes (the lower-bound adversary,
+  /// virtual_view below). Both must be built from the same configured
+  /// traits (make_traits_node in sim/soa_engine.h; core/decay.cpp shows the
+  /// pattern), so the two paths cannot disagree. A nullptr entry runs both
+  /// engines through make_node's virtual nodes, on the same soa_run step
+  /// loops with step_threads pinned to 1 and no quiescence calendar.
   virtual soa_entry soa_runner() const { return nullptr; }
 };
 
 /// A view of `inner` with its traits form hidden: make_node forwards, and
 /// soa_runner() is null, so every run takes the virtual per-node path
-/// (virtual_run over traits_node objects for a traits protocol). The
-/// differential suite uses it to hold that path to the SoA run, and the
-/// throughput bench to time virtual dispatch against the SoA layout.
+/// (traits_node objects for a traits protocol): serial, and without the
+/// quiescence calendar. Under step_engine::soa that is the plain awake-list
+/// walk, which makes the view the polling oracle of the differential suite
+/// and the throughput bench's baseline for the SoA layout and the calendar.
 /// `inner` must outlive the view.
 class virtual_view final : public protocol {
  public:

@@ -6,71 +6,47 @@
 #include <vector>
 
 #include "obs/span.h"
-#include "sim/engine_core.h"
+#include "sim/soa_engine.h"
 #include "util/assert.h"
 
 namespace radiocast {
 
 namespace {
 
-/// The virtual-dispatch run, for protocols without a traits form
-/// (soa_runner() == nullptr): per-node state is a heap protocol_node object
-/// and every protocol hook is a virtual call; it runs the reference or the
-/// frontier loop. Everything else — setup, fault sites, reception
-/// resolution, metrics, completion — is the shared core in
-/// sim/engine_core.h, which is exactly what lets the differential suite
-/// compare it against soa_run (sim/soa_engine.h): the runs can only
-/// disagree in the parts that actually differ.
-class virtual_run final : public detail::run_base<virtual_run> {
-  using base = detail::run_base<virtual_run>;
-  friend base;
+/// The traits form of a protocol that has none (soa_runner() == nullptr):
+/// per-node state is a pointer to a protocol_node that make_node built, in
+/// node order, into a vector that outlives the run, and every hook is a
+/// virtual call. It has no begin_step (nodes hoist for themselves) and no
+/// next_poll, so soa_run (sim/soa_engine.h) walks the whole awake list each
+/// step under step_engine::soa and all n nodes under reference.
+struct virtual_traits {
+  const protocol* proto;
+  std::vector<std::unique_ptr<protocol_node>>* nodes;
 
- public:
-  virtual_run(const graph& g, const protocol& proto, node_id r,
-              const run_options& opts, obs::span_profiler* profiler)
-      : base(g, r, opts), proto_(proto) {
-    finish_setup(profiler);
-  }
+  using state = protocol_node*;
 
-  using base::run;
-
- private:
-  void init_nodes(const protocol_params& params) {
-    nodes_.resize(static_cast<std::size_t>(n_));
-    for (node_id v = 0; v < n_; ++v) {
-      nodes_[idx(v)] = proto_.make_node(labels_[idx(v)], params);
-      RC_CHECK(nodes_[idx(v)] != nullptr);
-    }
+  void init(state* s, node_id label, const protocol_params& params) const {
+    nodes->push_back(proto->make_node(label, params));
+    *s = nodes->back().get();
+    RC_CHECK(*s != nullptr);
   }
 
   // radiocast-analyze: hot-path-begin -- per-node dispatch, called once
-  // per awake node per step.
+  // per stepped node per step.
 
-  void proto_begin_step(std::int64_t) {}  // nodes hoist for themselves
-  std::optional<message> proto_step(node_id v, const node_context& ctx) {
-    return nodes_[idx(v)]->on_step(ctx);
+  std::optional<message> on_step(state* s, const node_context& ctx) const {
+    return (*s)->on_step(ctx);
   }
-  void proto_receive(node_id v, const node_context& ctx, const message& m) {
-    nodes_[idx(v)]->on_receive(ctx, m);
+  void on_receive(state* s, const node_context& ctx, const message& m) const {
+    (*s)->on_receive(ctx, m);
   }
-  bool proto_informed(node_id v) { return nodes_[idx(v)]->informed(); }
-  bool proto_halted(node_id v) { return nodes_[idx(v)]->halted(); }
-  void proto_restart(node_id v, const node_context& ctx) {
-    nodes_[idx(v)]->on_restart(ctx);
-  }
-
-  void run_engine() {
-    if (opts_.engine == step_engine::frontier) {
-      run_frontier();
-    } else {
-      run_reference();
-    }
+  bool informed(const state& s) const { return s->informed(); }
+  bool halted(const state& s) const { return s->halted(); }
+  void on_restart(state* s, const node_context& ctx) const {
+    (*s)->on_restart(ctx);
   }
 
   // radiocast-analyze: hot-path-end
-
-  const protocol& proto_;
-  std::vector<std::unique_ptr<protocol_node>> nodes_;
 };
 
 }  // namespace
@@ -90,18 +66,19 @@ run_result run_broadcast_with_r(const graph& g, const protocol& proto,
   obs::span_profiler* profiler =
       opts.profiler != nullptr ? opts.profiler : obs::global_profiler();
   obs::scoped_span run_span(profiler, "run_broadcast");
-  // One virtual call per RUN: a protocol with a traits form runs every
-  // engine through its templated SoA entry — the step loops behind it have
-  // no virtual dispatch.
+  // One virtual call per RUN: a protocol with a traits form runs through
+  // its templated SoA entry — the step loops behind it have no virtual
+  // dispatch.
   const soa_entry entry = proto.soa_runner();
   if (entry != nullptr) return entry(g, proto, r, opts);
-  RC_REQUIRE_MSG(opts.engine != step_engine::soa,
-                 "protocol '" + proto.name() +
-                     "' has no SoA step form (protocol::soa_runner "
-                     "returned null); use step_engine::frontier");
-  virtual_run run(g, proto, r, opts, profiler);
-  obs::scoped_span loop_span(profiler, "step_loop");
-  return run.run();
+  // Any other protocol runs its virtual nodes through the same loops. Its
+  // nodes may share mutable state (a test fixture's observer, a user
+  // protocol's tables), so its steps never shard.
+  std::vector<std::unique_ptr<protocol_node>> nodes;
+  nodes.reserve(static_cast<std::size_t>(g.node_count()));
+  run_options serial = opts;
+  serial.step_threads = 1;
+  return run_broadcast_soa(g, virtual_traits{&proto, &nodes}, r, serial);
 }
 
 run_result run_broadcast(const graph& g, const protocol& proto,

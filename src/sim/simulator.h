@@ -38,29 +38,25 @@ enum class stop_condition {
   all_halted,    ///< stop once every node reports halted() (token protocols)
 };
 
-/// Which step loop runs the broadcast (see docs/PERFORMANCE.md). A
-/// protocol with a traits form (protocol::soa_runner) runs every loop on
-/// its SoA state with the hooks inlined; any other protocol runs frontier
-/// and reference through its virtual protocol_node objects.
+/// Which step loop runs the broadcast (see docs/PERFORMANCE.md). Every
+/// protocol runs both loops on the templated SoA run (sim/soa_engine.h): a
+/// protocol with a traits form (protocol::soa_runner) on its POD state with
+/// the hooks inlined, any other protocol on its virtual protocol_node
+/// objects. Only these two loops exist because of the dormant-node
+/// contract in sim/protocol.h: the paper's model has no spontaneous
+/// transmissions, so skipping nodes that never received is unobservable.
 enum class step_engine {
-  /// Frontier-driven: phase 1 iterates only the awake set (source + every
-  /// node that has received at least one message; crashed nodes leave it),
-  /// making per-step cost O(|awake|) instead of O(n). Bit-identical to
-  /// `reference` by the dormant-node contract in sim/protocol.h — trial
-  /// records, metrics dumps, and traces all match. The default.
-  frontier,
-  /// The pre-frontier loop, retained as the differential-testing oracle:
+  /// The model as written, retained as the differential-testing oracle:
   /// phase 1 calls on_step on all n nodes every step.
   reference,
-  /// The SoA step loop (sim/soa_engine.h): on top of the contiguous POD
-  /// state and inlined hooks every traits protocol gets, it skips awake
-  /// nodes whose traits declare a later next_poll (the quiescence
-  /// calendar), and phase 1 / phase 2 of a single step can shard across a
-  /// thread pool (run_options::step_threads) with an ordered-merge
-  /// reduction. Trial records, metrics dumps, and traces are bit-identical
-  /// to frontier and reference — the three-way differential suite holds it
-  /// to that. Only protocols that publish a SoA form (protocol::soa_runner)
-  /// support it; selecting it for any other protocol is a checked error.
+  /// The fast loop (sim/soa_engine.h): phase 1 iterates only the awake set
+  /// (source + every node that has received at least one message; crashed
+  /// nodes leave it), skips awake nodes whose traits declare a later
+  /// next_poll (the quiescence calendar), and phase 1 / phase 2 of a
+  /// single step can shard across a thread pool (run_options::step_threads)
+  /// with an ordered-merge reduction. Trial records, metrics dumps, and
+  /// traces are bit-identical to `reference` — the differential suite
+  /// holds it to that. The default.
   soa,
 };
 
@@ -101,27 +97,30 @@ struct run_options {
   /// slots, presence announcements, binary selection) genuinely slow down
   /// under sparse labels — see experiment E14.
   std::vector<node_id> labels;
-  /// Step-loop implementation. `frontier` (default) skips dormant nodes;
-  /// `reference` steps every node, serving as the differential oracle.
-  step_engine engine = step_engine::frontier;
-  /// Debug sweep (frontier/soa engines): every step, call on_step on every
-  /// dormant node anyway and RC_CHECK that it returns std::nullopt and
-  /// leaves its rng untouched — the dormant-node contract of
-  /// sim/protocol.h, verified rather than assumed. Under the soa engine's
-  /// quiescence calendar it also runs on_step on a copy of every awake
-  /// node that is not due (the SLEEP CONTRACT). Restores O(n) per-step
-  /// cost; for tests, not production runs.
+  /// Step-loop implementation. `soa` (default) skips dormant and sleeping
+  /// nodes; `reference` steps every node, serving as the differential
+  /// oracle.
+  step_engine engine = step_engine::soa;
+  /// Debug sweep (soa engine): every step, call on_step on every dormant
+  /// node anyway and RC_CHECK that it returns std::nullopt and leaves its
+  /// rng untouched — the dormant-node contract of sim/protocol.h, verified
+  /// rather than assumed. Under the quiescence calendar it also runs
+  /// on_step on a copy of every awake node that is not due (the SLEEP
+  /// CONTRACT). Restores O(n) per-step cost; for tests, not production
+  /// runs.
   bool verify_sleepers = false;
-  /// Intra-step worker threads (soa engine only; the other engines ignore
-  /// these fields): 0 = the RADIOCAST_THREADS environment default, 1 =
-  /// serial, N ≥ 2 = shard each step's phase 1 (transmit decisions over
-  /// the awake list) and phase 2 (reception scan over transmitters'
-  /// neighborhoods) into N contiguous shards merged in shard order —
-  /// bit-identical to serial at every thread count (docs/PERFORMANCE.md
-  /// gives the ordered-merge argument). Metrics-enabled runs pin phase 1
-  /// serial (protocols write gauges from on_step whose last-write-wins
-  /// semantics only serial order reproduces); phase 2 still shards.
-  int step_threads = 0;
+  /// Intra-step worker threads (soa engine only; the reference loop
+  /// ignores these fields): 1 = serial (the default), 0 = the
+  /// RADIOCAST_THREADS environment default, N ≥ 2 = shard each step's
+  /// phase 1 (transmit decisions over the awake list) and phase 2
+  /// (reception scan over transmitters' neighborhoods) into N contiguous
+  /// shards merged in shard order — bit-identical to serial at every
+  /// thread count (docs/PERFORMANCE.md gives the ordered-merge argument).
+  /// Metrics-enabled runs pin phase 1 serial (protocols write gauges from
+  /// on_step whose last-write-wins semantics only serial order
+  /// reproduces); phase 2 still shards. A protocol without a traits form
+  /// always runs serial: its virtual nodes may share mutable state.
+  int step_threads = 1;
   /// Minimum work per intra-step shard before sharding engages: phase 1
   /// counts awake nodes, phase 2 counts transmitter out-edges. 0 = a
   /// default tuned so tiny steps never pay fork/join overhead; tests set 1
@@ -263,13 +262,14 @@ struct trial_options {
   /// only; run_trials ignores them.
   shard_hooks hooks;
   /// Step-loop implementation for every trial (see run_options::engine).
-  step_engine engine = step_engine::frontier;
+  step_engine engine = step_engine::soa;
   /// Per-trial dormant-node contract sweep (see run_options::verify_sleepers).
   bool verify_sleepers = false;
   /// Intra-step worker threads per trial (see run_options::step_threads;
-  /// soa engine only). Independent of `threads`, which shards ACROSS
-  /// trials: a campaign typically picks one or the other, not both.
-  int step_threads = 0;
+  /// soa engine only; 1 = serial, the default). Independent of `threads`,
+  /// which shards ACROSS trials: a campaign typically picks one or the
+  /// other, not both.
+  int step_threads = 1;
   /// Minimum work per intra-step shard (see run_options::step_shard_grain).
   std::int64_t step_shard_grain = 0;
 };

@@ -1,18 +1,20 @@
-// Struct-of-arrays step engine: the one run type for every protocol with a
-// traits form, on every step_engine.
+// Struct-of-arrays step engine: the one run type for every protocol, on
+// both step engines.
 //
-// A per-node protocol_node (sim/simulator.cpp's virtual_run) pays three
-// taxes per awake node per step: a unique_ptr chase to a heap-scattered
-// node object, a virtual on_step call the compiler cannot inline, and the
-// cache misses both imply once n outgrows the LLC. soa_run removes all
-// three, and run_broadcast_with_r sends every protocol whose soa_runner()
-// is non-null here whatever run_options::engine says:
+// A per-node protocol_node pays three taxes per awake node per step: a
+// pointer chase to a heap-scattered node object, a virtual on_step call the
+// compiler cannot inline, and the cache misses both imply once n outgrows
+// the LLC. soa_run removes all three for every protocol whose soa_runner()
+// is non-null; run_broadcast_with_r sends it here whatever
+// run_options::engine says. A protocol without a traits form runs here
+// too, through a small adapter traits (sim/simulator.cpp) whose POD state
+// is a pointer to its virtual node — it keeps the taxes but shares every
+// line of the step loops:
 //
 //   * step_engine::reference runs run_base::run_reference (on_step on all
-//     n nodes), step_engine::frontier runs run_base::run_frontier (on_step
-//     on the awake list), and step_engine::soa runs the loop below (the
-//     quiescence calendar and intra-step sharding). The calendar and the
-//     pool exist only under step_engine::soa: the two polling loops are
+//     n nodes); step_engine::soa runs the loop below (the awake-list walk,
+//     the quiescence calendar, and intra-step sharding). The calendar and
+//     the pool exist only under step_engine::soa: the reference loop is
 //     what the differential suite holds the next_poll hints and the
 //     dormant-node contract against;
 //
@@ -91,7 +93,9 @@
 //     itself). Faults, metrics, and step_threads > 1 all use the calendar;
 //     there is no polling fallback.
 //   * Traits without next_poll compile, through `if constexpr`, to the
-//     plain awake-list walk.
+//     plain awake-list walk. virtual_view (sim/protocol.h) hides a traits
+//     protocol behind that adapter, which is how the tests and benches time
+//     and check the walk without the calendar.
 //
 // Traits requirements (see core/decay.cpp for the worked pattern). The
 // traits struct IS the protocol: make_node wraps the same configured traits
@@ -200,7 +204,7 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       // Pool and shard arenas are run-lifetime, sized once from the graph
       // here (still inside the "setup" span's wall-clock): the sharded
       // step loop below never allocates. Serial runs (step_threads == 1)
-      // and the two polling loops never shard and skip all of it.
+      // and the reference loop never shard and skip all of it.
       pool_ = std::make_unique<exec::thread_pool>(step_threads_ - 1);
       const auto n = static_cast<std::size_t>(this->n_);
       p1_tx_arena_.resize(n);
@@ -498,17 +502,16 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       case step_engine::reference:
         this->run_reference();
         return;
-      case step_engine::frontier:
-        this->run_frontier();
-        return;
       case step_engine::soa:
         run_soa();
         return;
     }
   }
 
-  // The soa step loop — structurally run_frontier with the calendar and
-  // shardable phases.
+  // The soa step loop: phase 1 costs O(|awake|), or O(|due|) under the
+  // calendar. Crashed nodes were already removed from the awake list, and
+  // dormant nodes are no-ops by contract — so the walk is bit-identical to
+  // stepping all n.
   void run_soa() {
     for (std::int64_t step = 0; step < this->opts_.max_steps; ++step) {
       const std::int64_t collisions_before = this->result_.collisions;
@@ -615,7 +618,7 @@ run_result soa_entry_for(const graph& g, const protocol&, node_id r,
 
 /// One node of a traits protocol behind the protocol_node interface, for
 /// code that drives nodes one by one: the lower-bound adversary, user code,
-/// and virtual_run when a protocol wrapper hides soa_runner() (the
+/// and the virtual adapter when a protocol wrapper hides soa_runner() (the
 /// differential suite's virtual leg). It holds one traits copy and one
 /// state, and runs begin_step itself whenever it sees a new step — before
 /// on_step, on_receive and on_restart alike, since a node can receive in a

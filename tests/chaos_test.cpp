@@ -83,7 +83,7 @@ TEST(ChaosTest, CleanScenarioPassesEveryInvariant) {
 /// Deliberately violates the determinism contract: begin_run fails to
 /// reset the run counter, so the model downs edge (0,1) permanently on its
 /// FIRST run and does nothing on later runs — while clone() (correctly)
-/// starts fresh. The frontier run and the reference run therefore see
+/// starts fresh. The serial soa run and the reference run therefore see
 /// different fault schedules, and the reference run's trace-replay oracle
 /// (driven by a fresh clone) sees deliveries crossing an edge the replay
 /// says is down.
@@ -113,7 +113,7 @@ TEST(ChaosTest, BrokenModelIsCaughtByDownEdgeAndBitIdentityInvariants) {
   const fault::scenario_check_result res =
       fault::check_scenario(g, *proto, &broken, 9, 64, false);
   EXPECT_FALSE(res.ok());
-  // The frontier run (the model's run #1) matches its replay clone; the
+  // The serial soa run (the model's run #1) matches its replay clone; the
   // reference run (run #2) does not: the replay expects the down edge the
   // stale model no longer produces…
   EXPECT_GT(

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dfs_known.h"
 #include "core/runner.h"
 #include "exec/parallel_trials.h"
 #include "fault/churn.h"
@@ -438,20 +439,20 @@ TEST(DifferentialTest, TrialRecordsMatchTracedReruns) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential: soa vs frontier vs reference, plus the virtual path.
+// Engine differential: soa vs reference, plus the virtual path.
 //
-// The frontier engine (docs/PERFORMANCE.md) skips dormant nodes in phase 1
-// and hoists the fault branches out of phase 2; the soa engine additionally
-// skips sleeping nodes through the quiescence calendar and shards both
-// phases of a single step across threads with an ordered merge. A traits
-// protocol runs all three on its SoA state; a virtual_view of it runs the
-// reference loop over traits_node objects instead. The contract for ALL is
+// The soa engine (docs/PERFORMANCE.md) skips dormant nodes in phase 1,
+// skips sleeping nodes through the quiescence calendar, hoists the fault
+// branches out of phase 2, and shards both phases of a single step across
+// threads with an ordered merge. A traits protocol runs both engines on its
+// SoA state; a virtual_view of it, like any protocol without a traits form,
+// runs them over protocol_node objects instead. The contract for ALL is
 // BIT IDENTITY with the reference engine — not statistical agreement:
 // trial records, full metrics dumps, and event-for-event trace NDJSON must
 // all be byte-equal, across protocols, graph families, fault models, the
 // serial/parallel executors, and every intra-step thread count.
-// verify_sleepers rides along on every frontier run, so the dormant-node
-// contract is checked live, not assumed.
+// verify_sleepers rides along on every soa run, so the dormant-node and
+// sleep contracts are checked live, not assumed.
 // ---------------------------------------------------------------------------
 
 /// Everything observable from one run under a given engine.
@@ -466,7 +467,7 @@ using fault_factory = std::function<std::unique_ptr<fault::fault_model>()>;
 
 engine_observation observe(const graph& g, const protocol& proto,
                            step_engine engine, const fault_factory& faults,
-                           int threads, int step_threads = 0) {
+                           int threads, int step_threads = 1) {
   engine_observation out;
 
   // Trial batch with metrics, through the requested executor. Grain 1
@@ -545,23 +546,20 @@ void expect_engines_agree(const graph& g, const protocol& proto,
                           const std::string& what) {
   const engine_observation ref =
       observe(g, proto, step_engine::reference, faults, threads);
-  const engine_observation fro =
-      observe(g, proto, step_engine::frontier, faults, threads);
-  expect_observations_equal(ref, fro, what + "/frontier");
 
-  // Third engine, when the protocol has an SoA step form: serial, and
-  // intra-step sharded at 2 and 8 threads (grain 1). Every variant must
-  // match the reference byte-for-byte.
+  // The soa engine: serial, and intra-step sharded at 2 and 8 threads
+  // (grain 1). Every variant must match the reference byte-for-byte. A
+  // protocol without a traits form runs serial at every thread count.
+  for (int st : {1, 2, 8}) {
+    const engine_observation soa =
+        observe(g, proto, step_engine::soa, faults, threads, st);
+    expect_observations_equal(ref, soa,
+                              what + "/soa@st" + std::to_string(st));
+  }
   if (proto.soa_runner() != nullptr) {
-    for (int st : {1, 2, 8}) {
-      const engine_observation soa =
-          observe(g, proto, step_engine::soa, faults, threads, st);
-      expect_observations_equal(
-          ref, soa, what + "/soa@st" + std::to_string(st));
-    }
     // The virtual leg: with soa_runner hidden, the reference loop drives
-    // one traits_node per node through virtual_run — the per-node path
-    // the lower-bound adversary and user code take.
+    // one traits_node per node through the virtual adapter — the
+    // per-node path the lower-bound adversary and user code take.
     const virtual_view view(proto);
     const engine_observation virt =
         observe(g, view, step_engine::reference, faults, threads);
@@ -589,7 +587,7 @@ TEST(EngineDifferentialTest, AllProtocolsAllGraphFamilies) {
 TEST(EngineDifferentialTest, CompleteLayeredOnItsOwnFamily) {
   // The structure-aware baseline never appears in general_protocols (it
   // requires its own topology family), so its SoA traits get a dedicated
-  // three-way leg here: fault-free on two layer shapes, then crash and
+  // engine leg here: fault-free on two layer shapes, then crash and
   // loss models — completion under faults is data, byte-equality of
   // whatever happened is the contract.
   const fault_factory crash = [] {
@@ -610,6 +608,31 @@ TEST(EngineDifferentialTest, CompleteLayeredOnItsOwnFamily) {
   }
 }
 
+TEST(EngineDifferentialTest, DfsKnownWithoutATraitsForm) {
+  // dfs_known has no traits form, so both engines run its protocol_node
+  // objects through the virtual adapter. The adapter pins step_threads to
+  // 1, so the soa legs at 2 and 8 threads (grain 1) must match the
+  // reference byte for byte as well — fault-free and under retain-mode
+  // crash-recovery, which can strand the token.
+  rng topo_gen(341);
+  std::vector<std::pair<std::string, graph>> graphs;
+  graphs.emplace_back("gnp24", make_gnp_connected(24, 0.15, topo_gen));
+  graphs.emplace_back("tree20", make_random_tree(20, topo_gen));
+  graphs.emplace_back("layered30", make_complete_layered_uniform(30, 5));
+  const fault_factory retain = [] {
+    fault::recovery_options o;
+    o.crash_probability = 0.004;
+    o.mode = fault::recovery_mode::retain;
+    o.downtime = 6;
+    return std::make_unique<fault::recovery_model>(o);
+  };
+  for (const auto& [gtag, g] : graphs) {
+    const dfs_known_protocol proto(g);
+    expect_engines_agree(g, proto, nullptr, 0, gtag + "/dfs-known");
+    expect_engines_agree(g, proto, retain, 0, gtag + "/retain/dfs-known");
+  }
+}
+
 TEST(EngineDifferentialTest, DirectedGraphs) {
   rng topo_gen(307);
   const graph g = make_directed_layered({1, 5, 5, 5, 4}, 0.5, topo_gen);
@@ -619,10 +642,9 @@ TEST(EngineDifferentialTest, DirectedGraphs) {
   }
 }
 
-TEST(EngineDifferentialTest, UnderEveryFaultModel) {
-  rng topo_gen(311);
-  const graph g = make_gnp_connected(26, 0.15, topo_gen);
-  const std::vector<std::pair<std::string, fault_factory>> models = {
+// Every fault model the engines must agree under, one test instance each.
+std::vector<std::pair<std::string, fault_factory>> differential_fault_models() {
+  return {
       {"crash",
        [] {
          fault::crash_options o;
@@ -673,29 +695,43 @@ TEST(EngineDifferentialTest, UnderEveryFaultModel) {
          return std::make_unique<fault::frontier_cut_model>(o);
        }},
   };
-  for (const auto& [ftag, factory] : models) {
-    // Memoryless protocols plus the token-carrying SoA-traits protocols
-    // (select-and-send's DFS token, interleaved's odd-step stream) run
-    // under every model, amnesia included: a token protocol may stall
-    // after a state-wiping restart — completion is data, not a guarantee
-    // — but whatever happens must be byte-equal across engines. The
-    // rejection side of that contract (an RC_CHECK escaping identically
-    // from every engine, should a restart ever land mid-invariant) is
-    // covered by TokenProtocolsUnderAmnesiaStayEngineIdentical below.
-    for (const std::string proto_name :
-         {"decay", "round-robin", "select-and-send", "interleaved"}) {
-      const auto proto = make_protocol(proto_name, g.node_count() - 1);
-      expect_engines_agree(g, *proto, factory, 0, ftag + "/" + proto_name);
-    }
+}
+
+class EngineFaultModelTest : public testing::TestWithParam<std::size_t> {};
+
+TEST_P(EngineFaultModelTest, UnderEveryFaultModel) {
+  rng topo_gen(311);
+  const graph g = make_gnp_connected(26, 0.15, topo_gen);
+  const auto models = differential_fault_models();
+  const auto& [ftag, factory] = models[GetParam()];
+  // Memoryless protocols plus the token-carrying SoA-traits protocols
+  // (select-and-send's DFS token, interleaved's odd-step stream) run
+  // under every model, amnesia included: a token protocol may stall
+  // after a state-wiping restart — completion is data, not a guarantee
+  // — but whatever happens must be byte-equal across engines. The
+  // rejection side of that contract (an RC_CHECK escaping identically
+  // from every engine, should a restart ever land mid-invariant) is
+  // covered by TokenProtocolsUnderAmnesiaStayEngineIdentical below.
+  for (const std::string proto_name :
+       {"decay", "round-robin", "select-and-send", "interleaved"}) {
+    const auto proto = make_protocol(proto_name, g.node_count() - 1);
+    expect_engines_agree(g, *proto, factory, 0, ftag + "/" + proto_name);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    EngineDifferentialTest, EngineFaultModelTest,
+    testing::Range<std::size_t>(0, differential_fault_models().size()),
+    [](const testing::TestParamInfo<std::size_t>& param) {
+      return differential_fault_models()[param.param].first;
+    });
 
 TEST(EngineDifferentialTest, TokenProtocolsUnderAmnesiaStayEngineIdentical) {
   // A token protocol that loses its state mid-traversal is in a world its
   // invariants do not fully describe: a structural message arriving after
   // the wipe may legitimately fire an RC_CHECK (the chaos sampler excludes
   // token protocols for exactly this reason). That rejection is part of
-  // the engine contract too — for every seed, all three engines must agree
+  // the engine contract too — for every seed, both engines must agree
   // on WHETHER the run is rejected, and when it is not, on every record
   // field. (Empirically the protocols ride out every amnesia schedule
   // tried so far — restarted nodes re-join as fresh listeners — so the
@@ -727,16 +763,12 @@ TEST(EngineDifferentialTest, TokenProtocolsUnderAmnesiaStayEngineIdentical) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const std::string what =
           proto_name + "/amnesia/seed" + std::to_string(seed);
-      run_result ref, fro, soa;
+      run_result ref, soa;
       const bool ref_rejected =
           run_one(*proto, step_engine::reference, seed, &ref);
-      const bool fro_rejected =
-          run_one(*proto, step_engine::frontier, seed, &fro);
       const bool soa_rejected = run_one(*proto, step_engine::soa, seed, &soa);
-      EXPECT_EQ(ref_rejected, fro_rejected) << what;
       EXPECT_EQ(ref_rejected, soa_rejected) << what;
       if (ref_rejected) continue;
-      EXPECT_EQ(ref.steps, fro.steps) << what;
       EXPECT_EQ(ref.steps, soa.steps) << what;
       EXPECT_EQ(ref.transmissions, soa.transmissions) << what;
       EXPECT_EQ(ref.collisions, soa.collisions) << what;
@@ -771,12 +803,13 @@ TEST(EngineDifferentialTest, CalendarFarWakesAndRecoveries) {
   }
 }
 
-TEST(EngineDifferentialTest, VirtualViewOnFrontier) {
-  // The frontier loop never polls a dormant node, so a traits_node first
-  // hears a message in a step in which its on_step did not run: the
-  // adapter must run begin_step from on_receive itself (Interleaved's
-  // on_receive reads the step hoists). verify_sleepers also sweeps the
-  // dormant traits_nodes.
+TEST(EngineDifferentialTest, VirtualViewOnSoa) {
+  // The soa loop never polls a dormant node, so a traits_node first hears
+  // a message in a step in which its on_step did not run: the adapter must
+  // run begin_step from on_receive itself (Interleaved's on_receive reads
+  // the step hoists). The view hides next_poll too, so this is the plain
+  // awake-list walk with every awake node polled. verify_sleepers also
+  // sweeps the dormant traits_nodes.
   rng topo_gen(337);
   const graph g = make_gnp_connected(24, 0.15, topo_gen);
   for (const std::string proto_name :
@@ -786,15 +819,15 @@ TEST(EngineDifferentialTest, VirtualViewOnFrontier) {
     const engine_observation ref =
         observe(g, *proto, step_engine::reference, nullptr, 0);
     const engine_observation virt =
-        observe(g, view, step_engine::frontier, nullptr, 0);
+        observe(g, view, step_engine::soa, nullptr, 0);
     expect_observations_equal(ref, virt,
-                              "gnp24/" + proto_name + "/virtual-frontier");
+                              "gnp24/" + proto_name + "/virtual-soa");
   }
 }
 
 TEST(EngineDifferentialTest, AcrossParallelExecutor) {
   // The engine choice must thread through parallel_run_trials' shard
-  // workers: 4-thread frontier == 4-thread reference == serial reference.
+  // workers: 4-thread soa == 4-thread reference == serial reference.
   rng topo_gen(313);
   const graph g = make_gnp_connected(24, 0.15, topo_gen);
   const auto proto = make_protocol("decay", g.node_count() - 1);

@@ -38,7 +38,7 @@ namespace {
 run_result run_with(const graph& g, const protocol& proto,
                     fault::fault_model* faults, std::uint64_t seed = 11,
                     std::int64_t max_steps = 50'000,
-                    step_engine engine = step_engine::frontier) {
+                    step_engine engine = step_engine::soa) {
   run_options opts;
   opts.seed = seed;
   opts.max_steps = max_steps;
@@ -333,7 +333,7 @@ TEST(RecoveryTest, EnginesAgreeUnderRecoveryAndPartition) {
   ropts.downtime = 4;
   fault::recovery_model recovery(ropts);
   expect_identical(
-      run_with(g, *proto, &recovery, 7, 50'000, step_engine::frontier),
+      run_with(g, *proto, &recovery, 7, 50'000, step_engine::soa),
       run_with(g, *proto, &recovery, 7, 50'000, step_engine::reference));
 
   fault::partition_options popts;
@@ -342,7 +342,7 @@ TEST(RecoveryTest, EnginesAgreeUnderRecoveryAndPartition) {
   popts.duration = 8;
   fault::partition_model partition(popts);
   expect_identical(
-      run_with(g, *proto, &partition, 7, 50'000, step_engine::frontier),
+      run_with(g, *proto, &partition, 7, 50'000, step_engine::soa),
       run_with(g, *proto, &partition, 7, 50'000, step_engine::reference));
 }
 

@@ -4,9 +4,13 @@
 // run-loop bookkeeping.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
@@ -178,7 +182,7 @@ TEST(SimTest, SpontaneousTransmissionIsRejected) {
 TEST(SimTest, SleeperSweepCatchesSpontaneousTransmission) {
   graph g = make_path(3);
   script_observer obs;
-  // Under the frontier engine a dormant node is never stepped, so a script
+  // Under the soa engine a dormant node is never stepped, so a script
   // that violates the dormant-node contract goes unnoticed — unless
   // verify_sleepers sweeps it.
   scripted_protocol proto({{2, {0}}}, &obs);
@@ -333,23 +337,122 @@ TEST(SimTest, TraitsNodeHoistsBeforeEveryHook) {
   EXPECT_EQ(node->on_step(node_context{10, &gen, nullptr})->a, 9);
 }
 
-TEST(SimTest, SoaEngineNeedsATraitsForm) {
+TEST(SimTest, VirtualViewHidesTheTraitsForm) {
   graph g = make_path(3);
-  script_observer obs;
-  scripted_protocol proto({{0, {0}}}, &obs);
-  run_options opts = capped(4);
-  opts.engine = step_engine::soa;
-  EXPECT_THROW(run_broadcast(g, proto, opts), precondition_error);
-  // virtual_view hides a traits protocol's entry the same way, and leaves
-  // its virtual per-node path to the two polling engines.
+  // virtual_view hides a traits protocol's entry, so its runs take the
+  // virtual per-node path — without the calendar, to the same result.
   const slotted_protocol slotted;
   const virtual_view view(slotted);
   EXPECT_EQ(view.soa_runner(), nullptr);
   EXPECT_EQ(view.name(), slotted.name());
-  EXPECT_THROW(run_broadcast(g, view, opts), precondition_error);
-  opts.engine = step_engine::frontier;
+  run_options opts = capped(4);
+  opts.engine = step_engine::soa;
   EXPECT_EQ(run_broadcast(g, view, opts).informed_at,
             run_broadcast(g, slotted, opts).informed_at);
+}
+
+// RAII guard restoring RADIOCAST_THREADS afterwards, so a test cannot leak
+// environment state into other tests.
+class env_guard {
+ public:
+  explicit env_guard(const char* value) {
+    const char* old = std::getenv("RADIOCAST_THREADS");
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+    ::setenv("RADIOCAST_THREADS", value, 1);
+  }
+  ~env_guard() {
+    if (had_) {
+      ::setenv("RADIOCAST_THREADS", saved_.c_str(), 1);
+    } else {
+      ::unsetenv("RADIOCAST_THREADS");
+    }
+  }
+
+ private:
+  bool had_ = false;
+  std::string saved_;
+};
+
+// A traits protocol that notes whether any on_step ran off the thread that
+// built it. On a star the center informs every leaf at step 0, so phase 1
+// of steps 1 and 2 walks all n awake nodes; a node halts after two polls.
+struct thread_probe_traits {
+  std::thread::id caller;
+  std::atomic<bool>* off_thread = nullptr;
+
+  struct state {
+    bool informed = false;
+    int polls = 0;
+  };
+
+  void init(state* s, node_id label, const protocol_params&) const {
+    s->informed = label == 0;
+  }
+  std::optional<message> on_step(state* s, const node_context& ctx) const {
+    if (!s->informed) return std::nullopt;
+    if (std::this_thread::get_id() != caller) off_thread->store(true);
+    ++s->polls;
+    if (ctx.step == 0) return message{1, 0, 0, 0, 0, 0};
+    return std::nullopt;
+  }
+  void on_receive(state* s, const node_context&, const message&) const {
+    s->informed = true;
+  }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state& s) const { return s.polls >= 2; }
+  void on_restart(state*, const node_context&) const {}
+};
+
+class thread_probe_protocol final : public protocol {
+ public:
+  explicit thread_probe_protocol(std::atomic<bool>* off_thread) {
+    traits_.caller = std::this_thread::get_id();
+    traits_.off_thread = off_thread;
+  }
+
+  std::string name() const override { return "thread-probe"; }
+  bool deterministic() const override { return true; }
+  std::unique_ptr<protocol_node> make_node(
+      node_id label, const protocol_params& params) const override {
+    return make_traits_node(traits_, label, params);
+  }
+  soa_entry soa_runner() const override { return &run; }
+
+ private:
+  static run_result run(const graph& g, const protocol& proto, node_id r,
+                        const run_options& opts) {
+    return run_broadcast_soa(
+        g, static_cast<const thread_probe_protocol&>(proto).traits_, r, opts);
+  }
+
+  thread_probe_traits traits_;
+};
+
+TEST(SimTest, DefaultRunNeverShards) {
+  // Intra-step threads are opt-in. Even with RADIOCAST_THREADS=4, a run
+  // with default options — and a virtual protocol even when it asks for
+  // threads — polls every node on the calling thread. 10 000 awake nodes
+  // clear the default grain's sharding floor of 2 × 4096.
+  env_guard guard("4");
+  const graph g = make_star(10'000);
+  std::atomic<bool> off_thread{false};
+  const thread_probe_protocol proto(&off_thread);
+  run_options opts;
+  opts.stop = stop_condition::all_halted;
+  ASSERT_TRUE(run_broadcast(g, proto, opts).completed);
+  EXPECT_FALSE(off_thread.load()) << "a default-options run sharded";
+
+  const virtual_view view(proto);
+  run_options threaded = opts;
+  threaded.step_threads = 4;
+  threaded.step_shard_grain = 1;
+  ASSERT_TRUE(run_broadcast(g, view, threaded).completed);
+  EXPECT_FALSE(off_thread.load()) << "a virtual protocol's run sharded";
+
+  // The traits form itself still shards when asked to.
+  ASSERT_TRUE(run_broadcast(g, proto, threaded).completed);
+  EXPECT_TRUE(off_thread.load()) << "step_threads = 4 did not shard";
 }
 
 TEST(SimTest, UnfinalizedGraphIsRejected) {
@@ -362,7 +465,7 @@ TEST(SimTest, UnfinalizedGraphIsRejected) {
 
 TEST(SimTest, EnginesAgreeOnScriptedRun) {
   graph g = make_star(6);
-  for (const auto engine : {step_engine::frontier, step_engine::reference}) {
+  for (const auto engine : {step_engine::soa, step_engine::reference}) {
     script_observer obs;
     scripted_protocol proto({{0, {0}}, {1, {1}}, {2, {2}}}, &obs);
     run_options opts = capped_full(4);

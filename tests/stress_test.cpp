@@ -114,10 +114,11 @@ TEST(StressTest, SoaEngineOnHundredThousandNodeSparseGnp) {
   EXPECT_LT(res.informed_step, 100'000);
 }
 
-TEST(StressTest, SoaMatchesFrontierAtScale) {
+TEST(StressTest, SoaMatchesPollingAtScale) {
   // Record-level spot check at a size the differential matrix (which runs
   // every engine × fault × thread combination on small graphs) cannot
-  // afford: one seed, n = 50k, soa vs frontier must agree exactly.
+  // afford: one seed, n = 50k, the SoA traits vs the virtual_view walk
+  // over traits_node objects must agree exactly.
   const node_id n = 50'000;
   graph g = make_complete_layered_fat(n, 32, /*fat_index=*/1);
   const auto proto = make_protocol("decay", n - 1);
@@ -126,57 +127,56 @@ TEST(StressTest, SoaMatchesFrontierAtScale) {
   opts.max_steps = 2'000'000;
   opts.engine = step_engine::soa;
   const run_result soa = run_broadcast(g, *proto, opts);
-  opts.engine = step_engine::frontier;
-  const run_result fro = run_broadcast(g, *proto, opts);
+  const run_result poll = run_broadcast(g, virtual_view(*proto), opts);
   ASSERT_TRUE(soa.completed);
-  EXPECT_EQ(soa.steps, fro.steps);
-  EXPECT_EQ(soa.informed_step, fro.informed_step);
-  EXPECT_EQ(soa.transmissions, fro.transmissions);
-  EXPECT_EQ(soa.collisions, fro.collisions);
-  EXPECT_EQ(soa.deliveries, fro.deliveries);
-  EXPECT_EQ(soa.informed_at, fro.informed_at);
+  EXPECT_EQ(soa.steps, poll.steps);
+  EXPECT_EQ(soa.informed_step, poll.informed_step);
+  EXPECT_EQ(soa.transmissions, poll.transmissions);
+  EXPECT_EQ(soa.collisions, poll.collisions);
+  EXPECT_EQ(soa.deliveries, poll.deliveries);
+  EXPECT_EQ(soa.informed_at, poll.informed_at);
 }
 
 // Engine-matching helper for the deterministic-protocol scale checks
-// below: one seed, soa vs frontier, every record field exact. The token
-// protocols keep all informed nodes in the awake list, so sizes here are
-// bounded by steps × awake ≈ n² — a few thousand nodes is already well
-// past what the differential matrix runs.
-void expect_soa_matches_frontier(const graph& g, const protocol& proto,
-                                 run_options opts) {
+// below: one seed, the soa calendar vs the virtual_view walk that polls
+// every awake node, every record field exact. The token protocols keep
+// all informed nodes in the awake list, so sizes here are bounded by
+// steps × awake ≈ n² — a few thousand nodes is already well past what the
+// differential matrix runs.
+void expect_soa_matches_polling(const graph& g, const protocol& proto,
+                                run_options opts) {
   opts.engine = step_engine::soa;
   const run_result soa = run_broadcast(g, proto, opts);
-  opts.engine = step_engine::frontier;
-  const run_result fro = run_broadcast(g, proto, opts);
-  EXPECT_EQ(soa.completed, fro.completed);
-  EXPECT_EQ(soa.steps, fro.steps);
-  EXPECT_EQ(soa.informed_step, fro.informed_step);
-  EXPECT_EQ(soa.transmissions, fro.transmissions);
-  EXPECT_EQ(soa.collisions, fro.collisions);
-  EXPECT_EQ(soa.deliveries, fro.deliveries);
-  EXPECT_EQ(soa.informed_at, fro.informed_at);
+  const run_result poll = run_broadcast(g, virtual_view(proto), opts);
+  EXPECT_EQ(soa.completed, poll.completed);
+  EXPECT_EQ(soa.steps, poll.steps);
+  EXPECT_EQ(soa.informed_step, poll.informed_step);
+  EXPECT_EQ(soa.transmissions, poll.transmissions);
+  EXPECT_EQ(soa.collisions, poll.collisions);
+  EXPECT_EQ(soa.deliveries, poll.deliveries);
+  EXPECT_EQ(soa.informed_at, poll.informed_at);
 }
 
-TEST(StressTest, SelectAndSendSoaMatchesFrontierOnLongPath) {
+TEST(StressTest, SelectAndSendSoaMatchesPollingOnLongPath) {
   const node_id n = 8192;
   graph g = make_path(n);
   const auto proto = make_protocol("select-and-send", n - 1);
   run_options opts;
   opts.max_steps = 50'000'000;
   opts.stop = stop_condition::all_halted;
-  expect_soa_matches_frontier(g, *proto, opts);
+  expect_soa_matches_polling(g, *proto, opts);
 }
 
-TEST(StressTest, CompleteLayeredSoaMatchesFrontierOnWideNetwork) {
+TEST(StressTest, CompleteLayeredSoaMatchesPollingOnWideNetwork) {
   const node_id n = 8192;
   graph g = make_complete_layered_uniform(n, 16);  // 512-wide layers
   const auto proto = make_protocol("complete-layered", n - 1);
   run_options opts;
   opts.max_steps = 10'000'000;
-  expect_soa_matches_frontier(g, *proto, opts);
+  expect_soa_matches_polling(g, *proto, opts);
 }
 
-TEST(StressTest, InterleavedSoaMatchesFrontierAtScale) {
+TEST(StressTest, InterleavedSoaMatchesPollingAtScale) {
   // Interleaved drives both of its halves at once — the even-step
   // round-robin stream and the odd-step select-and-send token — so this
   // exercises the composed begin_step schedule hoist at a size where a
@@ -186,7 +186,7 @@ TEST(StressTest, InterleavedSoaMatchesFrontierAtScale) {
   const auto proto = make_protocol("interleaved", n - 1);
   run_options opts;
   opts.max_steps = 50'000'000;
-  expect_soa_matches_frontier(g, *proto, opts);
+  expect_soa_matches_polling(g, *proto, opts);
 }
 
 TEST(StressTest, GeometricFieldAtScale) {
