@@ -157,9 +157,9 @@ struct validator {
     optional(c, where, "threads", json_value::kind::integer);
     optional(c, where, "batch_wall_ms", json_value::kind::number);
     optional(c, where, "speedup", json_value::kind::number);
-    // Step-engine telemetry, added with the frontier engine: the
-    // frontier_speedup analytic case records per-engine wall clock and
-    // throughput (see bench_simulator_throughput.cpp).
+    // Step-engine telemetry: the frontier_speedup analytic case records
+    // per-engine wall clock and throughput; its frontier_* keys hold the
+    // soa engine's awake-list walk (see bench_simulator_throughput.cpp).
     const json_value* values = c.find("values");
     if (values != nullptr && values->is_object()) {
       const std::string vwhere = where + ".values";
@@ -172,8 +172,8 @@ struct validator {
       optional(*values, vwhere, "speedup", json_value::kind::number);
       optional(*values, vwhere, "steps", json_value::kind::integer);
       // SoA-engine telemetry, added with the mega_scale analytic case:
-      // soa vs frontier wall clock/throughput and the million-node
-      // completion runs (see check_mega_scale in
+      // soa traits vs the polling walk's wall clock/throughput and the
+      // million-node completion runs (see check_mega_scale in
       // bench_simulator_throughput.cpp).
       optional(*values, vwhere, "soa_min_ms", json_value::kind::number);
       optional(*values, vwhere, "steps_per_sec_soa",
