@@ -4,20 +4,21 @@
 # under sanitizers, then a telemetry smoke pass, then the campaign
 # interruption drill and the perf-regression gate.
 #
-#   0. Static analysis                  — builds only the two static gates
-#      (radiocast_lint + radiocast_analyze, which link radiocast_json but
-#      NOT the simulator library) and runs them BEFORE any other compile
-#      stage: the determinism lint over src/ bench/ tests/ tools/
-#      examples/, then the semantic analysis suite (architecture layering
-#      gate, determinism taint pass, engine/protocol contract checker,
-#      hot-path hygiene) over src/ tools/ bench/. A wall-clock seed, a raw
-#      std::mt19937, or an upward #include fails CI in seconds, not after
-#      a full build. clang-tidy (config pinned in .clang-tidy) then runs
-#      over the library sources via the exported compile_commands.json —
-#      MANDATORY: a host without clang-tidy fails this stage unless
-#      RADIOCAST_SKIP_CLANG_TIDY=1 is set explicitly. The stage ends with
-#      a per-tool runtime summary. The JSON reports both gates write are
-#      schema-validated in stage 1, once radiocast_inspect is built.
+#   0. Static analysis                  — builds only the static gate
+#      (radiocast_analyze, which links radiocast_json but NOT the
+#      simulator library) and runs it BEFORE any other compile stage over
+#      src/ bench/ tests/ tools/ examples/: the five token rules
+#      (no-raw-random, wall-clock, unordered-iter, check-msg, iostream)
+#      and the four passes (architecture layering gate, determinism taint
+#      pass, engine/protocol contract checker, hot-path hygiene). A
+#      wall-clock seed, a raw std::mt19937, or an upward #include fails CI
+#      in seconds, not after a full build. clang-tidy (config pinned in
+#      .clang-tidy) then runs over the library sources via the exported
+#      compile_commands.json — MANDATORY: a host without clang-tidy fails
+#      this stage unless RADIOCAST_SKIP_CLANG_TIDY=1 is set explicitly.
+#      The stage ends with a per-tool runtime summary. The JSON report the
+#      gate writes is schema-validated in stage 1, once radiocast_inspect
+#      is built (ctest's analysis_gate entry repeats both steps).
 #   1. Release build (build/)           — cmake + ctest, the tier-1 gate.
 #      RADIOCAST_WERROR=ON (the default) promotes the hardened warning set
 #      (-Wshadow -Wconversion -Wsign-conversion -Wextra-semi -Wpedantic)
@@ -68,18 +69,14 @@ cd "$(dirname "$0")/.."
 # holds. One job per core bounds it.
 jobs=$(nproc)
 
-echo "=== [0/7] Static analysis (lint + semantic passes + clang-tidy) ==="
+echo "=== [0/7] Static analysis (radiocast_analyze + clang-tidy) ==="
 # Configure-only is enough to export compile_commands.json for clang-tidy;
-# the only targets built here are the two standalone static gates, so a
-# seeded violation fails in seconds without compiling the simulator.
+# the only target built here is the standalone static gate, so a seeded
+# violation fails in seconds without compiling the simulator.
 stage0_started=$SECONDS
 cmake -B build -S .
-cmake --build build --parallel "$jobs" --target radiocast_lint radiocast_analyze
+cmake --build build --parallel "$jobs" --target radiocast_analyze
 t_build=$((SECONDS - stage0_started))
-
-t0=$SECONDS
-build/tools/radiocast_lint --root . --json build/lint-report.json
-t_lint=$((SECONDS - t0))
 
 t0=$SECONDS
 build/tools/radiocast_analyze --root . --json build/analysis-report.json
@@ -90,8 +87,7 @@ if [ "${RADIOCAST_SKIP_CLANG_TIDY:-0}" = "1" ]; then
   echo "clang-tidy: skipped (RADIOCAST_SKIP_CLANG_TIDY=1)"
 elif command -v clang-tidy >/dev/null 2>&1; then
   echo "--- clang-tidy (checks pinned in .clang-tidy) ---"
-  clang-tidy -p build --quiet src/*/*.cpp tools/*.cpp tools/lint/*.cpp \
-    tools/analyze/*.cpp
+  clang-tidy -p build --quiet src/*/*.cpp tools/*.cpp tools/analyze/*.cpp
 else
   echo "ci: clang-tidy is required for stage 0; install it or set" >&2
   echo "ci: RADIOCAST_SKIP_CLANG_TIDY=1 to skip explicitly" >&2
@@ -99,15 +95,14 @@ else
 fi
 t_tidy=$((SECONDS - t0))
 
-echo "--- stage 0 runtimes: build ${t_build}s, lint ${t_lint}s," \
-  "analyze ${t_analyze}s, clang-tidy ${t_tidy}s ---"
+echo "--- stage 0 runtimes: build ${t_build}s, analyze ${t_analyze}s," \
+  "clang-tidy ${t_tidy}s ---"
 
 echo "=== [1/7] Release build + tests ==="
 cmake --build build --parallel "$jobs"
-# Stage 0's reports get their schema check here, now that
+# Stage 0's report gets its schema check here, now that
 # radiocast_inspect exists.
-build/tools/radiocast_inspect validate build/lint-report.json \
-  build/analysis-report.json
+build/tools/radiocast_inspect validate build/analysis-report.json
 ctest --test-dir build --output-on-failure --timeout 300
 
 echo "=== [2/7] Sanitizer build + tests (address,undefined) ==="

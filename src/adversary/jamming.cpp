@@ -27,7 +27,7 @@ jamming::jamming(std::vector<node_id> pool, int k) : k_(k), pool_(pool) {
 jamming::outcome jamming::step(const std::vector<node_id>& y) {
   ++steps_;
   // Sorted fold of Y: membership via binary search, so the adversary's
-  // decisions cannot depend on hash iteration order (determinism lint R3).
+  // decisions cannot depend on hash iteration order (analyzer rule R3).
   std::vector<node_id> in_y(y);
   std::sort(in_y.begin(), in_y.end());
   auto hit = [&](node_id v) {
@@ -121,7 +121,7 @@ jamming::layer_choice jamming::pick_layer() const {
 
 bool jamming::invariant_holds() const {
   // Sorted folds instead of hash sets: membership via binary search, block
-  // disjointness via one sort + adjacent_find (determinism lint R3).
+  // disjointness via one sort + adjacent_find (analyzer rule R3).
   std::vector<node_id> pool_sorted(pool_);
   std::sort(pool_sorted.begin(), pool_sorted.end());
   std::vector<node_id> seen;

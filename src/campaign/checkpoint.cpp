@@ -19,7 +19,7 @@ std::int64_t now_unix_ms() {
   // made durable progress and never influences seeds, schedules, or
   // records (docs/CAMPAIGNS.md).
   const auto since_epoch =
-      // radiocast-lint: allow(wall-clock) -- checkpoint freshness
+      // radiocast-analyze: allow(wall-clock) -- checkpoint freshness
       // timestamp: display-only metadata, never reaches results
       std::chrono::system_clock::now().time_since_epoch();
   return std::chrono::duration_cast<std::chrono::milliseconds>(since_epoch)

@@ -14,7 +14,7 @@
 // fingerprint ties the checkpoint to one manifest: resuming with an edited
 // manifest is a hard error, never a silent mix of incompatible shards.
 //
-// `updated_unix_ms` is wall clock — the ONE sanctioned, lint-annotated
+// `updated_unix_ms` is wall clock — the ONE sanctioned, allow-annotated
 // wall-clock read in src/campaign/ (rule R2, docs/STATIC_ANALYSIS.md). It
 // is operator telemetry ("when did this campaign last make progress?") and
 // never feeds back into results.

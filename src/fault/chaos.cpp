@@ -70,7 +70,7 @@ class checker {
 };
 
 /// Sorted-vector edge set: deterministic, and no unordered-container
-/// iteration surface for the determinism lint to worry about. Keys match
+/// iteration surface for static analysis (rule R3) to worry about. Keys match
 /// the simulator's normalization (undirected edges are stored u ≤ v).
 class edge_set {
  public:

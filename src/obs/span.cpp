@@ -31,14 +31,14 @@ void span_profiler::begin_span(const std::string& name) {
     node = parent->children.back().get();
     node->name = name;
   }
-  // radiocast-lint: allow(wall-clock) -- span timing is diagnostic output
+  // radiocast-analyze: allow(wall-clock) -- span timing is diagnostic output
   // only and never reaches simulation results
   open_.push_back({node, std::chrono::steady_clock::now()});
 }
 
 void span_profiler::end_span() {
   RC_REQUIRE_MSG(!open_.empty(), "end_span without a matching begin_span");
-  // radiocast-lint: allow(wall-clock) -- span timing is diagnostic output
+  // radiocast-analyze: allow(wall-clock) -- span timing is diagnostic output
   // only and never reaches simulation results
   const auto now = std::chrono::steady_clock::now();
   open_frame frame = open_.back();

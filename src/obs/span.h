@@ -78,7 +78,7 @@ class span_profiler {
   std::unique_ptr<span_stats> root_;
   struct open_frame {
     span_stats* node;
-    // radiocast-lint: allow(wall-clock) -- profiler timestamps feed span
+    // radiocast-analyze: allow(wall-clock) -- profiler timestamps feed span
     // durations only; spans are diagnostics and never reach results
     std::chrono::steady_clock::time_point start;
   };

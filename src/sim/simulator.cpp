@@ -134,11 +134,11 @@ trial_set run_trials(const graph& g, const protocol& proto,
     ropts.verify_sleepers = opts.verify_sleepers;
     ropts.step_threads = opts.step_threads;
     ropts.step_shard_grain = opts.step_shard_grain;
-    // radiocast-lint: allow(wall-clock) -- wall_ms is reporting-only and
+    // radiocast-analyze: allow(wall-clock) -- wall_ms is reporting-only and
     // explicitly excluded from the serial/parallel bit-identity contract
     const auto start = std::chrono::steady_clock::now();
     const run_result r = run_broadcast(g, proto, ropts);
-    // radiocast-lint: allow(wall-clock) -- wall_ms is reporting-only and
+    // radiocast-analyze: allow(wall-clock) -- wall_ms is reporting-only and
     // explicitly excluded from the serial/parallel bit-identity contract
     const auto end = std::chrono::steady_clock::now();
 

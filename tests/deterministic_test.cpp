@@ -106,6 +106,8 @@ TEST(SelectAndSendTest, TimeBoundCNLogN) {
   // Theorem 3: O(n log n). Verify with an explicit constant across sizes.
   const select_and_send_protocol proto;
   for (const node_id n : {16, 64, 256}) {
+    // radiocast-analyze: allow(taint) -- the size n is the fixed seed: each
+    // size gets its own graph, identical on every run
     rng gen(static_cast<std::uint64_t>(n));
     const std::vector<graph> graphs = {
         make_path(n), make_random_tree(n, gen),

@@ -101,6 +101,8 @@ TEST(DfsKnownTest, CompletesOnVariedTopologies) {
 TEST(DfsKnownTest, LinearTimeWithSmallConstant) {
   // Two steps per first visit + one per backtrack ⇒ ≤ 3n + O(1).
   for (const node_id n : {32, 128, 512}) {
+    // radiocast-analyze: allow(taint) -- the size n is the fixed seed: each
+    // size gets its own graph, identical on every run
     rng gen(static_cast<std::uint64_t>(n));
     graph g = make_random_tree(n, gen);
     const dfs_known_protocol proto(g);

@@ -169,6 +169,8 @@ TEST(IntegrationTest, SelectAndSendShapeFitsNLogN) {
   const auto proto = make_protocol("select-and-send", 1 << 20);
   std::vector<double> xs, ys;
   for (node_id n = 32; n <= 512; n *= 2) {
+    // radiocast-analyze: allow(taint) -- the size n is the fixed seed: each
+    // size gets its own graph, identical on every run
     rng gen(static_cast<std::uint64_t>(n));
     graph g = make_random_tree(n, gen);
     run_options opts;

@@ -7,21 +7,9 @@
 #include <set>
 #include <utility>
 
-#include "lint/lexer.h"
+#include "analyze/lexer.h"
 
 namespace radiocast::analyze {
-
-using lint::allow_entry;
-using lint::allow_set;
-using lint::annotation_issue;
-using lint::collect_allows;
-using lint::is_digit;
-using lint::is_ident_char;
-using lint::next_nonspace_is_paren;
-using lint::scrub;
-using lint::scrubbed;
-using lint::starts_with;
-using lint::trim;
 
 namespace {
 
@@ -58,14 +46,23 @@ bool contains_token(const std::string& text, const std::string& tok) {
   return false;
 }
 
+template <std::size_t N>
+bool in_table(const std::array<const char*, N>& table,
+              const std::string& tok) {
+  return std::find(table.begin(), table.end(), tok) != table.end();
+}
+
 std::string lower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
 }
 
-// The clock APIs whose values are wall-clock tainted at the source. Must
-// stay a superset of the lint's R2 table: the lint bans the CALL outside
-// timing sites; this pass tracks the VALUE inside them.
+/// The annotation marker: `// radiocast-analyze: allow(<check>) -- why`,
+/// and the hot-path region directives.
+constexpr char kMarker[] = "radiocast-analyze";
+
+// The clock APIs. R2 bans the CALL outside the timing sites; P2 tracks the
+// VALUE inside them (wall-clock tainted at the source).
 constexpr std::array<const char*, 9> kClockTokens = {
     "system_clock", "steady_clock", "high_resolution_clock",
     "utc_clock",    "file_clock",   "gettimeofday",
@@ -174,6 +171,118 @@ std::string paren_span(const std::vector<std::string>& lines, int ln,
     out.push_back(' ');
   }
   return std::string();  // unbalanced within the window
+}
+
+// ---------------------------------------------------------------------------
+// R1–R5: token rules
+// ---------------------------------------------------------------------------
+
+constexpr std::array<const char*, 16> kRandomTokens = {
+    "rand",          "srand",         "drand48",
+    "lrand48",       "random_device", "mt19937",
+    "mt19937_64",    "minstd_rand",   "minstd_rand0",
+    "ranlux24_base", "ranlux48_base", "ranlux24",
+    "ranlux48",      "knuth_b",       "default_random_engine",
+    "random_shuffle"};
+
+// Banned only as calls: `time(...)`/`clock(...)`, not `time_point` etc.
+constexpr std::array<const char*, 2> kClockCallTokens = {"time", "clock"};
+
+constexpr std::array<const char*, 4> kUnorderedTokens = {
+    "unordered_map", "unordered_set", "unordered_multimap",
+    "unordered_multiset"};
+
+/// Which token rules apply to a file, decided by its repo-relative path.
+struct rule_scope {
+  bool no_raw_random = false;
+  bool wall_clock = false;
+  bool unordered_iter = false;
+  bool check_msg = false;
+  bool iostream = false;
+};
+
+rule_scope scope_for(const std::string& path) {
+  rule_scope s;
+  const bool in_src = starts_with(path, "src/");
+  // R1: everywhere — src/, tests/, tools/, bench/, examples/ alike;
+  // util/rng.{h,cpp} is the one sanctioned implementation.
+  s.no_raw_random =
+      path != "src/util/rng.cpp" && path != "src/util/rng.h";
+  // R2: bench/ harness timing and src/exec/ wall-clock accounting are the
+  // designated timing sites; anywhere else needs an annotation. In
+  // particular src/campaign/ stays IN scope — its one sanctioned read
+  // (checkpoint `updated_unix_ms`, display-only) must carry an annotated
+  // allow so the justification is auditable in the report.
+  s.wall_clock =
+      !starts_with(path, "bench/") && !starts_with(path, "src/exec/");
+  // R3: library code, tests, and tools — a test that iterates an
+  // unordered container can assert on hash order and pass on exactly one
+  // libstdc++ build, and a tool can leak hash order into a report diff.
+  // bench/ stays out of scope (tables are presentation, and sweeps never
+  // route results through hash containers today).
+  s.unordered_iter = in_src || starts_with(path, "tests/") ||
+                     starts_with(path, "tools/");
+  // R5: library code only.
+  s.iostream = in_src;
+  // R4: the subsystems whose invariants encode paper-level claims.
+  s.check_msg =
+      starts_with(path, "src/adversary/") || starts_with(path, "src/exec/");
+  return s;
+}
+
+void run_token_rules(file_ctx& ctx) {
+  const rule_scope scope = scope_for(ctx.file->path);
+  for (int ln = 1; ln <= ctx.line_count(); ++ln) {
+    const std::string& code = ctx.code(ln);
+    const std::string stripped = trim(code);
+    if (stripped.empty()) continue;
+    if (stripped.front() == '#') {
+      // Preprocessor line: only the include-hygiene rule applies.
+      if (scope.iostream) {
+        std::string squeezed;
+        for (char c : stripped) {
+          if (c != ' ' && c != '\t') squeezed.push_back(c);
+        }
+        if (starts_with(squeezed, "#include<iostream>")) {
+          ctx.emit("iostream", ln,
+                   "#include <iostream> in library code — src/ must not own "
+                   "streams; report through return values or obs/");
+        }
+      }
+      continue;
+    }
+    for_each_token(code, [&](const std::string& tok, std::size_t end) {
+      if (scope.no_raw_random && in_table(kRandomTokens, tok)) {
+        ctx.emit("no-raw-random", ln,
+                 "direct use of '" + tok +
+                     "' — all randomness must flow through util/rng.h so "
+                     "runs replay bit-identically");
+      }
+      if (scope.wall_clock &&
+          (in_table(kClockTokens, tok) ||
+           (in_table(kClockCallTokens, tok) &&
+            next_nonspace_is_paren(code, end)))) {
+        ctx.emit("wall-clock", ln,
+                 "wall-clock API '" + tok +
+                     "' outside bench/ and src/exec/ — wall time must never "
+                     "reach results");
+      }
+      if (scope.unordered_iter && in_table(kUnorderedTokens, tok)) {
+        ctx.emit("unordered-iter", ln,
+                 "'std::" + tok +
+                     "' in src/, tests/, or tools/ — iteration order can "
+                     "leak into results; use a sorted std::vector, or "
+                     "annotate why membership-only use is safe");
+      }
+      if (scope.check_msg && tok == "RC_CHECK" &&
+          next_nonspace_is_paren(code, end)) {
+        ctx.emit("check-msg", ln,
+                 "RC_CHECK without a message — use RC_CHECK_MSG so an "
+                 "adversary/exec invariant failure is actionable");
+      }
+      return true;
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -911,8 +1020,8 @@ void run_hot_path(file_ctx& ctx) {
     // hot-path-begin` / `hot-path-end`.
     const std::string comment =
         trim(ctx.src.comment[static_cast<std::size_t>(ln - 1)]);
-    if (starts_with(comment, "radiocast-analyze")) {
-      std::string rest = trim(comment.substr(sizeof("radiocast-analyze") - 1));
+    if (starts_with(comment, kMarker)) {
+      std::string rest = trim(comment.substr(sizeof(kMarker) - 1));
       if (!rest.empty() && rest.front() == ':') rest = trim(rest.substr(1));
       if (starts_with(rest, "hot-path-begin")) {
         if (region_begin != 0) {
@@ -981,21 +1090,15 @@ void run_hot_path(file_ctx& ctx) {
         ban("'throw'");
       } else if (tok == "string") {
         ban("std::string");
-      } else if (std::find(kHotBannedLookups.begin(), kHotBannedLookups.end(),
-                           tok) != kHotBannedLookups.end()) {
+      } else if (in_table(kHotBannedLookups, tok)) {
         ctx.emit("hot-path", ln,
                  "string-keyed metric lookup '" + tok +
                      "' inside a hot-path region — resolve it once at "
                      "setup, or declare an obs::metric_key and use "
                      "counter_at/gauge_at/histogram_at "
                      "(docs/OBSERVABILITY.md)");
-      } else {
-        for (const char* b : kHotBannedIdents) {
-          if (tok == b) {
-            ban("'" + tok + "'");
-            break;
-          }
-        }
+      } else if (in_table(kHotBannedIdents, tok)) {
+        ban("'" + tok + "'");
       }
     }
   }
@@ -1084,55 +1187,26 @@ layer_manifest parse_manifest(const std::string& text,
   return m;
 }
 
-const layer_manifest& default_manifest() {
-  // Keep in sync with tools/analyze/layers.manifest (the committed source
-  // of truth the CLI prefers; this copy covers synthetic-path tests and
-  // running outside a checkout).
-  static const layer_manifest m = [] {
-    return parse_manifest(R"(
-layer util
-layer obs
-layer graph
-layer exec-base
-layer fault
-layer sim
-layer adversary
-layer core
-layer chaos
-layer exec
-layer campaign
-layer api
-layer harness
-
-path src/util/              util
-path src/obs/               obs
-path src/graph/             graph
-path src/exec/thread_pool.  exec-base
-path src/exec/sharding.     exec-base
-path src/fault/             fault
-path src/fault/chaos.       chaos
-path src/sim/               sim
-path src/adversary/         adversary
-path src/core/              core
-path src/exec/              exec
-path src/campaign/          campaign
-path src/radiocast.h        api
-path bench/                 harness
-path tests/                 harness
-path tools/                 harness
-path examples/              harness
-)",
-                          nullptr);
-  }();
-  return m;
-}
-
 // ---------------------------------------------------------------------------
 // Pass table, driver, report
 // ---------------------------------------------------------------------------
 
 const std::vector<pass_info>& passes() {
   static const std::vector<pass_info> kPasses = {
+      {"no-raw-random",
+       "all randomness flows through util/rng.h; std::rand, "
+       "std::random_device, and direct std::mt19937 are banned"},
+      {"wall-clock",
+       "no wall-clock APIs outside the designated timing sites in bench/ "
+       "and src/exec/; src/campaign/ checkpoint timestamps are permitted "
+       "only through an annotated allow"},
+      {"unordered-iter",
+       "no std::unordered_map/set use in src/, tests/, or tools/ without "
+       "an annotated justification; iteration order can leak into results"},
+      {"check-msg",
+       "RC_CHECK in src/adversary/ and src/exec/ must carry a message "
+       "(use RC_CHECK_MSG)"},
+      {"iostream", "no <iostream> in src/ library code"},
       {"layering",
        "the #include graph respects the declared layer manifest: no upward "
        "edges, no include cycles"},
@@ -1181,19 +1255,20 @@ report analyze_files(const std::vector<source_file>& files,
   for (std::size_t i = 0; i < files.size(); ++i) {
     ctxs[i].file = &files[i];
     ctxs[i].src = scrub(files[i].text);
-    ctxs[i].allows = collect_allows(ctxs[i].src, "radiocast-analyze",
-                                    is_known_pass, is_region_directive);
+    ctxs[i].allows = collect_allows(ctxs[i].src, kMarker, is_known_pass,
+                                    is_region_directive);
     rep.nodes.push_back(files[i].path);
   }
 
   run_layering(ctxs, manifest, &rep);
   for (file_ctx& ctx : ctxs) {
+    run_token_rules(ctx);
     run_taint(ctx);
     run_contract(ctx);
     run_hot_path(ctx);
 
     // Annotation hygiene: malformed annotations and stale allows are
-    // findings, exactly as in the lint.
+    // findings — annotations are part of the contract, not free comments.
     for (const annotation_issue& issue : ctx.allows.issues) {
       ctx.findings.push_back({"analyze-annotation", ctx.file->path,
                               issue.line, issue.message,
@@ -1269,7 +1344,9 @@ obs::json_value report_to_json(const report& rep) {
 
   json_value open = json_value::array();
   json_value suppressed = json_value::array();
+  // Every check appears in by_pass, so a zero says the check ran clean.
   std::map<std::string, int> by_pass;
+  for (const pass_info& p : passes()) by_pass[p.id] = 0;
   for (const finding& f : rep.findings) {
     json_value entry = json_value::object();
     entry.set("pass", f.pass);

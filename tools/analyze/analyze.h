@@ -1,9 +1,25 @@
-// radiocast_analyze — semantic static-analysis suite (pass engine).
+// radiocast_analyze — the project's static-analysis engine.
 //
-// The determinism lint (tools/lint/) is a token tripwire: it bans names.
-// This engine reasons about STRUCTURE and FLOW on top of the same shared
-// lexer (tools/lint/lexer.h), enforcing four project contracts that token
-// matching cannot express (docs/STATIC_ANALYSIS.md):
+// The simulator's load-bearing guarantee is bit-identical results across
+// serial and parallel trial execution and across fault replays. That
+// guarantee is easy to break silently: one wall-clock seed, one direct
+// std::mt19937, or one result-affecting iteration over an unordered
+// container is enough. This engine enforces nine project checks
+// (docs/STATIC_ANALYSIS.md). Five are token rules, scoped by path prefix:
+//
+//   R1 no-raw-random   all randomness flows through util/rng.h
+//                      (everywhere: src/, tests/, tools/, bench/, examples/)
+//   R2 wall-clock      no wall-clock APIs outside bench/ and src/exec/
+//                      (src/campaign/ checkpoint timestamps: annotated
+//                      allow only)
+//   R3 unordered-iter  no std::unordered_{map,set} use in src/, tests/, or
+//                      tools/ without an annotated justification
+//   R4 check-msg       RC_CHECK in src/adversary/ and src/exec/ must carry
+//                      a message (RC_CHECK_MSG)
+//   R5 iostream        no <iostream> in src/ library code
+//
+// Four reason about structure and flow, which token matching cannot
+// express:
 //
 //   P1 layering   the #include graph respects the declared layer manifest
 //                 (util → obs → graph → … → campaign → harness): no upward
@@ -37,15 +53,17 @@
 //                 assertion-failure path is cold by definition.
 //
 // Findings are suppressed per line with
-//   // radiocast-analyze: allow(<pass>) -- <justification>
-// with the same grammar and annotation-linting as radiocast-lint allows
-// (mandatory justification; malformed, unknown, or stale annotations are
-// findings themselves, under the pseudo-pass "analyze-annotation").
+//   // radiocast-analyze: allow(<check>) -- <justification>
+// either trailing the offending line or on the line directly above it.
+// The justification is mandatory; malformed, unknown, or stale
+// annotations are findings themselves, under the pseudo-id
+// "analyze-annotation".
 //
-// Like the lint, the engine is dependency-free and text-based — a
-// tripwire, not a compiler — so scripts/ci.sh stage 0 can run it before
-// anything else compiles. Tests drive it with synthetic paths and inline
-// fixtures (tests/analyze_test.cpp).
+// The engine is dependency-free and text-based — a tripwire, not a
+// compiler (the lexer in tools/analyze/lexer.h strips comments and
+// literals) — so scripts/ci.sh stage 0 can run it before anything else
+// compiles. Tests drive it with synthetic paths and inline fixtures
+// (tests/analyze_test.cpp).
 #pragma once
 
 #include <string>
@@ -58,16 +76,16 @@ namespace radiocast::analyze {
 /// Schema tag of the JSON report; radiocast_inspect validates it.
 inline constexpr char kSchema[] = "radiocast.analysis.v1";
 
-/// One pass, for the report's pass table and the CLI's --passes listing.
+/// One check, for the report's pass table and the CLI's --passes listing.
 struct pass_info {
   const char* id;       ///< annotation name, e.g. "hot-path"
   const char* summary;  ///< one-line description
 };
 
-/// The four passes P1–P4, in order.
+/// The nine checks, R1–R5 then P1–P4.
 const std::vector<pass_info>& passes();
 
-/// True iff `id` names a known pass (valid in allow() annotations).
+/// True iff `id` names a known check (valid in allow() annotations).
 bool is_known_pass(const std::string& id);
 
 /// One diagnostic. `suppressed` findings carry the annotation's
@@ -105,10 +123,6 @@ struct layer_manifest {
 layer_manifest parse_manifest(const std::string& text,
                               std::vector<std::string>* errors);
 
-/// The built-in manifest (identical to tools/analyze/layers.manifest, the
-/// committed source of truth the CLI prefers when present).
-const layer_manifest& default_manifest();
-
 /// One input file: repo-relative path with forward slashes, full text.
 struct source_file {
   std::string path;
@@ -136,9 +150,9 @@ struct report {
   int suppressed_count() const;
 };
 
-/// Runs every pass over `files` (all files at once — the layering pass is
+/// Runs every check over `files` (all files at once — the layering pass is
 /// cross-file). Paths must be repo-relative with forward slashes; path
-/// prefixes decide per-pass scoping exactly as in the lint.
+/// prefixes decide which checks apply.
 report analyze_files(const std::vector<source_file>& files,
                      const layer_manifest& manifest);
 

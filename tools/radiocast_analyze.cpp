@@ -1,20 +1,20 @@
-// radiocast_analyze — semantic static-analysis CLI (passes in
+// radiocast_analyze — the project's static-analysis CLI (checks in
 // tools/analyze/).
 //
-//   radiocast_analyze [--root DIR] [--json FILE] [--manifest FILE]
-//                     [--passes] [PATH...]
+//   radiocast_analyze [--root DIR] [--json FILE] [--passes] [PATH...]
 //
-// Scans PATH... (default: src tools bench, relative to --root, default
-// ".") for .h/.cpp files and runs the four semantic passes — layering,
-// taint, contract, hot-path (docs/STATIC_ANALYSIS.md). The layer manifest
-// is read from --manifest, else <root>/tools/analyze/layers.manifest, else
-// the built-in copy. Optionally writes a radiocast.analysis.v1 JSON report
-// that `radiocast_inspect validate` checks.
+// Scans PATH... (default: src bench tests tools examples, relative to
+// --root, default ".") for .h/.cpp files and runs the nine checks — the
+// token rules no-raw-random, wall-clock, unordered-iter, check-msg and
+// iostream, and the passes layering, taint, contract and hot-path
+// (docs/STATIC_ANALYSIS.md). The layer manifest is
+// <root>/tools/analyze/layers.manifest. Optionally writes a
+// radiocast.analysis.v1 JSON report that `radiocast_inspect validate`
+// checks.
 //
 // Exit status: 0 clean, 1 unsuppressed findings, 2 usage or I/O error.
 //
-// scripts/ci.sh runs this as stage 0, next to radiocast_lint, before any
-// build stage.
+// scripts/ci.sh runs this as stage 0, before any build stage.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -46,23 +46,20 @@ bool analyzable(const fs::path& p) {
 
 int usage() {
   std::cerr << "usage: radiocast_analyze [--root DIR] [--json FILE]"
-               " [--manifest FILE] [--passes] [PATH...]\n"
-               "  PATH... default: src tools bench\n";
+               " [--passes] [PATH...]\n"
+               "  PATH... default: src bench tests tools examples\n";
   return 2;
 }
 
 int run(const std::vector<std::string>& args) {
   std::string root = ".";
   std::string json_out;
-  std::string manifest_path;
   std::vector<std::string> paths;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--root" && i + 1 < args.size()) {
       root = args[++i];
     } else if (args[i] == "--json" && i + 1 < args.size()) {
       json_out = args[++i];
-    } else if (args[i] == "--manifest" && i + 1 < args.size()) {
-      manifest_path = args[++i];
     } else if (args[i] == "--passes") {
       for (const analyze::pass_info& p : analyze::passes()) {
         std::cout << p.id << "\n    " << p.summary << "\n";
@@ -74,36 +71,25 @@ int run(const std::vector<std::string>& args) {
       paths.push_back(args[i]);
     }
   }
-  if (paths.empty()) paths = {"src", "tools", "bench"};
+  if (paths.empty()) paths = {"src", "bench", "tests", "tools", "examples"};
 
   const fs::path root_path(root);
 
-  // Resolve the manifest: explicit flag > committed file > built-in.
   analyze::layer_manifest manifest;
   {
+    constexpr char kManifest[] = "tools/analyze/layers.manifest";
     std::string text;
-    std::string origin;
-    if (!manifest_path.empty()) {
-      if (!read_file(manifest_path, &text)) {
-        std::cerr << "radiocast_analyze: error: cannot read manifest "
-                  << manifest_path << "\n";
-        return 2;
-      }
-      origin = manifest_path;
-    } else if (read_file(root_path / "tools/analyze/layers.manifest",
-                         &text)) {
-      origin = "tools/analyze/layers.manifest";
+    if (!read_file(root_path / kManifest, &text)) {
+      std::cerr << "radiocast_analyze: error: cannot read layer manifest "
+                << (root_path / kManifest).string() << "\n";
+      return 2;
     }
-    if (origin.empty()) {
-      manifest = analyze::default_manifest();
-    } else {
-      std::vector<std::string> errors;
-      manifest = analyze::parse_manifest(text, &errors);
-      for (const std::string& e : errors) {
-        std::cerr << "radiocast_analyze: " << origin << ": " << e << "\n";
-      }
-      if (!errors.empty()) return 2;
+    std::vector<std::string> errors;
+    manifest = analyze::parse_manifest(text, &errors);
+    for (const std::string& e : errors) {
+      std::cerr << "radiocast_analyze: " << kManifest << ": " << e << "\n";
     }
+    if (!errors.empty()) return 2;
   }
 
   // Collect files, sorted by repo-relative path so diagnostics and the
@@ -162,14 +148,17 @@ int run(const std::vector<std::string>& args) {
             << rep.suppressed_count() << " suppressed\n";
 
   if (!json_out.empty()) {
+    // One check after the flush covers a failed open and a short write
+    // (a full disk) alike.
     std::ofstream out(json_out, std::ios::binary);
+    analyze::report_to_json(rep).write(out, 2);
+    out << "\n";
+    out.flush();
     if (!out) {
       std::cerr << "radiocast_analyze: error: cannot write " << json_out
                 << "\n";
       return 2;
     }
-    analyze::report_to_json(rep).write(out, 2);
-    out << "\n";
   }
   return rep.unsuppressed_count() == 0 ? 0 : 1;
 }

@@ -89,13 +89,15 @@ int cmd_merge(const std::string& manifest_path, const std::string& out_dir,
     doc->write(std::cout, 2);
     std::cout << "\n";
   } else {
+    // One check after the flush covers a failed open and a short write.
     std::ofstream out(output, std::ios::binary | std::ios::trunc);
+    doc->write(out, 2);
+    out << "\n";
+    out.flush();
     if (!out) {
       std::cerr << "error: cannot write " << output << "\n";
       return 1;
     }
-    doc->write(out, 2);
-    out << "\n";
     std::cout << "[campaign] merged "
               << doc->find("cases")->items().size() << " cases into "
               << output << "\n";

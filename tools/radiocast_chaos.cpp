@@ -58,13 +58,15 @@ int main(int argc, char** argv) {
     doc.write(std::cout, 2);
     std::cout << "\n";
   } else {
+    // One check after the flush covers a failed open and a short write.
     std::ofstream out(out_path, std::ios::binary);
+    doc.write(out, 2);
+    out << "\n";
+    out.flush();
     if (!out) {
       std::cerr << "error: cannot write " << out_path << "\n";
       return 1;
     }
-    doc.write(out, 2);
-    out << "\n";
   }
 
   std::int64_t checks = 0;

@@ -1,8 +1,7 @@
 // radiocast_inspect — reads the JSON artifacts this repository's tooling
 // emits: BENCH_<name>.json bench telemetry (schema "radiocast.bench.v1";
-// see docs/OBSERVABILITY.md), radiocast_lint reports (schema
-// "radiocast.lint.v1") and radiocast_analyze reports (schema
-// "radiocast.analysis.v1"; both in docs/STATIC_ANALYSIS.md), and
+// see docs/OBSERVABILITY.md), radiocast_analyze reports (schema
+// "radiocast.analysis.v1"; see docs/STATIC_ANALYSIS.md), and
 // radiocast_chaos fuzzing reports (schema "radiocast.chaos.v1"; see
 // docs/FAULTS.md).
 //
@@ -215,74 +214,9 @@ struct validator {
     }
   }
 
-  /// radiocast.lint.v1: the report radiocast_lint --json writes.
-  void check_lint_finding(const json_value& f, const std::string& where,
-                          bool suppressed) {
-    require(f, where, "rule", json_value::kind::string);
-    require(f, where, "path", json_value::kind::string);
-    require(f, where, "line", json_value::kind::integer);
-    require(f, where, "message", json_value::kind::string);
-    require(f, where, "snippet", json_value::kind::string);
-    if (suppressed) {
-      require(f, where, "justification", json_value::kind::string);
-    }
-  }
-
-  bool run_lint(const json_value& doc) {
-    require(doc, "root", "tool", json_value::kind::string);
-    require(doc, "root", "files_scanned", json_value::kind::integer);
-    require(doc, "root", "rules", json_value::kind::array);
-    require(doc, "root", "findings", json_value::kind::array);
-    require(doc, "root", "suppressed", json_value::kind::array);
-    require(doc, "root", "summary", json_value::kind::object);
-    const json_value* rule_table = doc.find("rules");
-    if (rule_table != nullptr && rule_table->is_array()) {
-      if (rule_table->items().empty()) fail("rules array is empty");
-      for (std::size_t i = 0; i < rule_table->items().size(); ++i) {
-        const std::string where = "rules[" + std::to_string(i) + "]";
-        require(rule_table->items()[i], where, "id",
-                json_value::kind::string);
-        require(rule_table->items()[i], where, "summary",
-                json_value::kind::string);
-      }
-    }
-    for (const char* key : {"findings", "suppressed"}) {
-      const json_value* arr = doc.find(key);
-      if (arr == nullptr || !arr->is_array()) continue;
-      for (std::size_t i = 0; i < arr->items().size(); ++i) {
-        check_lint_finding(
-            arr->items()[i],
-            std::string(key) + "[" + std::to_string(i) + "]",
-            std::string(key) == "suppressed");
-      }
-    }
-    const json_value* summary = doc.find("summary");
-    if (summary != nullptr && summary->is_object()) {
-      require(*summary, "summary", "findings", json_value::kind::integer);
-      require(*summary, "summary", "suppressed", json_value::kind::integer);
-      require(*summary, "summary", "clean", json_value::kind::boolean);
-      // The counts must agree with the arrays they summarize.
-      const json_value* open = doc.find("findings");
-      const json_value* supp = doc.find("suppressed");
-      const json_value* n_open = summary->find("findings");
-      const json_value* n_supp = summary->find("suppressed");
-      if (open != nullptr && open->is_array() && n_open != nullptr &&
-          n_open->as_int() !=
-              static_cast<std::int64_t>(open->items().size())) {
-        fail("summary.findings disagrees with the findings array");
-      }
-      if (supp != nullptr && supp->is_array() && n_supp != nullptr &&
-          n_supp->as_int() !=
-              static_cast<std::int64_t>(supp->items().size())) {
-        fail("summary.suppressed disagrees with the suppressed array");
-      }
-    }
-    return failures == 0;
-  }
-
-  /// radiocast.analysis.v1: the report radiocast_analyze --json writes.
-  /// Structurally the lint report (pass/path/line findings, counted
-  /// summary) plus the layer list and the include DAG.
+  /// radiocast.analysis.v1: the report radiocast_analyze --json writes —
+  /// pass/path/line findings, a counted summary, the layer list and the
+  /// include DAG.
   void check_analysis_finding(const json_value& f, const std::string& where,
                               bool suppressed) {
     require(f, where, "pass", json_value::kind::string);
@@ -385,7 +319,6 @@ struct validator {
       fail("missing required key \"schema\"");
       return false;
     }
-    if (schema->as_string() == "radiocast.lint.v1") return run_lint(doc);
     if (schema->as_string() == "radiocast.analysis.v1") {
       return run_analysis(doc);
     }
