@@ -34,8 +34,8 @@
 #      worker count by construction). Intra-step threads are opt-in
 #      (step_threads defaults to 1), so the env var does not shard single
 #      runs; chaos_test drives the soa engine's intra-step sharding
-#      explicitly (step_threads=2..4, grain=1), so the two-phase fork/join
-#      and ordered shard merges are TSan-checked.
+#      explicitly (step_threads=2..4, grain=1) for every protocol, so the
+#      two-phase fork/join and ordered shard merges are TSan-checked.
 #   4. Chaos smoke (build-san/ci-chaos) — radiocast_chaos fuzzes ~200
 #      seeded fault-model × protocol × graph scenarios under asan/ubsan,
 #      checking the ten simulator invariants (radio rule, crash/partition
@@ -114,10 +114,13 @@ echo "=== [3/7] Thread-sanitizer build + parallel tests ==="
 cmake -B build-tsan -S . -DRADIOCAST_SANITIZE=thread
 cmake --build build-tsan --parallel "$jobs" --target parallel_test sim_test \
   chaos_test
-# chaos_test rides along for the intra-step-sharded soa engine: its SoA
-# leg forces step_threads=2 / grain=1 on every sampled scenario (and the
-# broken-merge case runs 4 shards), so exec::run_shards' fork/join and the
-# ordered phase merges execute under TSan on every push. RADIOCAST_THREADS=4
+# chaos_test rides along for the intra-step-sharded soa engine: its
+# sharded leg forces step_threads=2 / grain=1 on every sampled scenario,
+# whatever the protocol (and the broken-merge case runs 4 shards), so
+# exec::run_shards' fork/join and the ordered phase merges execute under
+# TSan on every push. sim_test shards dfs_known at 4 threads, grain 1, so
+# the per-run neighbour rows its nodes share are race-checked too.
+# RADIOCAST_THREADS=4
 # makes every threads=0 call site genuinely parallel on any host; that
 # includes an explicit run_options::step_threads=0, but not the default 1.
 RADIOCAST_THREADS=4 ctest --test-dir build-tsan --output-on-failure \

@@ -19,6 +19,8 @@
 // exactly the price of not knowing one's neighbors.
 #pragma once
 
+#include <memory>
+
 #include "graph/graph.h"
 #include "sim/protocol.h"
 
@@ -26,18 +28,27 @@ namespace radiocast {
 
 class dfs_known_protocol final : public protocol {
  public:
-  /// The protocol hands each node its own adjacency list from `g` — the
-  /// known-neighborhood assumption. `g` must outlive the protocol and any
-  /// runs (the simulator's topology must be the same graph).
+  /// The known-neighborhood assumption: a node knows its neighbors'
+  /// labels in `g`. A run builds that knowledge from its own labelling
+  /// (run_options::labels); make_node, which has no labelling, takes
+  /// node ids as labels. `g` must be the simulator's topology.
   explicit dfs_known_protocol(const graph& g);
+  ~dfs_known_protocol() override;
 
   std::string name() const override { return "dfs-known-neighbors"; }
   bool deterministic() const override { return true; }
+  /// Nodes share the rows built at construction and must not outlive the
+  /// protocol.
   std::unique_ptr<protocol_node> make_node(
       node_id label, const protocol_params& params) const override;
+  /// Runs every step engine on the protocol's traits, with the neighbor
+  /// rows built once per run in the run's label space.
+  soa_entry soa_runner() const override;
+
+  struct knowledge;  ///< implementation detail (dfs_known.cpp)
 
  private:
-  const graph& g_;
+  std::shared_ptr<const knowledge> identity_;  // rows for labels = node ids
 };
 
 }  // namespace radiocast

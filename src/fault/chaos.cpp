@@ -1045,29 +1045,26 @@ scenario_check_result check_scenario(const graph& g, const protocol& proto,
   compare_results(r1, rr, chaos_invariant::engine_bit_identity, &chk);
   compare_traces(t1, tr, chaos_invariant::engine_bit_identity, &chk);
 
-  if (proto.soa_runner() != nullptr) {
-    // Third leg: the soa engine with intra-step sharding forced on (soa
-    // defaults: 2 threads, grain 1), so the ordered phase merge
-    // participates in the bit-identity contract on every sampled
-    // scenario, not just at benchmark scale. A protocol without a traits
-    // form always runs serial, so the serial leg already covers it.
-    run_options sopts;
-    sopts.max_steps = max_steps;
-    sopts.seed = seed;
-    sopts.faults = model;
-    trace ts;
-    sopts.sink = &ts;
-    sopts.engine = step_engine::soa;
-    sopts.step_threads = soa.step_threads;
-    sopts.step_shard_grain = soa.step_shard_grain;
-    sopts.debug_unordered_merge = soa.debug_unordered_merge;
-    const run_result rs = run_broadcast(g, proto, sopts);
-    chk.set_prefix("soa(sharded): ");
-    verify_one_engine(g, model, seed, max_steps, ts.events(), rs, &chk);
-    chk.set_prefix("engines(sharded): ");
-    compare_results(rs, rr, chaos_invariant::engine_bit_identity, &chk);
-    compare_traces(ts, tr, chaos_invariant::engine_bit_identity, &chk);
-  }
+  // Third leg: the soa engine with intra-step sharding forced on (soa
+  // defaults: 2 threads, grain 1), so the ordered phase merge
+  // participates in the bit-identity contract on every sampled
+  // scenario, not just at benchmark scale.
+  run_options sopts;
+  sopts.max_steps = max_steps;
+  sopts.seed = seed;
+  sopts.faults = model;
+  trace ts;
+  sopts.sink = &ts;
+  sopts.engine = step_engine::soa;
+  sopts.step_threads = soa.step_threads;
+  sopts.step_shard_grain = soa.step_shard_grain;
+  sopts.debug_unordered_merge = soa.debug_unordered_merge;
+  const run_result rs = run_broadcast(g, proto, sopts);
+  chk.set_prefix("soa(sharded): ");
+  verify_one_engine(g, model, seed, max_steps, ts.events(), rs, &chk);
+  chk.set_prefix("engines(sharded): ");
+  compare_results(rs, rr, chaos_invariant::engine_bit_identity, &chk);
+  compare_traces(ts, tr, chaos_invariant::engine_bit_identity, &chk);
 
   if (zero_intensity && model != nullptr) {
     run_options zopts;

@@ -99,11 +99,11 @@ struct soa_check_options {
 
 /// Runs `proto` on `g` with node 0 as source under `model` (nullable ⇒
 /// fault-free), once on the reference engine and once on the serial soa
-/// engine, with full traces, and checks every invariant. When the protocol
-/// has an SoA step form (soa_runner() non null) a third, intra-step-sharded
-/// soa run joins the bit-identity comparison under `soa`'s knobs. `seed`
-/// seeds every run; `zero_intensity` additionally runs the fault-free twin
-/// of the serial soa run and demands bit-identity. Requires identity
+/// engine, with full traces, and checks every invariant. A third,
+/// intra-step-sharded soa run joins the bit-identity comparison under
+/// `soa`'s knobs. `seed` seeds every run; `zero_intensity` additionally
+/// runs the fault-free twin of the serial soa run and demands
+/// bit-identity. Requires identity
 /// labeling (the trace oracle equates message labels with node ids).
 scenario_check_result check_scenario(const graph& g, const protocol& proto,
                                      fault_model* model, std::uint64_t seed,

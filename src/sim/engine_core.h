@@ -4,8 +4,8 @@
 //
 // One run derives from run_base: the templated soa_run
 // (sim/soa_engine.h), whose per-node state is a contiguous POD array — a
-// traits protocol's own state, or a pointer to a virtual protocol_node for
-// a protocol without a traits form. It runs both step loops: run_reference
+// traits protocol's own state, or, under virtual_view, a pointer to one of
+// its per-node traits_node objects. It runs both step loops: run_reference
 // below, and its own awake-list walk with the quiescence calendar and
 // phases that can shard across a thread pool.
 // The derived class provides the protocol hooks (proto_begin_step,
@@ -308,8 +308,8 @@ class run_base {
                        ", step " + std::to_string(step) + ")");
       RC_CHECK_MSG(derived().proto_informed(v) == (v == 0),
                    "on_restart left node " + std::to_string(v) +
-                       " in the wrong informed state — does the protocol "
-                       "override protocol_node::on_restart?");
+                       " in the wrong informed state — does the traits' "
+                       "on_restart reset it?");
       received_any_[idx(v)] = 0;
       if (was_informed && v != 0) {
         result_.informed_at[idx(v)] = -1;

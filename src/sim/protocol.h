@@ -6,13 +6,12 @@
 // `on_step` returns its transmit decision for the current step and whose
 // `on_receive` extends its history.
 //
-// Every shipped protocol except dfs_known writes that action function ONCE,
-// as SoA traits (a POD per-node state plus const hooks; sim/soa_engine.h).
-// make_node wraps those traits in a traits_node, and soa_runner hands the
-// same traits to the templated step loops; there is no hand-written
-// protocol_node to keep in step with them. A protocol without traits
-// (dfs_known, test fixtures, user code) runs the same step loops on its
-// protocol_node objects.
+// Every protocol writes that action function ONCE, as SoA traits (a POD
+// per-node state plus const hooks; sim/soa_engine.h). soa_runner hands the
+// traits to the templated step loops, and make_node wraps the same traits
+// in a traits_node for code that drives nodes one at a time. protocol_node
+// is only that adapter's interface: traits_node is its one subclass, and
+// nothing else can construct one.
 //
 // Knowledge model (paper §1.3): a node knows a priori only its own label and
 // the bound r on labels. Procedures explicitly parameterized by D (such as
@@ -127,10 +126,14 @@ struct node_context {
   obs::metrics_registry* metrics = nullptr;
 };
 
-/// One node's running protocol instance.
+/// One node's running protocol instance: the per-node face of a traits
+/// protocol, for code that drives nodes one at a time. Only traits_node
+/// (sim/soa_engine.h) derives from it.
 class protocol_node {
  public:
   virtual ~protocol_node() = default;
+  protocol_node(const protocol_node&) = delete;
+  protocol_node& operator=(const protocol_node&) = delete;
 
   /// The node's action at this step: a message to transmit, or std::nullopt
   /// to act as a receiver. Called exactly once per step, in step order.
@@ -145,7 +148,7 @@ class protocol_node {
 
   /// True once this node has permanently stopped (it will never transmit
   /// again). Used to detect full protocol termination for token algorithms.
-  virtual bool halted() const { return false; }
+  virtual bool halted() const = 0;
 
   /// Amnesia restart (crash-recovery fault model, src/fault/recovery.h):
   /// the node rebooted with volatile state lost. Implementations MUST
@@ -155,12 +158,14 @@ class protocol_node {
   /// reference/soa differential suite). After on_restart the source
   /// (label 0) is informed() again — the message is its own — and every
   /// other node is uninformed and dormant, subject to the dormant-node
-  /// contract above, until re-informed by a fresh delivery. The default
-  /// is a no-op so protocols outside src/core (tests, adversary fixtures)
-  /// stay source-compatible; the simulator RC_CHECKs the informed() state
-  /// after every amnesia restart, so a protocol relying on the default
-  /// while holding state fails loudly rather than silently diverging.
-  virtual void on_restart(const node_context& ctx) { (void)ctx; }
+  /// contract above, until re-informed by a fresh delivery. The simulator
+  /// RC_CHECKs the informed() state after every amnesia restart.
+  virtual void on_restart(const node_context& ctx) = 0;
+
+ private:
+  template <class>
+  friend class traits_node;
+  protocol_node() = default;
 };
 
 /// Factory for protocol nodes; one per algorithm.
@@ -180,25 +185,23 @@ class protocol {
   virtual std::unique_ptr<protocol_node> make_node(
       node_id label, const protocol_params& params) const = 0;
 
-  /// The protocol's struct-of-arrays entry, or nullptr when the protocol
-  /// has no traits form (the default). A non-null entry runs both engines —
-  /// reference and soa — on the protocol's traits; make_node is then only
-  /// for code that drives single nodes (the lower-bound adversary,
-  /// virtual_view below). Both must be built from the same configured
-  /// traits (make_traits_node in sim/soa_engine.h; core/decay.cpp shows the
-  /// pattern), so the two paths cannot disagree. A nullptr entry runs both
-  /// engines through make_node's virtual nodes, on the same soa_run step
-  /// loops with step_threads pinned to 1 and no quiescence calendar.
-  virtual soa_entry soa_runner() const { return nullptr; }
+  /// The protocol's struct-of-arrays entry: it runs both engines —
+  /// reference and soa — on the protocol's traits, and is never null.
+  /// make_node is only for code that drives single nodes (the lower-bound
+  /// adversary, virtual_view below). Both must be built from the same
+  /// configured traits (make_traits_node in sim/soa_engine.h;
+  /// core/decay.cpp shows the pattern), so the two paths cannot disagree.
+  virtual soa_entry soa_runner() const = 0;
 };
 
 /// A view of `inner` with its traits form hidden: make_node forwards, and
-/// soa_runner() is null, so every run takes the virtual per-node path
-/// (traits_node objects for a traits protocol): serial, and without the
-/// quiescence calendar. Under step_engine::soa that is the plain awake-list
-/// walk, which makes the view the polling oracle of the differential suite
-/// and the throughput bench's baseline for the SoA layout and the calendar.
-/// `inner` must outlive the view.
+/// soa_runner() runs an adapter traits (sim/simulator.cpp) whose state is
+/// one of make_node's traits_node objects, so every hook is a virtual call
+/// and there is no quiescence calendar. Under step_engine::soa that is the
+/// plain awake-list walk, which makes the view the per-node reference path
+/// of the differential suite and the throughput bench's baseline for the
+/// SoA layout and the calendar. Each node owns its traits copy, so the
+/// view's steps shard like any other run. `inner` must outlive the view.
 class virtual_view final : public protocol {
  public:
   explicit virtual_view(const protocol& inner) : inner_(inner) {}
@@ -209,6 +212,7 @@ class virtual_view final : public protocol {
       node_id label, const protocol_params& params) const override {
     return inner_.make_node(label, params);
   }
+  soa_entry soa_runner() const override;
 
  private:
   const protocol& inner_;

@@ -13,43 +13,55 @@ namespace radiocast {
 
 namespace {
 
-/// The traits form of a protocol that has none (soa_runner() == nullptr):
-/// per-node state is a pointer to a protocol_node that make_node built, in
-/// node order, into a vector that outlives the run, and every hook is a
-/// virtual call. It has no begin_step (nodes hoist for themselves) and no
-/// next_poll, so soa_run (sim/soa_engine.h) walks the whole awake list each
-/// step under step_engine::soa and all n nodes under reference.
-struct virtual_traits {
+/// virtual_view's traits: per-node state is a pointer to a traits_node that
+/// make_node built, in node order, into a vector that outlives the run, and
+/// every hook is a virtual call. Each node owns its traits copy, so phase 1
+/// may shard across nodes. It has no begin_step (nodes hoist for
+/// themselves) and no next_poll, so soa_run (sim/soa_engine.h) walks the
+/// whole awake list each step under step_engine::soa and all n nodes under
+/// reference.
+struct virtual_soa_traits {
   const protocol* proto;
   std::vector<std::unique_ptr<protocol_node>>* nodes;
 
-  using state = protocol_node*;
+  struct state {
+    protocol_node* node;
+  };
 
   void init(state* s, node_id label, const protocol_params& params) const {
     nodes->push_back(proto->make_node(label, params));
-    *s = nodes->back().get();
-    RC_CHECK(*s != nullptr);
+    s->node = nodes->back().get();
+    RC_CHECK(s->node != nullptr);
   }
 
   // radiocast-analyze: hot-path-begin -- per-node dispatch, called once
   // per stepped node per step.
 
   std::optional<message> on_step(state* s, const node_context& ctx) const {
-    return (*s)->on_step(ctx);
+    return s->node->on_step(ctx);
   }
   void on_receive(state* s, const node_context& ctx, const message& m) const {
-    (*s)->on_receive(ctx, m);
+    s->node->on_receive(ctx, m);
   }
-  bool informed(const state& s) const { return s->informed(); }
-  bool halted(const state& s) const { return s->halted(); }
+  bool informed(const state& s) const { return s.node->informed(); }
+  bool halted(const state& s) const { return s.node->halted(); }
   void on_restart(state* s, const node_context& ctx) const {
-    (*s)->on_restart(ctx);
+    s->node->on_restart(ctx);
   }
 
   // radiocast-analyze: hot-path-end
 };
 
+run_result virtual_entry(const graph& g, const protocol& view, node_id r,
+                         const run_options& opts) {
+  std::vector<std::unique_ptr<protocol_node>> nodes;
+  nodes.reserve(static_cast<std::size_t>(g.node_count()));
+  return run_broadcast_soa(g, virtual_soa_traits{&view, &nodes}, r, opts);
+}
+
 }  // namespace
+
+soa_entry virtual_view::soa_runner() const { return &virtual_entry; }
 
 const char* run_outcome_name(run_outcome o) {
   switch (o) {
@@ -66,19 +78,9 @@ run_result run_broadcast_with_r(const graph& g, const protocol& proto,
   obs::span_profiler* profiler =
       opts.profiler != nullptr ? opts.profiler : obs::global_profiler();
   obs::scoped_span run_span(profiler, "run_broadcast");
-  // One virtual call per RUN: a protocol with a traits form runs through
-  // its templated SoA entry — the step loops behind it have no virtual
-  // dispatch.
-  const soa_entry entry = proto.soa_runner();
-  if (entry != nullptr) return entry(g, proto, r, opts);
-  // Any other protocol runs its virtual nodes through the same loops. Its
-  // nodes may share mutable state (a test fixture's observer, a user
-  // protocol's tables), so its steps never shard.
-  std::vector<std::unique_ptr<protocol_node>> nodes;
-  nodes.reserve(static_cast<std::size_t>(g.node_count()));
-  run_options serial = opts;
-  serial.step_threads = 1;
-  return run_broadcast_soa(g, virtual_traits{&proto, &nodes}, r, serial);
+  // One virtual call per RUN: the protocol's templated SoA entry — the
+  // step loops behind it have no virtual dispatch.
+  return proto.soa_runner()(g, proto, r, opts);
 }
 
 run_result run_broadcast(const graph& g, const protocol& proto,

@@ -39,10 +39,10 @@ enum class stop_condition {
 };
 
 /// Which step loop runs the broadcast (see docs/PERFORMANCE.md). Every
-/// protocol runs both loops on the templated SoA run (sim/soa_engine.h): a
-/// protocol with a traits form (protocol::soa_runner) on its POD state with
-/// the hooks inlined, any other protocol on its virtual protocol_node
-/// objects. Only these two loops exist because of the dormant-node
+/// protocol runs both loops on the templated SoA run (sim/soa_engine.h)
+/// through its traits (protocol::soa_runner), with the hooks inlined;
+/// virtual_view runs them on per-node protocol_node objects instead. Only
+/// these two loops exist because of the dormant-node
 /// contract in sim/protocol.h: the paper's model has no spontaneous
 /// transmissions, so skipping nodes that never received is unobservable.
 enum class step_engine {
@@ -118,8 +118,9 @@ struct run_options {
   /// thread count (docs/PERFORMANCE.md gives the ordered-merge argument).
   /// Metrics-enabled runs pin phase 1 serial (protocols write gauges from
   /// on_step whose last-write-wins semantics only serial order
-  /// reproduces); phase 2 still shards. A protocol without a traits form
-  /// always runs serial: its virtual nodes may share mutable state.
+  /// reproduces); phase 2 still shards. Sharded on_step calls run
+  /// concurrently across nodes, so a traits' on_step writes only its own
+  /// node's state.
   int step_threads = 1;
   /// Minimum work per intra-step shard before sharding engages: phase 1
   /// counts awake nodes, phase 2 counts transmitter out-edges. 0 = a

@@ -4,12 +4,11 @@
 // A per-node protocol_node pays three taxes per awake node per step: a
 // pointer chase to a heap-scattered node object, a virtual on_step call the
 // compiler cannot inline, and the cache misses both imply once n outgrows
-// the LLC. soa_run removes all three for every protocol whose soa_runner()
-// is non-null; run_broadcast_with_r sends it here whatever
-// run_options::engine says. A protocol without a traits form runs here
-// too, through a small adapter traits (sim/simulator.cpp) whose POD state
-// is a pointer to its virtual node — it keeps the taxes but shares every
-// line of the step loops:
+// the LLC. soa_run removes all three: every protocol's soa_runner() lands
+// here whatever run_options::engine says. virtual_view (sim/protocol.h)
+// runs here too, through a small adapter traits (sim/simulator.cpp) whose
+// POD state is a pointer to a per-node traits_node — it keeps the taxes
+// but shares every line of the step loops:
 //
 //   * step_engine::reference runs run_base::run_reference (on_step on all
 //     n nodes); step_engine::soa runs the loop below (the awake-list walk,
@@ -618,11 +617,12 @@ run_result soa_entry_for(const graph& g, const protocol&, node_id r,
 
 /// One node of a traits protocol behind the protocol_node interface, for
 /// code that drives nodes one by one: the lower-bound adversary, user code,
-/// and the virtual adapter when a protocol wrapper hides soa_runner() (the
-/// differential suite's virtual leg). It holds one traits copy and one
-/// state, and runs begin_step itself whenever it sees a new step — before
-/// on_step, on_receive and on_restart alike, since a node can receive in a
-/// step in which it was not polled and a hook may read the hoist.
+/// and virtual_view's adapter (the differential suite's virtual leg). It is
+/// the only protocol_node subclass there can be. It holds one traits copy
+/// and one state, and runs begin_step itself whenever it sees a new step —
+/// before on_step, on_receive and on_restart alike, since a node can
+/// receive in a step in which it was not polled and a hook may read the
+/// hoist.
 template <class Traits>
 class traits_node final : public protocol_node {
  public:

@@ -508,27 +508,6 @@ TEST(AnalyzeTest, ContractAcceptsTraitsWrappedByMakeNode) {
             0);
 }
 
-TEST(AnalyzeTest, ContractFiresOnHandWrittenNodeNextToTraits) {
-  // The duplicate the traits replaced: a protocol_node subclass in the
-  // same src/core file, with the base clause on the head line or wrapped.
-  const std::string inline_head = std::string(kTraitsOnlyProtocol) +
-                                  "class one_node final : public "
-                                  "protocol_node {\n};\n";
-  EXPECT_EQ(fired(run_one("src/core/one.cpp", inline_head), "contract"), 1);
-  const std::string wrapped_head = std::string(kTraitsOnlyProtocol) +
-                                   "class one_node final\n"
-                                   "    : public protocol_node {\n};\n";
-  EXPECT_EQ(fired(run_one("src/core/one.cpp", wrapped_head), "contract"), 1);
-  // Outside src/core (test fixtures, user protocols) the rule is silent,
-  // and so is a src/core file without traits (dfs_known's shape).
-  EXPECT_EQ(fired(run_one("tests/one.cpp", inline_head), "contract"), 0);
-  EXPECT_EQ(fired(run_one("src/core/dfs_like.cpp",
-                          "class dfs_like_node final : public "
-                          "protocol_node {\n};\n"),
-                  "contract"),
-            0);
-}
-
 TEST(AnalyzeTest, ContractFiresOnEntryWithoutTraits) {
   const report rep = run_one("src/core/bad.cpp", R"cpp(
 soa_entry bad_protocol::soa_runner() const { return &some_entry_fn; }
@@ -544,8 +523,8 @@ soa_entry bad2_protocol::soa_runner() const {
 }
 
 TEST(AnalyzeTest, ContractIgnoresDelegatingAndNullRunners) {
-  // protocol.h's default returns nullptr; kp's fallback path delegates.
-  // Neither requires local traits.
+  // A runner that returns nullptr names no entry; kp's fallback path
+  // delegates. Neither requires local traits.
   EXPECT_EQ(fired(run_one("src/core/a.h",
                           "virtual soa_entry soa_runner() const { return "
                           "nullptr; }\n"),

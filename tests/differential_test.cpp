@@ -444,9 +444,9 @@ TEST(DifferentialTest, TrialRecordsMatchTracedReruns) {
 // The soa engine (docs/PERFORMANCE.md) skips dormant nodes in phase 1,
 // skips sleeping nodes through the quiescence calendar, hoists the fault
 // branches out of phase 2, and shards both phases of a single step across
-// threads with an ordered merge. A traits protocol runs both engines on its
-// SoA state; a virtual_view of it, like any protocol without a traits form,
-// runs them over protocol_node objects instead. The contract for ALL is
+// threads with an ordered merge. Every protocol runs both engines on its
+// SoA state; a virtual_view of it runs them over protocol_node objects
+// instead. The contract for ALL is
 // BIT IDENTITY with the reference engine — not statistical agreement:
 // trial records, full metrics dumps, and event-for-event trace NDJSON must
 // all be byte-equal, across protocols, graph families, fault models, the
@@ -548,23 +548,20 @@ void expect_engines_agree(const graph& g, const protocol& proto,
       observe(g, proto, step_engine::reference, faults, threads);
 
   // The soa engine: serial, and intra-step sharded at 2 and 8 threads
-  // (grain 1). Every variant must match the reference byte-for-byte. A
-  // protocol without a traits form runs serial at every thread count.
+  // (grain 1). Every variant must match the reference byte-for-byte.
   for (int st : {1, 2, 8}) {
     const engine_observation soa =
         observe(g, proto, step_engine::soa, faults, threads, st);
     expect_observations_equal(ref, soa,
                               what + "/soa@st" + std::to_string(st));
   }
-  if (proto.soa_runner() != nullptr) {
-    // The virtual leg: with soa_runner hidden, the reference loop drives
-    // one traits_node per node through the virtual adapter — the
-    // per-node path the lower-bound adversary and user code take.
-    const virtual_view view(proto);
-    const engine_observation virt =
-        observe(g, view, step_engine::reference, faults, threads);
-    expect_observations_equal(ref, virt, what + "/virtual");
-  }
+  // The virtual leg: with the traits form hidden, the reference loop
+  // drives one traits_node per node through the virtual adapter — the
+  // per-node path the lower-bound adversary and user code take.
+  const virtual_view view(proto);
+  const engine_observation virt =
+      observe(g, view, step_engine::reference, faults, threads);
+  expect_observations_equal(ref, virt, what + "/virtual");
 }
 
 TEST(EngineDifferentialTest, AllProtocolsAllGraphFamilies) {
@@ -609,10 +606,11 @@ TEST(EngineDifferentialTest, CompleteLayeredOnItsOwnFamily) {
 }
 
 TEST(EngineDifferentialTest, DfsKnownWithoutATraitsForm) {
-  // dfs_known has no traits form, so both engines run its protocol_node
-  // objects through the virtual adapter. The adapter pins step_threads to
-  // 1, so the soa legs at 2 and 8 threads (grain 1) must match the
-  // reference byte for byte as well — fault-free and under retain-mode
+  // dfs_known's neighbor rows and unvisited flags live in per-run arrays
+  // outside its POD state (the name predates its traits form). The soa
+  // legs at 2 and 8 threads (grain 1) shard phase 1 across those rows and
+  // must match the reference byte for byte, as must the virtual leg, whose
+  // nodes own their flags — fault-free and under retain-mode
   // crash-recovery, which can strand the token.
   rng topo_gen(341);
   std::vector<std::pair<std::string, graph>> graphs;
@@ -631,6 +629,28 @@ TEST(EngineDifferentialTest, DfsKnownWithoutATraitsForm) {
     expect_engines_agree(g, proto, nullptr, 0, gtag + "/dfs-known");
     expect_engines_agree(g, proto, retain, 0, gtag + "/retain/dfs-known");
   }
+}
+
+TEST(EngineDifferentialTest, DfsKnownUnderAmnesiaAndLoss) {
+  // The knowledge outside dfs_known's state must follow the state through
+  // faults: an amnesia restart resets the node's own flags (on_restart),
+  // and a lost announcement leaves a neighbor marked unvisited. Reference,
+  // soa at 1, 2 and 8 threads, and the virtual leg must stay byte-equal.
+  rng topo_gen(341);
+  const graph g = make_gnp_connected(24, 0.15, topo_gen);
+  const dfs_known_protocol proto(g);
+  const fault_factory amnesia = [] {
+    fault::recovery_options o;
+    o.crash_probability = 0.004;
+    o.mode = fault::recovery_mode::amnesia;
+    o.downtime = 6;
+    return std::make_unique<fault::recovery_model>(o);
+  };
+  const fault_factory loss = [] {
+    return std::make_unique<fault::loss_model>(fault::loss_options{0.15});
+  };
+  expect_engines_agree(g, proto, amnesia, 0, "gnp24/amnesia/dfs-known");
+  expect_engines_agree(g, proto, loss, 0, "gnp24/loss/dfs-known");
 }
 
 TEST(EngineDifferentialTest, DirectedGraphs) {

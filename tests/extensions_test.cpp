@@ -2,7 +2,10 @@
 // known-neighborhood DFS baseline, and the random geometric generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/dfs_known.h"
 #include "core/runner.h"
@@ -136,6 +139,49 @@ TEST(DfsKnownTest, BeatsSelectAndSendEverywhere) {
     const auto t_sas = run_broadcast(
         g, sas, capped(10'000'000, stop_condition::all_halted)).steps;
     EXPECT_LT(t_dfs, t_sas) << "n=" << n;
+  }
+}
+
+TEST(DfsKnownTest, EveryLabellingWalksTheSameDfs) {
+  // A node knows its neighbors' labels, not their node ids, so the walk
+  // must not depend on how labels are assigned: the path is informed at
+  // step 9 and the tree halts at 3n − 1 under dense, permuted and sparse
+  // labellings alike.
+  const auto run_labelled = [](const graph& g, std::vector<node_id> labels,
+                               node_id r, stop_condition stop) {
+    const dfs_known_protocol proto(g);
+    run_options opts = capped(100'000, stop);
+    opts.labels = std::move(labels);
+    return run_broadcast_with_r(g, proto, r, opts);
+  };
+  const graph path = make_path(6);
+  const std::vector<std::pair<std::vector<node_id>, node_id>> path_labels = {
+      {{}, 5},
+      {{0, 5, 1, 4, 2, 3}, 5},
+      {{0, 7, 9, 2, 11, 4}, 11},
+      {{0, 15, 3, 12, 6, 9}, 15}};
+  for (const auto& [labels, r] : path_labels) {
+    const run_result res =
+        run_labelled(path, labels, r, stop_condition::all_informed);
+    ASSERT_TRUE(res.completed) << "r=" << r;
+    EXPECT_EQ(res.informed_step, 9) << "r=" << r;
+  }
+
+  rng gen(60);
+  const graph tree = make_random_tree(60, gen);
+  const node_id n = tree.node_count();
+  std::vector<node_id> perm(static_cast<std::size_t>(n));
+  for (node_id v = 0; v < n; ++v) perm[static_cast<std::size_t>(v)] = v;
+  std::shuffle(perm.begin() + 1, perm.end(), gen);  // the source keeps 0
+  std::vector<node_id> sparse = perm;
+  for (node_id& label : sparse) label *= 3;
+  for (const auto& [labels, r] :
+       std::vector<std::pair<std::vector<node_id>, node_id>>{
+           {{}, n - 1}, {perm, n - 1}, {sparse, 3 * (n - 1)}}) {
+    const run_result res =
+        run_labelled(tree, labels, r, stop_condition::all_halted);
+    ASSERT_TRUE(res.completed) << "r=" << r;
+    EXPECT_EQ(res.steps, 3 * n - 1) << "r=" << r;
   }
 }
 

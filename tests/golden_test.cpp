@@ -9,10 +9,10 @@
 // engines do not take.
 //
 // The values were captured from the hand-written protocol_node classes that
-// predate the single traits implementation (dfs_known, which has no traits
-// form, from its protocol_node on the per-node reference loop); any
-// behavioural drift in a protocol, in the traits adapter, or in the engine
-// routing changes a digest. A mismatch prints the observed pin line.
+// predate the single traits implementation (dfs_known's from its last
+// hand-written node, on the per-node reference loop); any behavioural
+// drift in a protocol, in the traits adapter, or in the engine routing
+// changes a digest. A mismatch prints the observed pin line.
 //
 // Metric pins digest the whole metrics export (to_json().dump()) of the
 // instrumented protocols, fault-free and under retain-mode crash-recovery,

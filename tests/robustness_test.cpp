@@ -13,52 +13,74 @@
 #include "graph/analysis.h"
 #include "graph/generators.h"
 #include "sim/simulator.h"
+#include "sim/soa_engine.h"
 
 namespace radiocast {
 namespace {
 
 // A protocol whose source never transmits: a broken broadcaster. Legal as
 // an object, useless as an algorithm — used to exercise stuck-handling.
+struct silent_soa_traits {
+  struct state {
+    bool informed = false;
+  };
+
+  void init(state* s, node_id label, const protocol_params&) const {
+    s->informed = label == 0;
+  }
+  std::optional<message> on_step(state*, const node_context&) const {
+    return std::nullopt;
+  }
+  void on_receive(state* s, const node_context&, const message&) const {
+    s->informed = true;
+  }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
+  void on_restart(state*, const node_context&) const {}
+};
+
+silent_soa_traits silent_traits(node_id) { return {}; }
+
 class silent_protocol final : public protocol {
  public:
   std::string name() const override { return "silent"; }
   bool deterministic() const override { return true; }
   std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params&) const override {
-    class node final : public protocol_node {
-     public:
-      explicit node(node_id label) : informed_(label == 0) {}
-      std::optional<message> on_step(const node_context&) override {
-        return std::nullopt;
-      }
-      void on_receive(const node_context&, const message&) override {
-        informed_ = true;
-      }
-      bool informed() const override { return informed_; }
-
-     private:
-      bool informed_;
-    };
-    return std::make_unique<node>(label);
+      node_id label, const protocol_params& params) const override {
+    return make_traits_node(silent_traits(params.r), label, params);
+  }
+  soa_entry soa_runner() const override {
+    return &soa_entry_for<silent_traits>;
   }
 };
 
 // A protocol that breaks the source-starts-informed contract.
+struct uninformed_source_soa_traits {
+  struct state {};
+
+  void init(state*, node_id, const protocol_params&) const {}
+  std::optional<message> on_step(state*, const node_context&) const {
+    return std::nullopt;
+  }
+  void on_receive(state*, const node_context&, const message&) const {}
+  bool informed(const state&) const { return false; }  // even the source
+  bool halted(const state&) const { return false; }
+  void on_restart(state*, const node_context&) const {}
+};
+
+uninformed_source_soa_traits uninformed_source_traits(node_id) { return {}; }
+
 class uninformed_source_protocol final : public protocol {
  public:
   std::string name() const override { return "broken-source"; }
   bool deterministic() const override { return true; }
   std::unique_ptr<protocol_node> make_node(
-      node_id, const protocol_params&) const override {
-    class node final : public protocol_node {
-     public:
-      std::optional<message> on_step(const node_context&) override {
-        return std::nullopt;
-      }
-      void on_receive(const node_context&, const message&) override {}
-      bool informed() const override { return false; }  // even the source
-    };
-    return std::make_unique<node>();
+      node_id label, const protocol_params& params) const override {
+    return make_traits_node(uninformed_source_traits(params.r), label,
+                            params);
+  }
+  soa_entry soa_runner() const override {
+    return &soa_entry_for<uninformed_source_traits>;
   }
 };
 

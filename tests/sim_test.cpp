@@ -11,8 +11,10 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "core/dfs_known.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "sim/simulator.h"
@@ -26,61 +28,86 @@ namespace {
 // A scripted protocol for exercising the simulator: each node transmits at
 // exactly the steps listed in its script and records everything it receives.
 // Reception logs are exposed through a shared observer (the protocol is a
-// test fixture, not a real broadcasting algorithm).
+// test fixture, not a real broadcasting algorithm); on_receive runs
+// serially on every engine, so the traits may write it.
 struct script_observer {
   std::map<node_id, std::vector<std::pair<std::int64_t, node_id>>> received;
 };
 
+using script_map = std::map<node_id, std::vector<std::int64_t>>;
+
+struct scripted_soa_traits {
+  const script_map* scripts = nullptr;
+  script_observer* observer = nullptr;
+
+  struct state {
+    node_id label = 0;
+    bool informed = false;
+  };
+
+  void init(state* s, node_id label, const protocol_params&) const {
+    s->label = label;
+    s->informed = label == 0;
+  }
+  std::optional<message> on_step(state* s, const node_context& ctx) const {
+    const auto it = scripts->find(s->label);
+    if (it == scripts->end()) return std::nullopt;
+    for (const std::int64_t t : it->second) {
+      if (t == ctx.step) return message{1, s->label, ctx.step, 0, 0, 0};
+    }
+    return std::nullopt;
+  }
+  void on_receive(state* s, const node_context& ctx,
+                  const message& msg) const {
+    s->informed = true;
+    observer->received[s->label].emplace_back(ctx.step, msg.from);
+  }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
+  void on_restart(state* s, const node_context&) const {
+    s->informed = s->label == 0;
+  }
+};
+
 class scripted_protocol final : public protocol {
  public:
-  scripted_protocol(std::map<node_id, std::vector<std::int64_t>> scripts,
-                    script_observer* observer)
+  scripted_protocol(script_map scripts, script_observer* observer)
       : scripts_(std::move(scripts)), observer_(observer) {}
 
   std::string name() const override { return "scripted"; }
   bool deterministic() const override { return true; }
 
   std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params&) const override {
-    std::vector<std::int64_t> script;
-    if (const auto it = scripts_.find(label); it != scripts_.end()) {
-      script = it->second;
-    }
-    return std::make_unique<node_impl>(label, std::move(script), observer_);
+      node_id label, const protocol_params& params) const override {
+    return make_traits_node(traits(), label, params);
   }
+  soa_entry soa_runner() const override { return &run; }
 
  private:
-  class node_impl final : public protocol_node {
-   public:
-    node_impl(node_id label, std::vector<std::int64_t> script,
-              script_observer* observer)
-        : label_(label), script_(std::move(script)), observer_(observer),
-          informed_(label == 0) {}
+  scripted_soa_traits traits() const { return {&scripts_, observer_}; }
+  static run_result run(const graph& g, const protocol& proto, node_id r,
+                        const run_options& opts) {
+    return run_broadcast_soa(
+        g, static_cast<const scripted_protocol&>(proto).traits(), r, opts);
+  }
 
-    std::optional<message> on_step(const node_context& ctx) override {
-      for (std::int64_t s : script_) {
-        if (s == ctx.step) return message{1, label_, ctx.step, 0, 0, 0};
-      }
-      return std::nullopt;
-    }
-
-    void on_receive(const node_context& ctx, const message& msg) override {
-      informed_ = true;
-      observer_->received[label_].emplace_back(ctx.step, msg.from);
-    }
-
-    bool informed() const override { return informed_; }
-
-   private:
-    node_id label_;
-    std::vector<std::int64_t> script_;
-    script_observer* observer_;
-    bool informed_;
-  };
-
-  std::map<node_id, std::vector<std::int64_t>> scripts_;
+  script_map scripts_;
   script_observer* observer_;
 };
+
+// protocol_node is sealed: its constructor is private to traits_node, so a
+// hand-written node — even one that overrides every hook — cannot be built.
+class hand_written final : public protocol_node {
+ public:
+  std::optional<message> on_step(const node_context&) override {
+    return std::nullopt;
+  }
+  void on_receive(const node_context&, const message&) override {}
+  bool informed() const override { return false; }
+  bool halted() const override { return false; }
+  void on_restart(const node_context&) override {}
+};
+static_assert(!std::is_default_constructible_v<hand_written>);
 
 run_options capped(std::int64_t max_steps) {
   run_options o;
@@ -339,11 +366,13 @@ TEST(SimTest, TraitsNodeHoistsBeforeEveryHook) {
 
 TEST(SimTest, VirtualViewHidesTheTraitsForm) {
   graph g = make_path(3);
-  // virtual_view hides a traits protocol's entry, so its runs take the
-  // virtual per-node path — without the calendar, to the same result.
+  // virtual_view hides a traits protocol's entry behind its own, so its
+  // runs take the virtual per-node path — without the calendar, to the
+  // same result.
   const slotted_protocol slotted;
   const virtual_view view(slotted);
-  EXPECT_EQ(view.soa_runner(), nullptr);
+  ASSERT_NE(view.soa_runner(), nullptr);
+  EXPECT_NE(view.soa_runner(), slotted.soa_runner());
   EXPECT_EQ(view.name(), slotted.name());
   run_options opts = capped(4);
   opts.engine = step_engine::soa;
@@ -431,9 +460,8 @@ class thread_probe_protocol final : public protocol {
 
 TEST(SimTest, DefaultRunNeverShards) {
   // Intra-step threads are opt-in. Even with RADIOCAST_THREADS=4, a run
-  // with default options — and a virtual protocol even when it asks for
-  // threads — polls every node on the calling thread. 10 000 awake nodes
-  // clear the default grain's sharding floor of 2 × 4096.
+  // with default options polls every node on the calling thread. 10 000
+  // awake nodes clear the default grain's sharding floor of 2 × 4096.
   env_guard guard("4");
   const graph g = make_star(10'000);
   std::atomic<bool> off_thread{false};
@@ -443,16 +471,40 @@ TEST(SimTest, DefaultRunNeverShards) {
   ASSERT_TRUE(run_broadcast(g, proto, opts).completed);
   EXPECT_FALSE(off_thread.load()) << "a default-options run sharded";
 
-  const virtual_view view(proto);
+  // Asked to, the traits form shards — and so does its virtual view, whose
+  // nodes each own a traits copy.
   run_options threaded = opts;
   threaded.step_threads = 4;
   threaded.step_shard_grain = 1;
-  ASSERT_TRUE(run_broadcast(g, view, threaded).completed);
-  EXPECT_FALSE(off_thread.load()) << "a virtual protocol's run sharded";
-
-  // The traits form itself still shards when asked to.
   ASSERT_TRUE(run_broadcast(g, proto, threaded).completed);
-  EXPECT_TRUE(off_thread.load()) << "step_threads = 4 did not shard";
+  EXPECT_TRUE(off_thread.exchange(false)) << "step_threads = 4 did not shard";
+  const virtual_view view(proto);
+  ASSERT_TRUE(run_broadcast(g, view, threaded).completed);
+  EXPECT_TRUE(off_thread.load()) << "the virtual view did not shard";
+}
+
+TEST(SimTest, DfsKnownShardsLikeItsSerialRun) {
+  // dfs_known keeps each node's neighbor row and unvisited flags in
+  // per-run arrays outside the POD state; only the owning node writes its
+  // row, from hooks the engine runs serially. A sharded run must match the
+  // serial one (ci.sh runs this binary under TSan, which checks the rows).
+  rng topo_gen(17);
+  const graph g = make_random_tree(300, topo_gen);
+  const dfs_known_protocol proto(g);
+  run_options opts;
+  opts.stop = stop_condition::all_halted;
+  opts.max_steps = 10'000;
+  const run_result serial = run_broadcast(g, proto, opts);
+  ASSERT_TRUE(serial.completed);
+  EXPECT_EQ(serial.steps, 3 * g.node_count() - 1);
+  opts.step_threads = 4;
+  opts.step_shard_grain = 1;
+  const run_result sharded = run_broadcast(g, proto, opts);
+  EXPECT_EQ(sharded.steps, serial.steps);
+  EXPECT_EQ(sharded.informed_at, serial.informed_at);
+  EXPECT_EQ(sharded.transmissions_per_node, serial.transmissions_per_node);
+  EXPECT_EQ(sharded.deliveries, serial.deliveries);
+  EXPECT_EQ(sharded.collisions, serial.collisions);
 }
 
 TEST(SimTest, UnfinalizedGraphIsRejected) {

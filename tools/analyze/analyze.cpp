@@ -100,6 +100,27 @@ bool is_wall_family(const std::string& name) {
 // Per-file context: scrub, suppressions, finding emission
 // ---------------------------------------------------------------------------
 
+/// One parsed `allow(<rule>)` suppression.
+struct allow_entry {
+  std::string rule;
+  std::string justification;
+  int annotation_line = 0;  ///< 1-based, where the annotation itself sits
+  bool used = false;        ///< set by the rule engine; stale ⇒ finding
+};
+
+/// A malformed/unknown annotation, reported back to the rule engine (which
+/// turns it into a finding — annotations are part of the contract).
+struct annotation_issue {
+  int line = 0;
+  std::string message;
+};
+
+/// All suppressions of one file, keyed by the 1-based line they cover.
+struct allow_set {
+  std::map<int, std::vector<allow_entry>> by_line;
+  std::vector<annotation_issue> issues;
+};
+
 struct file_ctx {
   const source_file* file = nullptr;
   scrubbed src;
@@ -818,7 +839,6 @@ void run_contract(file_ctx& ctx) {
   }
 
   // Trigger 2: validate every *_soa_traits struct.
-  bool defines_traits = false;
   for (int ln = 1; ln <= ctx.line_count(); ++ln) {
     const std::string& code = ctx.code(ln);
     if (!contains_token(code, "struct")) continue;
@@ -826,7 +846,6 @@ void run_contract(file_ctx& ctx) {
     if (name_pos == std::string::npos) continue;
     const std::size_t open = code.find('{', name_pos);
     if (open == std::string::npos) continue;
-    defines_traits = true;
     const int end = match_brace(ctx, ln, open);
     if (end == 0) continue;
 
@@ -965,34 +984,6 @@ void run_contract(file_ctx& ctx) {
       }
     }
   }
-
-  // Trigger 3 (src/core only): one implementation per protocol. A
-  // translation unit that defines SoA traits must not also derive from
-  // protocol_node — make_node wraps the traits in a traits_node
-  // (sim/soa_engine.h), so a hand-written node would be a second copy of
-  // the protocol that nothing but the differential suite keeps in step.
-  if (!defines_traits || !starts_with(ctx.file->path, "src/core/")) return;
-  for (int ln = 1; ln <= ctx.line_count(); ++ln) {
-    const std::string& code = ctx.code(ln);
-    if (!contains_token(code, "protocol_node")) continue;
-    // A base-clause mention: `: protocol_node` or `: public protocol_node`
-    // (the head may wrap, so only the text before the token is checked).
-    std::string before = trim(code.substr(0, code.find("protocol_node")));
-    for (const std::string access : {"public", "protected", "private"}) {
-      if (before.size() >= access.size() &&
-          before.compare(before.size() - access.size(), access.size(),
-                         access) == 0) {
-        before = trim(before.substr(0, before.size() - access.size()));
-        break;
-      }
-    }
-    if (!before.empty() && (before.back() == ':' || before.back() == ',')) {
-      ctx.emit("contract", ln,
-               "protocol_node subclass in a file that defines SoA traits — "
-               "the traits are the protocol's only implementation; return "
-               "make_traits_node(...) from make_node instead");
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1112,6 +1103,90 @@ void run_hot_path(file_ctx& ctx) {
 bool is_region_directive(const std::string& rest) {
   return starts_with(rest, "hot-path-begin") ||
          starts_with(rest, "hot-path-end");
+}
+
+/// Parses every `radiocast-analyze: allow(<check>[, <check>...]) --
+/// <justification>` annotation in `src`. An annotation must OPEN its
+/// comment; prose that merely mentions the marker mid-comment is ignored.
+/// A trailing annotation covers its own line; an annotation in a pure
+/// comment line covers the next line that has code. The hot-path region
+/// directives share the marker and are left to run_hot_path.
+allow_set collect_allows(const scrubbed& src) {
+  const std::string marker = kMarker;
+  allow_set out;
+  const auto line_count = static_cast<int>(src.code.size());
+  for (int ln = 1; ln <= line_count; ++ln) {
+    // An annotation must open its comment (`// <marker>: ...`); prose that
+    // merely mentions the marker mid-comment is not one.
+    const std::string comment =
+        trim(src.comment[static_cast<std::size_t>(ln - 1)]);
+    if (!starts_with(comment, marker.c_str())) continue;
+    // The marker must be the whole first word, not a prefix of a longer
+    // one ("radiocast-analyze" must not claim "radiocast-analyzer").
+    if (comment.size() > marker.size() &&
+        is_ident_char(comment[marker.size()])) {
+      continue;
+    }
+    std::string rest = trim(comment.substr(marker.size()));
+    if (!rest.empty() && rest.front() == ':') rest = trim(rest.substr(1));
+    if (is_region_directive(rest)) continue;  // run_hot_path handles it
+    auto bad = [&](const std::string& why) {
+      out.issues.push_back({ln, why});
+    };
+    if (!starts_with(rest, "allow(")) {
+      bad("malformed annotation; expected `" + marker +
+          ": allow(<rule>) -- <justification>`");
+      continue;
+    }
+    const std::size_t close = rest.find(')');
+    if (close == std::string::npos) {
+      bad("malformed annotation; unterminated allow(");
+      continue;
+    }
+    std::vector<std::string> ids;
+    std::string id_list = rest.substr(6, close - 6);
+    std::size_t pos = 0;
+    while (pos <= id_list.size()) {
+      const std::size_t comma = id_list.find(',', pos);
+      ids.push_back(trim(id_list.substr(
+          pos, comma == std::string::npos ? std::string::npos : comma - pos)));
+      if (comma == std::string::npos) break;
+      pos = comma + 1;
+    }
+    std::string tail = trim(rest.substr(close + 1));
+    std::string justification;
+    if (starts_with(tail, "--")) justification = trim(tail.substr(2));
+    if (justification.empty()) {
+      bad("suppression needs a justification: "
+          "`allow(<rule>) -- <why this cannot affect results>`");
+      continue;
+    }
+    bool ok = true;
+    for (const std::string& id : ids) {
+      if (!is_known_pass(id)) {
+        bad("unknown rule '" + id + "' in allow()");
+        ok = false;
+      }
+    }
+    if (!ok) continue;
+    // A trailing annotation covers its own line; an annotation in a pure
+    // comment covers the next line that has code (the justification may
+    // continue over several comment lines).
+    const bool pure_comment =
+        trim(src.code[static_cast<std::size_t>(ln - 1)]).empty();
+    int target = ln;
+    if (pure_comment) {
+      target = ln + 1;
+      while (target <= line_count &&
+             trim(src.code[static_cast<std::size_t>(target - 1)]).empty()) {
+        ++target;
+      }
+    }
+    for (const std::string& id : ids) {
+      out.by_line[target].push_back({id, justification, ln, false});
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -1255,8 +1330,7 @@ report analyze_files(const std::vector<source_file>& files,
   for (std::size_t i = 0; i < files.size(); ++i) {
     ctxs[i].file = &files[i];
     ctxs[i].src = scrub(files[i].text);
-    ctxs[i].allows = collect_allows(ctxs[i].src, kMarker, is_known_pass,
-                                    is_region_directive);
+    ctxs[i].allows = collect_allows(ctxs[i].src);
     rep.nodes.push_back(files[i].path);
   }
 

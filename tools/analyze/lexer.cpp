@@ -166,84 +166,4 @@ scrubbed scrub(const std::string& text) {
   return out;
 }
 
-allow_set collect_allows(
-    const scrubbed& src, const std::string& marker,
-    const std::function<bool(const std::string&)>& is_known_rule,
-    const std::function<bool(const std::string&)>& is_directive) {
-  allow_set out;
-  const auto line_count = static_cast<int>(src.code.size());
-  for (int ln = 1; ln <= line_count; ++ln) {
-    // An annotation must open its comment (`// <marker>: ...`); prose that
-    // merely mentions the marker mid-comment is not one.
-    const std::string comment =
-        trim(src.comment[static_cast<std::size_t>(ln - 1)]);
-    if (!starts_with(comment, marker.c_str())) continue;
-    // The marker must be the whole first word, not a prefix of a longer
-    // one ("radiocast-analyze" must not claim "radiocast-analyzer").
-    if (comment.size() > marker.size() &&
-        is_ident_char(comment[marker.size()])) {
-      continue;
-    }
-    std::string rest = trim(comment.substr(marker.size()));
-    if (!rest.empty() && rest.front() == ':') rest = trim(rest.substr(1));
-    if (is_directive && is_directive(rest)) continue;  // caller handles it
-    auto bad = [&](const std::string& why) {
-      out.issues.push_back({ln, why});
-    };
-    if (!starts_with(rest, "allow(")) {
-      bad("malformed annotation; expected `" + marker +
-          ": allow(<rule>) -- <justification>`");
-      continue;
-    }
-    const std::size_t close = rest.find(')');
-    if (close == std::string::npos) {
-      bad("malformed annotation; unterminated allow(");
-      continue;
-    }
-    std::vector<std::string> ids;
-    std::string id_list = rest.substr(6, close - 6);
-    std::size_t pos = 0;
-    while (pos <= id_list.size()) {
-      const std::size_t comma = id_list.find(',', pos);
-      ids.push_back(trim(id_list.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos)));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    std::string tail = trim(rest.substr(close + 1));
-    std::string justification;
-    if (starts_with(tail, "--")) justification = trim(tail.substr(2));
-    if (justification.empty()) {
-      bad("suppression needs a justification: "
-          "`allow(<rule>) -- <why this cannot affect results>`");
-      continue;
-    }
-    bool ok = true;
-    for (const std::string& id : ids) {
-      if (!is_known_rule(id)) {
-        bad("unknown rule '" + id + "' in allow()");
-        ok = false;
-      }
-    }
-    if (!ok) continue;
-    // A trailing annotation covers its own line; an annotation in a pure
-    // comment covers the next line that has code (the justification may
-    // continue over several comment lines).
-    const bool pure_comment =
-        trim(src.code[static_cast<std::size_t>(ln - 1)]).empty();
-    int target = ln;
-    if (pure_comment) {
-      target = ln + 1;
-      while (target <= line_count &&
-             trim(src.code[static_cast<std::size_t>(target - 1)]).empty()) {
-        ++target;
-      }
-    }
-    for (const std::string& id : ids) {
-      out.by_line[target].push_back({id, justification, ln, false});
-    }
-  }
-  return out;
-}
-
 }  // namespace radiocast::analyze

@@ -8,18 +8,12 @@
 //   * scrub()           — the comment/string/char/raw-string state machine,
 //                         producing per-line code, comment, and
 //                         code-with-string-contents views;
-//   * collect_allows()  — the `<marker>: allow(<rule>) -- <justification>`
-//                         suppression grammar (mandatory justification,
-//                         trailing-line or preceding-pure-comment targeting,
-//                         malformed/unknown annotations reported back);
 //   * small helpers (trim, identifier classification, call detection).
 //
 // Everything here is deliberately dependency-free (no radiocast library)
 // so the tool builds in seconds and can gate CI before any compile stage.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -55,38 +49,5 @@ struct scrubbed {
 /// unterminated ordinary literal recovers at end of line so one bad line
 /// cannot swallow the rest of the file.
 scrubbed scrub(const std::string& text);
-
-/// One parsed `allow(<rule>)` suppression.
-struct allow_entry {
-  std::string rule;
-  std::string justification;
-  int annotation_line = 0;  ///< 1-based, where the annotation itself sits
-  bool used = false;        ///< set by the rule engine; stale ⇒ finding
-};
-
-/// A malformed/unknown annotation, reported back to the rule engine (which
-/// turns it into a finding — annotations are part of the contract).
-struct annotation_issue {
-  int line = 0;
-  std::string message;
-};
-
-/// All suppressions of one file, keyed by the 1-based line they cover.
-struct allow_set {
-  std::map<int, std::vector<allow_entry>> by_line;
-  std::vector<annotation_issue> issues;
-};
-
-/// Parses every `<marker>: allow(<rule>[, <rule>...]) -- <justification>`
-/// annotation in `src`. An annotation must OPEN its comment; prose that
-/// merely mentions the marker mid-comment is ignored. A trailing
-/// annotation covers its own line; an annotation in a pure comment line
-/// covers the next line that has code. `is_known_rule` validates rule ids;
-/// `is_directive`, when provided, names non-allow annotation verbs (e.g.
-/// region markers) that share the marker and are handled by the caller.
-allow_set collect_allows(
-    const scrubbed& src, const std::string& marker,
-    const std::function<bool(const std::string&)>& is_known_rule,
-    const std::function<bool(const std::string&)>& is_directive = {});
 
 }  // namespace radiocast::analyze
