@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "util/assert.h"
+#include "util/stats.h"
 
 namespace radiocast {
 namespace {
@@ -104,30 +105,33 @@ double wall_ms(const graph& g, const protocol& proto,
 
 void check_metrics_overhead(bench::reporter& rep) {
   const node_id n = bench::smoke() ? 512 : 2048;
-  const int reps = bench::smoke() ? 3 : 7;
+  const int reps = bench::smoke() ? 15 : 21;
   graph g = make_complete_layered_uniform(n, 16);
   const auto proto = make_protocol("decay", n - 1);
   // Warm up caches/allocator so neither configuration pays first-run costs.
   wall_ms(g, *proto, nullptr);
 
-  // Minimum over reps (the least noise-contaminated estimate of the true
-  // cost), with the two configurations alternating so that both see the
-  // same host conditions: with metrics nearly free, a burst of host noise
-  // landing on one configuration's block would decide either guard.
+  // Median over reps, with the two configurations alternating so that both
+  // see the same host conditions: with metrics nearly free, a burst of host
+  // noise landing on one configuration's block would decide either guard.
+  // A smoke run takes about a millisecond, so a minimum over a few reps is
+  // one lucky sample; the median of many is steady.
   obs::metrics_registry metrics;
-  double off_ms = 1e300;
-  double on_ms = 1e300;
+  std::vector<double> off_samples;
+  std::vector<double> on_samples;
   for (int r = 0; r < reps; ++r) {
-    off_ms = std::min(off_ms, wall_ms(g, *proto, nullptr));
-    on_ms = std::min(on_ms, wall_ms(g, *proto, &metrics));
+    off_samples.push_back(wall_ms(g, *proto, nullptr));
+    on_samples.push_back(wall_ms(g, *proto, &metrics));
   }
+  const double off_ms = summarize(std::move(off_samples)).median;
+  const double on_ms = summarize(std::move(on_samples)).median;
   const double ratio = off_ms / on_ms;
 
   obs::json_value values = obs::json_value::object();
   values.set("n", n);
   values.set("reps", reps);
-  values.set("metrics_off_min_ms", off_ms);
-  values.set("metrics_on_min_ms", on_ms);
+  values.set("metrics_off_median_ms", off_ms);
+  values.set("metrics_on_median_ms", on_ms);
   values.set("off_over_on", ratio);
   rep.add_analytic_case("metrics_overhead/decay/n=" + std::to_string(n),
                         bench::params("n", n, "protocol", "decay"),
@@ -225,8 +229,8 @@ void check_parallel_speedup(bench::reporter& rep) {
 // Awake-set speedup measurement.
 // --------------------------------------------------------------------------
 
-// Minimum wall-clock and step count of the same seeded run under a given
-// engine (min over reps, as in check_metrics_overhead).
+// Minimum wall-clock over reps and step count of the same seeded run under
+// a given engine.
 struct engine_timing {
   double min_ms = 1e300;
   std::int64_t steps = 0;

@@ -50,12 +50,17 @@ struct decay_soa_traits {
   std::int64_t step_offset = 0;
   std::int64_t phase_start = 0;
 
+  // informed_step: the step of the informing delivery, −1 for the source
+  // (informed before step 0), kUninformed otherwise — so it also says
+  // whether the node is informed. The cutoff is at most kMaxPhaseLen and
+  // fits 32 bits; the state packs into 24 bytes.
+  static constexpr std::int64_t kUninformed =
+      std::numeric_limits<std::int64_t>::max();
   struct state {
-    node_id label = 0;
-    std::int64_t informed_step = -1;
+    std::int64_t informed_step = kUninformed;
     std::int64_t drawn_phase = -1;
-    std::int64_t cutoff = 0;
-    bool informed = false;
+    node_id label = 0;
+    std::int32_t cutoff = 0;
   };
 
   // radiocast-analyze: hot-path-begin -- the per-step hooks, called for
@@ -68,16 +73,13 @@ struct decay_soa_traits {
 
   void init(state* s, node_id label, const protocol_params&) const {
     s->label = label;
-    s->informed = (label == 0);
-    s->informed_step = -1;
-    s->drawn_phase = -1;
-    s->cutoff = 0;
+    reset(s);
   }
 
   std::optional<message> on_step(state* s, const node_context& ctx) const {
-    if (!s->informed) return std::nullopt;
     if (s->informed_step >= phase_start) {
-      return std::nullopt;  // informed mid-phase; joins the next phase
+      // Uninformed, or informed mid-phase and joining the next phase.
+      return std::nullopt;
     }
     if (step_phase != s->drawn_phase) {
       // Draw this phase's geometric cutoff: transmit in steps 0..cutoff−1.
@@ -105,25 +107,44 @@ struct decay_soa_traits {
   }
 
   void on_receive(state* s, const node_context& ctx, const message&) const {
-    if (!s->informed) {
-      s->informed = true;
-      s->informed_step = ctx.step;
-    }
+    if (!informed(*s)) s->informed_step = ctx.step;
   }
 
-  bool informed(const state& s) const { return s.informed; }
+  bool informed(const state& s) const {
+    return s.informed_step != kUninformed;
+  }
   bool halted(const state&) const { return false; }
+
+  // Calendar hint (sim/protocol.h SLEEP CONTRACT), exact: the next step
+  // t = step + 1 if on_step draws or transmits there, else the next phase
+  // start. A node informed inside t's phase waits for the next one; a node
+  // that has not drawn for t's phase draws at t, mid-phase too (after a
+  // retain or amnesia recovery); a drawn node transmits while the offset is
+  // below its cutoff. Reads only phase_len: it is asked at setup and after
+  // recoveries, where the begin_step cache is not t's.
+  std::int64_t next_poll(const state& s, std::int64_t step) const {
+    if (!informed(s)) return kWakeOnReceive;
+    const std::int64_t t = step + 1;
+    const std::int64_t phase = t / phase_len;
+    const std::int64_t start = phase * phase_len;
+    if (s.informed_step >= start) return start + phase_len;
+    if (s.drawn_phase != phase || t - start < s.cutoff) return t;
+    return start + phase_len;
+  }
 
   // Amnesia reboot: back to the initial state (the label is configuration;
   // everything else is volatile).
-  void on_restart(state* s, const node_context&) const {
-    s->informed = (s->label == 0);
-    s->informed_step = -1;
+  void on_restart(state* s, const node_context&) const { reset(s); }
+
+  void reset(state* s) const {
+    s->informed_step = s->label == 0 ? -1 : kUninformed;
     s->drawn_phase = -1;
     s->cutoff = 0;
   }
   // radiocast-analyze: hot-path-end
 };
+
+static_assert(sizeof(decay_soa_traits::state) == 24);
 
 decay_soa_traits decay_traits(node_id r) {
   decay_soa_traits traits;

@@ -147,6 +147,17 @@ struct dfs_known_soa_traits {
   bool informed(const state& s) const { return s.informed; }
   bool halted(const state& s) const { return s.halted; }
 
+  // Calendar hint (sim/protocol.h SLEEP CONTRACT): the source's opening,
+  // else the earlier of a pending announcement and the holder's action,
+  // counting only steps after `step`.
+  std::int64_t next_poll(const state& s, std::int64_t step) const {
+    if (s.label == 0 && step < 0) return 0;
+    std::int64_t wake = kWakeOnReceive;
+    if (s.pending_announce > step) wake = s.pending_announce;
+    if (s.holder && s.act_at > step) wake = std::min(wake, s.act_at);
+    return wake;
+  }
+
   // Amnesia reboot: the rows are configuration (known topology); the
   // visitation record and token state are volatile.
   void on_restart(state* s, const node_context&) const { reset(s); }

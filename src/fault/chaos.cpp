@@ -889,11 +889,11 @@ scenario sample_scenario(std::uint64_t seed, const chaos_options& opts) {
   const node_id nn = g.node_count();
 
   scenario s{std::move(g), gd.str(), std::string{}, -1, 0, false, {}};
-  // The last three draw the token protocols, whose SoA traits carry a
-  // calendar hint (next_poll, sim/soa_engine.h): their soa leg drives the
-  // quiescence calendar through every fault family and sharded steps.
-  // Complete-Layered needs its own topology, so only layered graphs draw
-  // it.
+  // Every protocol here but the two KP variants carries a calendar hint
+  // in its SoA traits (next_poll, sim/soa_engine.h): Decay's soa leg and
+  // the token protocols' drive the quiescence calendar through every fault
+  // family and sharded steps. Complete-Layered needs its own topology, so
+  // only layered graphs draw it.
   static const char* const kProtocols[] = {
       "decay",           "kp",          "kp-doubling",     "round-robin",
       "select-and-send", "interleaved", "complete-layered"};

@@ -64,7 +64,10 @@
 // on_step, on_receive, and recovery. Between two polls, calling on_step
 // must therefore be a no-op exactly like a dormant node's: verify_sleepers
 // checks that on a copy of every awake, not-due node's state, and the
-// differential suite checks that skipping it is unobservable.
+// differential suite checks that skipping it is unobservable. The token
+// protocols, dfs_known and Decay opt in; Decay's hint skips the steps of
+// a phase after the node's drawn cutoff, where it neither draws nor
+// transmits. The KP protocols still poll.
 #pragma once
 
 #include <cstdint>

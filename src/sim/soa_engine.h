@@ -72,19 +72,30 @@
 //
 // QUIESCENCE CALENDAR (traits with next_poll): a token protocol never lets
 // an informed node go dormant, yet almost every awake node is waiting — for
-// a reply slot, a token, a round-robin turn. Polling them costs Θ(|awake|)
-// on_step calls per step. A traits that declares next_poll (the SLEEP
-// CONTRACT in sim/protocol.h) tells the engine when each node next needs a
-// call, and phase 1 walks only the nodes due this step:
+// a reply slot, a token, a round-robin turn; a Decay node transmits only in
+// the first few steps of each phase. Polling them costs Θ(|awake|) on_step
+// calls per step. A traits that declares next_poll (the SLEEP CONTRACT in
+// sim/protocol.h) tells the engine when each node next needs a call, and
+// phase 1 walks only the nodes due this step:
 //
-//   * wake_[v] is the step node v asked for; calendar_ is a binary
-//     min-heap of (step, node) entries. Every change of wake_[v] pushes
-//     one entry, and stale entries are dropped lazily when popped: an
-//     entry counts only while it matches wake_[v] and the node is awake,
-//     so a crash needs no calendar edit.
-//   * The heap pops in (step, node) order, so the due list comes out
-//     sorted ascending — the visit order of the awake-list walk — and goes
-//     through the same contiguous-shard phase-1 path. Transmitters,
+//   * wake_[v] is the step node v asked for. A wake fewer than kWheelSlots
+//     (64) steps ahead of the step that asked sits in bucket `wake mod 64`
+//     of a timing wheel: an intrusive doubly-linked list threaded through
+//     the per-node next_/prev_ arrays, so a node sits in at most one bucket
+//     and a moved wake unlinks in O(1). Bucket b is drained at the next
+//     step ≡ b, which is exactly the wake, since no wheel wake lies 64 or
+//     more steps out. Farther wakes go to a binary min-heap of (step, node)
+//     entries, the overflow; a moved heap wake is dropped lazily when
+//     popped (it counts only while it matches wake_[v], the node is awake,
+//     and no bucket holds the node). 64 is the first power of two above
+//     Decay's longest phase (62 steps), so Decay never touches the heap.
+//   * A crash needs no calendar edit: drained nodes that are not awake
+//     (crashed, or evicted by an amnesia restart) are skipped.
+//   * The due list comes out sorted ascending — the visit order of the
+//     awake-list walk — and goes through the same contiguous-shard phase-1
+//     path. Heap entries pop in (step, node) order; a bucket is unordered,
+//     so a short due list is sorted and a long one is scattered into an
+//     n-bit mask whose words are scanned back out in order. Transmitters,
 //     traces, and rng streams are therefore identical to polling.
 //   * next_poll is asked again after every on_step (serially, after phase
 //     1), every on_receive, and every recovery (retain or amnesia, asked
@@ -126,6 +137,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -219,7 +233,13 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
     }
     if constexpr (kCalendar) {
       if (soa_loop_) {
-        wake_.assign(static_cast<std::size_t>(this->n_), kWakeOnReceive);
+        const auto n = static_cast<std::size_t>(this->n_);
+        wake_.assign(n, kWakeOnReceive);
+        head_.fill(-1);
+        next_.assign(n, -1);
+        prev_.assign(n, kUnlinked);
+        due_.reserve(n);
+        due_words_.assign((n + 63) / 64, 0);
         reschedule(0, -1);  // the source, the only node awake at setup
       }
     }
@@ -268,30 +288,97 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
   // Calendar bookkeeping (traits with next_poll; see the header comment).
   // Asks node v when it next needs an on_step after step `after`, and
   // queues that step unless the entry is already queued or lies past the
-  // step cap.
+  // step cap. A wake once queued stays queued until its step is drained,
+  // and every later answer lies past that step, so an unchanged answer
+  // means "still queued".
   void reschedule(node_id v, std::int64_t after) {
     const std::int64_t w = traits_.next_poll(states_[idx(v)], after);
     RC_CHECK_MSG(w > after, "next_poll must answer a step after its argument");
     if (w == wake_[idx(v)]) return;  // (w, v) is still queued
+    if (prev_[idx(v)] != kUnlinked) unlink(v);
     wake_[idx(v)] = w;
     if (w >= this->opts_.max_steps) return;
-    calendar_.push_back({w, v});
-    std::push_heap(calendar_.begin(), calendar_.end(), cal_later);
+    if (w - after < kWheelSlots) {
+      node_id& head = head_[slot(w)];
+      next_[idx(v)] = head;
+      prev_[idx(v)] = -1;
+      if (head >= 0) prev_[idx(head)] = v;
+      head = v;
+    } else {
+      overflow_.push_back({w, v});
+      std::push_heap(overflow_.begin(), overflow_.end(), cal_later);
+    }
   }
 
-  // Pops this step's entries into due_ — in (step, node) order, so sorted
-  // by node — dropping stale entries (superseded wakes, crashed or
-  // amnesia-evicted nodes) and duplicates (a wake that moved away and back
-  // queues twice).
+  // Takes v out of the bucket of its current wake.
+  void unlink(node_id v) {
+    const node_id p = prev_[idx(v)];
+    const node_id q = next_[idx(v)];
+    if (p >= 0) {
+      next_[idx(p)] = q;
+    } else {
+      head_[slot(wake_[idx(v)])] = q;
+    }
+    if (q >= 0) prev_[idx(q)] = p;
+    prev_[idx(v)] = kUnlinked;
+  }
+
+  static std::size_t slot(std::int64_t step) {
+    return static_cast<std::size_t>(step) % kWheelSlots;
+  }
+
+  // Collects this step's wakes into due_, sorted by node, dropping nodes
+  // that are not awake (crashed, or evicted by an amnesia restart). The
+  // overflow pops first, in (step, node) order, skipping stale entries
+  // (a superseded wake, or a node the wheel holds), and duplicates (a wake
+  // that moved away and back queues twice). Then the bucket drains whole.
   void collect_due(std::int64_t step) {
     due_.clear();
-    while (!calendar_.empty() && calendar_.front().step <= step) {
-      const node_id v = calendar_.front().node;
-      std::pop_heap(calendar_.begin(), calendar_.end(), cal_later);
-      calendar_.pop_back();
-      if (wake_[idx(v)] != step || !this->awake_.test(idx(v))) continue;
+    while (!overflow_.empty() && overflow_.front().step <= step) {
+      const node_id v = overflow_.front().node;
+      std::pop_heap(overflow_.begin(), overflow_.end(), cal_later);
+      overflow_.pop_back();
+      if (wake_[idx(v)] != step || !this->awake_.test(idx(v)) ||
+          prev_[idx(v)] != kUnlinked) {
+        continue;
+      }
       if (!due_.empty() && due_.back() == v) continue;
       due_.push_back(v);
+    }
+    node_id& head = head_[slot(step)];
+    for (node_id v = head; v >= 0; v = next_[idx(v)]) {
+      prev_[idx(v)] = kUnlinked;
+      if (this->awake_.test(idx(v))) due_.push_back(v);
+    }
+    head = -1;
+    sort_due();
+  }
+
+  // Sorts due_ ascending: std::sort while it is short next to the node
+  // count, else one pass scattering it into due_words_ and one scan of the
+  // touched word range, which leaves the mask clear again.
+  void sort_due() {
+    if (due_.size() * 16 < due_words_.size()) {
+      std::sort(due_.begin(), due_.end());
+      return;
+    }
+    std::size_t lo = due_words_.size();
+    std::size_t hi = 0;
+    for (const node_id v : due_) {
+      const std::size_t w = idx(v) / 64;
+      due_words_[w] |= std::uint64_t{1} << (idx(v) % 64);
+      lo = std::min(lo, w);
+      hi = std::max(hi, w);
+    }
+    due_.clear();
+    for (std::size_t w = lo; w <= hi; ++w) {
+      std::uint64_t bits = due_words_[w];
+      due_words_[w] = 0;
+      while (bits != 0) {
+        due_.push_back(static_cast<node_id>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+        bits &= bits - 1;
+      }
     }
   }
 
@@ -560,7 +647,10 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
 
   // Quiescence calendar, used only when kCalendar && soa_loop_ (see the
   // header comment); wake_ holds kWakeOnReceive for a node waiting on a
-  // reception.
+  // reception. The wheel's buckets are lists through next_/prev_ (−1 ends
+  // a list; prev_ is kUnlinked for a node in no bucket).
+  static constexpr std::int64_t kWheelSlots = 64;
+  static constexpr node_id kUnlinked = -2;
   struct cal_entry {
     std::int64_t step;
     node_id node;
@@ -570,8 +660,12 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
     return a.step != b.step ? a.step > b.step : a.node > b.node;
   }
   std::vector<std::int64_t> wake_;
-  std::vector<cal_entry> calendar_;  // binary min-heap
+  std::array<node_id, kWheelSlots> head_{};
+  std::vector<node_id> next_;
+  std::vector<node_id> prev_;
+  std::vector<cal_entry> overflow_;  // binary min-heap, wakes ≥ 64 ahead
   std::vector<node_id> due_;
+  std::vector<std::uint64_t> due_words_;  // sort_due's mask, clear between
 
   // Intra-step pool and shard arenas, built once in the constructor when
   // step_threads_ > 1 (serial runs never pay for them) and reused for the

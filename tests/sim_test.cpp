@@ -4,19 +4,24 @@
 // run-loop bookkeeping.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "core/dfs_known.h"
+#include "core/runner.h"
+#include "fault/fault_model.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/soa_engine.h"
 #include "sim/trace.h"
@@ -311,6 +316,312 @@ TEST(SimTest, CalendarSweepCatchesALateHint) {
   // The sweep runs on_step on a copy of every awake node the calendar
   // skipped, and node 1 transmits at step 1 before its answered wake.
   EXPECT_THROW(run_slotted(/*late=*/true, /*verify=*/true), invariant_error);
+}
+
+// ---------- calendar edge cases ----------
+//
+// The quiescence calendar keeps wakes fewer than 64 steps ahead on a timing
+// wheel and farther ones in an overflow heap (sim/soa_engine.h). The cases
+// below steer wakes across that boundary and through crashes and restarts;
+// each must run bit-identical to the reference engine, which polls every
+// node, with verify_sleepers on.
+
+// Node `label` transmits at the steps of its script, each delayed by
+// `shift` while it has heard the source an odd number of times; the hint
+// answers the next such step exactly. The gaps between a script's steps
+// set the wake distances, and every message from the source moves a queued
+// wake away or back.
+struct hopping_soa_traits {
+  const script_map* scripts = nullptr;
+  std::int64_t shift = 0;
+
+  struct state {
+    node_id label = 0;
+    std::int32_t heard = 0;
+    bool informed = false;
+  };
+
+  void init(state* s, node_id label, const protocol_params&) const {
+    s->label = label;
+    on_restart(s, node_context{});
+  }
+  std::optional<message> on_step(state* s, const node_context& ctx) const {
+    if (!s->informed) return std::nullopt;
+    const auto it = scripts->find(s->label);
+    if (it == scripts->end()) return std::nullopt;
+    for (const std::int64_t t : it->second) {
+      if (t + delay(*s) == ctx.step) {
+        return message{1, s->label, ctx.step, 0, 0, 0};
+      }
+    }
+    return std::nullopt;
+  }
+  void on_receive(state* s, const node_context&, const message& m) const {
+    s->informed = true;
+    if (m.from == 0) ++s->heard;
+  }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
+  void on_restart(state* s, const node_context&) const {
+    s->informed = s->label == 0;
+    s->heard = 0;
+  }
+  std::int64_t next_poll(const state& s, std::int64_t step) const {
+    if (!s.informed) return kWakeOnReceive;
+    const auto it = scripts->find(s.label);
+    if (it == scripts->end()) return kWakeOnReceive;
+    for (const std::int64_t t : it->second) {  // scripts ascend
+      if (t + delay(s) > step) return t + delay(s);
+    }
+    return kWakeOnReceive;
+  }
+
+  std::int64_t delay(const state& s) const {
+    return s.heard % 2 == 1 ? shift : 0;
+  }
+};
+
+class hopping_protocol final : public protocol {
+ public:
+  hopping_protocol(script_map scripts, std::int64_t shift)
+      : scripts_(std::move(scripts)) {
+    traits_.scripts = &scripts_;
+    traits_.shift = shift;
+  }
+
+  std::string name() const override { return "hopping"; }
+  bool deterministic() const override { return true; }
+  std::unique_ptr<protocol_node> make_node(
+      node_id label, const protocol_params& params) const override {
+    return make_traits_node(traits_, label, params);
+  }
+  soa_entry soa_runner() const override { return &run; }
+
+ private:
+  static run_result run(const graph& g, const protocol& proto, node_id r,
+                        const run_options& opts) {
+    return run_broadcast_soa(
+        g, static_cast<const hopping_protocol&>(proto).traits_, r, opts);
+  }
+
+  script_map scripts_;
+  hopping_soa_traits traits_;
+};
+
+// Crashes and recoveries at fixed steps.
+class scripted_faults final : public fault::fault_model {
+ public:
+  enum class kind { crash, retain, amnesia };
+  struct event {
+    std::int64_t step;
+    node_id node;
+    kind what;
+  };
+
+  explicit scripted_faults(std::vector<event> events)
+      : events_(std::move(events)) {}
+
+  std::string name() const override { return "scripted"; }
+  void begin_run(const fault::run_view&) override {}
+  void begin_step(const fault::step_view& view,
+                  fault::step_faults* out) override {
+    for (const event& e : events_) {
+      if (e.step != view.step) continue;
+      if (e.what == kind::crash) {
+        out->crashes.push_back(e.node);
+      } else {
+        out->recoveries.push_back({e.node, e.what == kind::amnesia});
+      }
+    }
+  }
+
+ private:
+  std::vector<event> events_;
+};
+
+struct observed_run {
+  run_result result;
+  std::vector<trace_event> events;
+  std::string trace;  // the events as NDJSON
+  std::string metrics;
+};
+
+observed_run observe_run(const graph& g, const protocol& proto,
+                         run_options opts) {
+  trace tr;
+  obs::metrics_registry metrics;
+  opts.sink = &tr;
+  opts.metrics = &metrics;
+  observed_run out;
+  out.result = run_broadcast(g, proto, opts);
+  out.events = tr.events();
+  std::ostringstream os;
+  tr.to_ndjson(os);
+  out.trace = os.str();
+  out.metrics = metrics.to_json().dump();
+  return out;
+}
+
+// Runs `opts` on the reference engine and on the soa calendar, serially and
+// sharded at step_threads 4 with grain 1, and expects every soa run to be
+// bit-identical to the reference. Returns the reference run.
+observed_run expect_calendar_matches_reference(const graph& g,
+                                               const protocol& proto,
+                                               run_options opts) {
+  opts.engine = step_engine::reference;
+  const observed_run ref = observe_run(g, proto, opts);
+  opts.engine = step_engine::soa;
+  opts.verify_sleepers = true;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("step_threads " + std::to_string(threads));
+    opts.step_threads = threads;
+    opts.step_shard_grain = threads > 1 ? 1 : 0;
+    const observed_run soa = observe_run(g, proto, opts);
+    EXPECT_EQ(soa.result.steps, ref.result.steps);
+    EXPECT_EQ(soa.result.informed_at, ref.result.informed_at);
+    EXPECT_EQ(soa.result.transmissions_per_node,
+              ref.result.transmissions_per_node);
+    EXPECT_EQ(soa.result.deliveries, ref.result.deliveries);
+    EXPECT_EQ(soa.result.collisions, ref.result.collisions);
+    EXPECT_EQ(soa.result.recoveries, ref.result.recoveries);
+    EXPECT_EQ(soa.trace, ref.trace);
+    EXPECT_EQ(soa.metrics, ref.metrics);
+  }
+  return ref;
+}
+
+bool transmitted(const observed_run& run, node_id node, std::int64_t step) {
+  return std::any_of(run.events.begin(), run.events.end(),
+                     [&](const trace_event& e) {
+                       return e.what == trace_event::type::transmit &&
+                              e.node == node && e.step == step;
+                     });
+}
+
+// Star 0–{1, 2, 3}. The center informs the leaves in steps 0–2, then
+// transmits 198, 1, 63, 64, 65 and 1000 steps apart: its wakes land far
+// past the wheel, one step ahead, at the wheel's last slot, just past it
+// and far past it again. Each of its steps 0–2 moves a leaf's queued wake
+// by `shift` and back.
+const script_map kHopScripts = {
+    {0, {0, 1, 2, 200, 201, 264, 328, 393, 1393}},
+    {1, {10, 150}},
+    {2, {40, 41, 104, 168, 300}},
+    {3, {63, 64, 128}}};
+
+// The hop tests run on two stars. With 3 leaves every due list takes
+// sort_due's mask path; with 2051 (leaves past 3 have no script and only
+// listen) the short ones are sorted.
+constexpr node_id kHopStars[] = {4, 2052};
+
+TEST(SimTest, CalendarWakesAcrossTheWheelMatchPolling) {
+  // Leaf 1's wake moves 10 + shift → 10 → 10 + shift in steps 0–2. Shift
+  // 5 keeps it inside the wheel; shift 55 starts it in the overflow heap
+  // and brings it back on the wheel, so a heap entry and a bucket both
+  // hold it for step 65; shift 70 queues it in the heap twice.
+  for (const node_id n : kHopStars) {
+    const graph g = make_star(n);
+    for (const std::int64_t shift : {5, 55, 70}) {
+      SCOPED_TRACE("star " + std::to_string(n) + ", shift " +
+                   std::to_string(shift));
+      const hopping_protocol proto(kHopScripts, shift);
+      const observed_run ref =
+          expect_calendar_matches_reference(g, proto, capped_full(1500));
+      for (const std::int64_t t : kHopScripts.at(0)) {
+        EXPECT_TRUE(transmitted(ref, 0, t)) << t;
+      }
+      // Three receptions: the leaf's wake ends up shifted.
+      EXPECT_TRUE(transmitted(ref, 1, 10 + shift));
+      EXPECT_FALSE(transmitted(ref, 1, 10));
+    }
+  }
+}
+
+TEST(SimTest, CalendarCrashWhileQueuedMatchesPolling) {
+  const hopping_protocol proto(kHopScripts, 5);
+  using k = scripted_faults::kind;
+  // Leaf 1 waits for step 15 (10 + 5): it crashes at step 5 and, retaining
+  // its state, recovers before that step (12) or after it (20). Leaf 3
+  // crashes while queued in the heap for step 68 and recovers at 66.
+  for (const node_id n : kHopStars) {
+    const graph g = make_star(n);
+    for (const std::int64_t back : {12, 20}) {
+      SCOPED_TRACE("star " + std::to_string(n) + ", recovery at " +
+                   std::to_string(back));
+      scripted_faults faults({{5, 1, k::crash},
+                              {back, 1, k::retain},
+                              {30, 3, k::crash},
+                              {66, 3, k::retain}});
+      run_options opts = capped_full(400);
+      opts.faults = &faults;
+      const observed_run ref =
+          expect_calendar_matches_reference(g, proto, opts);
+      EXPECT_EQ(transmitted(ref, 1, 15), back < 15);
+      EXPECT_TRUE(transmitted(ref, 3, 68));
+    }
+  }
+}
+
+TEST(SimTest, CalendarAmnesiaRecoveryMatchesPolling) {
+  const hopping_protocol proto(kHopScripts, 5);
+  using k = scripted_faults::kind;
+  // Leaf 1 restarts uninformed while its step-15 wake is still queued, and
+  // must not act until the center's step-200 transmission re-informs it.
+  // The center restarts too, with its step-200 wake queued in the heap.
+  scripted_faults faults({{5, 1, k::crash},
+                          {12, 1, k::amnesia},
+                          {100, 0, k::crash},
+                          {101, 0, k::amnesia}});
+  for (const node_id n : kHopStars) {
+    SCOPED_TRACE("star " + std::to_string(n));
+    run_options opts = capped_full(400);
+    opts.faults = &faults;
+    const observed_run ref =
+        expect_calendar_matches_reference(make_star(n), proto, opts);
+    EXPECT_FALSE(transmitted(ref, 1, 15));
+    EXPECT_EQ(ref.result.informed_at[1], 200);
+    EXPECT_TRUE(transmitted(ref, 0, 200));
+  }
+}
+
+TEST(SimTest, CalendarWakesAtTheStepCapMatchPolling) {
+  constexpr std::int64_t kCap = 200;
+  // The center wakes at the last step and at the cap itself, which never
+  // runs; leaf 2 (shifted by 5 after three receptions) wakes at the cap.
+  const hopping_protocol proto(
+      {{0, {0, 1, 2, kCap - 1, kCap}}, {2, {kCap - 5}}}, 5);
+  for (const node_id n : kHopStars) {
+    SCOPED_TRACE("star " + std::to_string(n));
+    const observed_run ref =
+        expect_calendar_matches_reference(make_star(n), proto,
+                                          capped_full(kCap));
+    EXPECT_EQ(ref.result.steps, kCap);
+    EXPECT_TRUE(transmitted(ref, 0, kCap - 1));
+    EXPECT_EQ(ref.result.transmissions_per_node[2], 0);
+  }
+}
+
+TEST(SimTest, DecayRetainRecoveryDrawsMidPhase) {
+  // Path 0–…–7, r = 7: Decay phases last 2⌈log 8⌉ = 6 steps. Node 1 is
+  // informed at step 0 and sits out phase 0; it crashes at step 4 and
+  // recovers with its state at step 8, offset 2 of phase 1, for which it
+  // has not drawn. The reference engine polls it at step 8, so it draws
+  // there; had the calendar held it asleep, the sleeper sweep would see the
+  // draw and throw, and the streams would diverge from the reference.
+  const graph g = make_path(8);
+  const auto proto = make_protocol("decay", 7);
+  using k = scripted_faults::kind;
+  scripted_faults faults({{4, 1, k::crash}, {8, 1, k::retain}});
+  for (const std::uint64_t seed : {1U, 2U, 3U}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_options opts = capped_full(60);
+    opts.seed = seed;
+    opts.faults = &faults;
+    const observed_run ref =
+        expect_calendar_matches_reference(g, *proto, opts);
+    EXPECT_EQ(ref.result.informed_at[1], 0);
+    EXPECT_EQ(ref.result.recoveries, 1);
+  }
 }
 
 // A traits whose on_receive reads its begin_step hoist: the adapter that
