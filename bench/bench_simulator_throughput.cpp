@@ -264,6 +264,30 @@ engine_timing time_engine(const graph& g, const protocol& proto, int reps,
   return out;
 }
 
+// Phase-2 work of a run: Σ_v transmissions_per_node[v] × out_degree(v),
+// the (transmitter, listener) pairs the reception scan visits.
+std::int64_t edge_visits(const graph& g, const run_result& r) {
+  std::int64_t visits = 0;
+  for (node_id v = 0; v < g.node_count(); ++v) {
+    visits += r.transmissions_per_node[static_cast<std::size_t>(v)] *
+              g.out_degree(v);
+  }
+  return visits;
+}
+
+// Records `<prefix>edge_visits` and `<prefix>ns_per_edge_visit` — the
+// run's wall-clock (setup included) over its edge visits — and returns the
+// latter.
+double set_edge_cost(obs::json_value& values, const std::string& prefix,
+                     const graph& g, const run_result& r, double ms) {
+  const std::int64_t visits = edge_visits(g, r);
+  const double ns =
+      visits > 0 ? ms * 1e6 / static_cast<double>(visits) : 0.0;
+  values.set(prefix + "edge_visits", visits);
+  values.set(prefix + "ns_per_edge_visit", ns);
+  return ns;
+}
+
 // Times the reference engine (phase 1 over all n nodes) against the soa
 // engine's awake-list walk (phase 1 over the awake set) on a topology
 // built to keep the awake set small for most of the run: a thin chain of
@@ -385,6 +409,7 @@ void check_mega_scale(bench::reporter& rep) {
   values.set("steps_per_sec_frontier", steps_per_sec_poll);
   values.set("steps_per_sec_soa", steps_per_sec_soa);
   values.set("soa_speedup", soa_speedup);
+  set_edge_cost(values, "", g, soa.result, soa.min_ms);
 
   // Million-node completion runs (soa traits only: the virtual and
   // reference legs take minutes at this size). Smoke shrinks n so CI stays in seconds.
@@ -407,6 +432,7 @@ void check_mega_scale(bench::reporter& rep) {
     values.set("mega_n", mega);
     values.set("mega_layered_wall_ms", ms);
     values.set("mega_layered_steps", r.steps);
+    set_edge_cost(values, "mega_layered_", mg, r, ms);
     mega_wall += ms;
     std::cout << "mega scale: layered n=" << mega << " completed in "
               << r.steps << " steps, " << ms << "ms (soa)\n";
@@ -428,6 +454,7 @@ void check_mega_scale(bench::reporter& rep) {
     RC_CHECK_MSG(r.completed, "mega-scale G(n,p) broadcast did not complete");
     values.set("mega_gnp_wall_ms", ms);
     values.set("mega_gnp_steps", r.steps);
+    set_edge_cost(values, "mega_gnp_", mg, r, ms);
     mega_wall += ms;
     std::cout << "mega scale: sparse gnp n=" << mega << " completed in "
               << r.steps << " steps, " << ms << "ms (soa)\n";
@@ -451,6 +478,43 @@ void check_mega_scale(bench::reporter& rep) {
                "soa traits not faster than the virtual_view walk on a "
                "dense-awake layered network: the SoA step loop has "
                "regressed");
+}
+
+// Decay on a sparse G(n, p) at n = 2^18, p = 8/n, on the serial soa
+// engine: the shape of perfbench's bcast_mega, one broadcast at a time.
+// Few transmitters per step, each reaching listeners scattered over the
+// whole node range, so phase 2 (the reception scan) and the commit are
+// most of the step; `ns_per_edge_visit` is the number to watch.
+void check_gnp_scale(bench::reporter& rep) {
+  const node_id n = bench::smoke() ? (1 << 14) : (1 << 18);
+  const int reps = bench::smoke() ? 3 : 5;
+  const double p = 8.0 / n;
+  rng gen(11);
+  const graph g = make_gnp_sparse_connected(n, p, gen);
+  const auto proto = make_protocol("decay", n - 1);
+
+  time_engine(g, *proto, 1, step_engine::soa);  // warm-up
+  const engine_timing soa = time_engine(g, *proto, reps, step_engine::soa);
+  const double steps_per_sec_soa =
+      static_cast<double>(soa.steps) / (soa.min_ms / 1000.0);
+
+  obs::json_value values = obs::json_value::object();
+  values.set("n", n);
+  values.set("p", p);
+  values.set("reps", reps);
+  values.set("steps", soa.steps);
+  values.set("transmissions", soa.result.transmissions);
+  values.set("soa_min_ms", soa.min_ms);
+  values.set("steps_per_sec_soa", steps_per_sec_soa);
+  const double ns_per_edge_visit =
+      set_edge_cost(values, "", g, soa.result, soa.min_ms);
+  rep.add_analytic_case("gnp_scale/decay/gnp_sparse/n=" + std::to_string(n),
+                        bench::params("n", n, "protocol", "decay"),
+                        std::move(values), soa.min_ms);
+
+  std::cout << "gnp scale: decay n=" << n << " soa=" << soa.min_ms
+            << "ms over " << soa.steps << " steps (" << steps_per_sec_soa
+            << " steps/s, " << ns_per_edge_visit << " ns/edge visit)\n";
 }
 
 // --------------------------------------------------------------------------
@@ -577,6 +641,7 @@ void check_deterministic_scale(bench::reporter& rep) {
     values.set(tag + "_soa_threads4_min_ms", soa4.min_ms);
     values.set(tag + "_soa_speedup", speedup);
     values.set(tag + "_soa_threads4_speedup", speedup4);
+    set_edge_cost(values, tag + "_", g, soa.result, soa.min_ms);
     wall += poll.min_ms + soa.min_ms + soa4.min_ms;
 
     std::cout << "deterministic scale: " << kProtos[p] << " polling="
@@ -643,6 +708,7 @@ void check_full_deterministic(bench::reporter& rep) {
   values.set("transmissions", soa.transmissions);
   values.set("soa_min_ms", ms);
   values.set("steps_per_sec_soa", steps_per_sec);
+  set_edge_cost(values, "", g, soa, ms);
   rep.add_analytic_case(
       "full_deterministic/select-and-send/layered_uniform/n=" +
           std::to_string(n) + "/d=" + std::to_string(d),
@@ -673,6 +739,7 @@ int main(int argc, char** argv) {
   radiocast::check_parallel_speedup(rep);
   radiocast::check_frontier_speedup(rep);
   radiocast::check_mega_scale(rep);
+  radiocast::check_gnp_scale(rep);
   radiocast::check_deterministic_scale(rep);
   radiocast::check_full_deterministic(rep);
   return 0;

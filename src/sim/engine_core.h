@@ -24,7 +24,9 @@
 #include <algorithm>
 #include <bit>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_model.h"
@@ -39,6 +41,32 @@
 #include "util/rng.h"
 
 namespace radiocast::detail {
+
+// One listener's reception record for the step being resolved: how many
+// transmitters it heard, and the last of them in transmitter order. Every
+// record is all zero between steps — commit_receptions resets each record
+// it resolves — so arrivals == 0 doubles as "not yet touched this step".
+// Kept at 8 bytes: an edge visit is one load and one store to it.
+struct reception {
+  int arrivals = 0;  // −1 once the commit finds the listener transmitting
+  node_id last_sender = 0;
+};
+static_assert(sizeof(reception) == 8);
+
+// Adds `k` arrivals from transmitter t to listener v. A first touch appends
+// v to `out` without a branch: the slot out[nt] is written every time and
+// kept only when v's record was empty, so `out` needs one slot past the
+// node count. Returns the new cursor, which callers keep in a local: a
+// member cursor is stored back after every visit in loops whose mask tests
+// can throw. The reference loop, the serial and sharded phase 2, and the
+// shard merge (k = a shard's count) all bump through here.
+inline std::size_t add_arrivals(reception* rx, node_id* out, std::size_t nt,
+                                node_id v, node_id t, int k) {
+  const reception old = rx[static_cast<std::size_t>(v)];
+  out[nt] = v;
+  rx[static_cast<std::size_t>(v)] = {old.arrivals + k, t};
+  return nt + static_cast<std::size_t>(old.arrivals == 0);
+}
 
 template <class Derived>
 class run_base {
@@ -139,11 +167,10 @@ class run_base {
     result_.transmissions_per_node.assign(static_cast<std::size_t>(n_), 0);
     result_.informed_at[0] = 0;
 
-    // Reception scratch: per listener, a step-stamped counter and the last
-    // transmitter seen.
-    stamp_.assign(static_cast<std::size_t>(n_), -1);
-    arrivals_.assign(static_cast<std::size_t>(n_), 0);
-    last_sender_.assign(static_cast<std::size_t>(n_), -1);
+    // Reception scratch: one zeroed record per listener, and the touched
+    // list with add_arrivals' slack slot.
+    rx_.assign(static_cast<std::size_t>(n_), reception{});
+    touched_.assign(static_cast<std::size_t>(n_) + 1, 0);
     tx_msg_.resize(static_cast<std::size_t>(n_));
     tx_stamp_.assign(static_cast<std::size_t>(n_), -1);
 
@@ -395,17 +422,6 @@ class run_base {
                      std::to_string(step) + ")");
   }
 
-  void bump_arrival(node_id v, node_id t, std::int64_t step) {
-    auto& s = stamp_[idx(v)];
-    if (s != step) {
-      s = step;
-      arrivals_[idx(v)] = 0;
-      touched_.push_back(v);
-    }
-    ++arrivals_[idx(v)];
-    last_sender_[idx(v)] = t;
-  }
-
   void deliver(node_id v, node_id sender, std::int64_t step) {
     const message* delivered = &tx_msg_[idx(sender)];
     const bool was_informed = derived().proto_informed(v);
@@ -440,28 +456,29 @@ class run_base {
   }
 
   // Resolve the listeners touched this step: collisions, then deliveries
-  // (deferred through the fault filter when a model is installed).
+  // (deferred through the fault filter when a model is installed). Each
+  // record is reset as it is resolved, which restores the all-zero state
+  // the next step's phase 2 relies on.
   void commit_receptions(std::int64_t step) {
     for (const node_id t : transmitters_) {
-      if (stamp_[idx(t)] == step) {
-        arrivals_[idx(t)] = -1;  // busy transmitting; cannot receive
-      }
+      reception& r = rx_[idx(t)];
+      if (r.arrivals != 0) r.arrivals = -1;  // transmitting; cannot receive
     }
+    const std::span<const node_id> touched(touched_.data(), touched_count_);
     if (faults_ == nullptr) {
-      for (node_id v : touched_) {
-        const int count = arrivals_[idx(v)];
-        if (count == -1) continue;  // v transmitted this step
-        if (count >= 2) {
+      for (const node_id v : touched) {
+        const reception r = std::exchange(rx_[idx(v)], reception{});
+        if (r.arrivals == -1) continue;  // v transmitted this step
+        if (r.arrivals >= 2) {
           ++result_.collisions;
           if (opts_.sink != nullptr) {
             opts_.sink->record({step, trace_event::type::collision, v, {}});
           }
           continue;
         }
-        RC_CHECK(count == 1);
-        const node_id sender = last_sender_[idx(v)];
-        RC_CHECK(tx_stamp_[idx(sender)] == step);
-        deliver(v, sender, step);
+        RC_CHECK(r.arrivals == 1);
+        RC_CHECK(tx_stamp_[idx(r.last_sender)] == step);
+        deliver(v, r.last_sender, step);
       }
       return;
     }
@@ -471,21 +488,21 @@ class run_base {
     // still interleave collision/receive/drop in touched order — a
     // zero-intensity model's trace is byte-identical to the fault-free
     // path's (the chaos harness holds us to that).
-    for (node_id v : touched_) {
-      const int count = arrivals_[idx(v)];
-      if (count == -1 || count >= 2) continue;
-      RC_CHECK(count == 1);
-      const node_id sender = last_sender_[idx(v)];
-      RC_CHECK(tx_stamp_[idx(sender)] == step);
-      pending_.push_back({v, sender, derived().proto_informed(v), false});
+    for (const node_id v : touched) {
+      const reception& r = rx_[idx(v)];
+      if (r.arrivals == -1 || r.arrivals >= 2) continue;
+      RC_CHECK(r.arrivals == 1);
+      RC_CHECK(tx_stamp_[idx(r.last_sender)] == step);
+      pending_.push_back(
+          {v, r.last_sender, derived().proto_informed(v), false});
     }
     if (!pending_.empty()) {
       const fault::step_view view{step, &g_, &result_.informed_at, &crashed_};
       faults_->filter_deliveries(view, &pending_);
     }
     std::size_t next = 0;  // pending_ preserves touched order
-    for (node_id v : touched_) {
-      const int count = arrivals_[idx(v)];
+    for (const node_id v : touched) {
+      const int count = std::exchange(rx_[idx(v)], reception{}).arrivals;
       if (count == -1) continue;
       if (count >= 2) {
         ++result_.collisions;
@@ -636,36 +653,45 @@ class run_base {
     }
   }
 
-  // Phase 2 of the soa loop's serial steps, with hoisted fault branches:
-  // the loop body is selected once per step, and the per-slot down-edge
-  // mask is consulted only while an edge is actually down.
-  void phase_two_hoisted(std::int64_t step) {
+  // Phase 2 of the soa loop over transmitters_[lo, hi), with hoisted fault
+  // branches: the loop body is selected once per call, and the per-slot
+  // down-edge mask is consulted only while an edge is actually down.
+  // Bumps records in `rx` and appends first touches to `out` from slot 0;
+  // returns the touched count. The serial step passes the run's own
+  // scratch and the whole list; a phase-2 shard passes its own.
+  std::size_t phase_two_hoisted(std::size_t lo, std::size_t hi,
+                                reception* rx, node_id* out) const {
+    std::size_t nt = 0;
     if (faults_ == nullptr) {
-      for (const node_id t : transmitters_) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const node_id t = transmitters_[i];
         for (const node_id v : g_.out_neighbors(t)) {
-          bump_arrival(v, t, step);
+          nt = add_arrivals(rx, out, nt, v, t, 1);
         }
       }
     } else if (down_count_ == 0) {
-      for (const node_id t : transmitters_) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const node_id t = transmitters_[i];
         for (const node_id v : g_.out_neighbors(t)) {
           if (crashed_.test(idx(v))) continue;  // injection site 3
-          bump_arrival(v, t, step);
+          nt = add_arrivals(rx, out, nt, v, t, 1);
         }
       }
     } else {
-      for (const node_id t : transmitters_) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const node_id t = transmitters_[i];
         const auto row = g_.out_neighbors(t);
         const std::size_t base = g_.out_edge_base(t);
-        for (std::size_t i = 0; i < row.size(); ++i) {
-          const node_id v = row[i];
-          if (crashed_.test(idx(v)) || down_mask_.test(base + i)) {
+        for (std::size_t j = 0; j < row.size(); ++j) {
+          const node_id v = row[j];
+          if (crashed_.test(idx(v)) || down_mask_.test(base + j)) {
             continue;  // no signal: neither a delivery nor a collision
           }
-          bump_arrival(v, t, step);
+          nt = add_arrivals(rx, out, nt, v, t, 1);
         }
       }
     }
+    return nt;
   }
 
   // The reference engine — the model as written, kept as the oracle the
@@ -691,7 +717,9 @@ class run_base {
       result_.transmissions += static_cast<std::int64_t>(transmitters_.size());
 
       // Phase 2: resolve receptions — touch only transmitters' neighbors.
-      touched_.clear();
+      reception* const rx = rx_.data();
+      node_id* const out = touched_.data();
+      std::size_t nt = 0;
       for (const node_id t : transmitters_) {
         const auto row = g_.out_neighbors(t);
         const std::size_t base = faults_ != nullptr ? g_.out_edge_base(t) : 0;
@@ -702,9 +730,10 @@ class run_base {
                (down_count_ != 0 && down_mask_.test(base + i)))) {
             continue;  // no signal: neither a delivery nor a collision
           }
-          bump_arrival(v, t, step);
+          nt = add_arrivals(rx, out, nt, v, t, 1);
         }
       }
+      touched_count_ = nt;
 
       commit_receptions(step);
       if (opts_.metrics != nullptr) {
@@ -745,11 +774,12 @@ class run_base {
   std::vector<node_id> awake_list_;
   std::vector<node_id> newly_awake_;
 
-  // Reception scratch.
-  std::vector<std::int64_t> stamp_;
-  std::vector<int> arrivals_;
-  std::vector<node_id> last_sender_;
+  // Reception scratch: rx_ is all zero between steps; touched_[0,
+  // touched_count_) lists this step's listeners in first-touch order, in
+  // n + 1 slots sized at setup.
+  std::vector<reception> rx_;
   std::vector<node_id> touched_;
+  std::size_t touched_count_ = 0;
   std::vector<node_id> transmitters_;
   std::vector<message> tx_msg_;
   std::vector<std::int64_t> tx_stamp_;

@@ -42,20 +42,25 @@
 //   come out byte-identical.
 //
 //   Phase 2 cuts the transmitter list (already in serial order, by phase
-//   1) into contiguous shards balanced by out-degree sum. Each worker
-//   scans its transmitters' neighborhoods into SHARD-PRIVATE scratch
-//   (stamp/arrivals/last_sender/touched). The merge walks shards in order:
-//   a listener first touched in shard s joins the global touched list
-//   while merging shard s. Serial first-touch order sorts listeners by the
-//   index of the first transmitter that reaches them; every listener first
-//   touched in shard s has that index inside shard s's contiguous range,
-//   so shard-order concatenation of per-shard first-touch orders equals
-//   the serial order. Arrival counts add across shards (same sum as
-//   serial), and last_sender resolves by shard-order overwrite — the last
-//   shard touching v holds the globally last transmitter index, exactly
-//   serial's last-write. (run_options::debug_unordered_merge reverses the
-//   merge to prove the chaos engine-bit-identity invariant catches a
-//   broken reduction.)
+//   1) into contiguous shards balanced by out-degree sum. Each worker runs
+//   the serial scan (run_base::phase_two_hoisted) over its range into
+//   SHARD-PRIVATE scratch of the same shape as the run's: one 8-byte
+//   reception record per node, all zero outside phase 2, and a first-touch
+//   list. The merge walks shards in order and feeds each touched entry
+//   through the same add_arrivals bump, with the shard's count as the
+//   increment: a listener first touched in shard s joins the global
+//   touched list while merging shard s. Serial first-touch order sorts
+//   listeners by the index of the first transmitter that reaches them;
+//   every listener first touched in shard s has that index inside shard
+//   s's contiguous range, so shard-order concatenation of per-shard
+//   first-touch orders equals the serial order. Arrival counts add across
+//   shards (same sum as serial), and last_sender resolves by shard-order
+//   overwrite — the last shard touching v holds the globally last
+//   transmitter index, exactly serial's last-write. The merge clears each
+//   shard record it consumes, so the shard scratch is all zero again for
+//   the next step. (run_options::debug_unordered_merge reverses the merge
+//   to prove the chaos engine-bit-identity invariant catches a broken
+//   reduction.)
 //
 //   Everything downstream of the merge — commit_receptions, the fault
 //   delivery filter, traces, metrics, the awake-list fold — is the shared
@@ -224,10 +229,8 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       p1_counts_.assign(static_cast<std::size_t>(step_threads_), 0);
       p2_scratch_.resize(static_cast<std::size_t>(step_threads_));
       for (shard_scratch& sc : p2_scratch_) {
-        sc.stamp.assign(n, -1);
-        sc.arrivals.assign(n, 0);
-        sc.last_sender.assign(n, -1);
-        sc.touched.reserve(n);
+        sc.rx.assign(n, detail::reception{});
+        sc.touched.assign(n + 1, 0);
       }
       p2_bounds_.reserve(static_cast<std::size_t>(step_threads_) + 1);
     }
@@ -477,7 +480,7 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
   // Phase 2: reception scan over transmitters' neighborhoods — sharded by
   // out-degree sum when there is enough work. See the header comment for
   // the ordered-merge bit-identity argument.
-  void phase_two(std::int64_t step) {
+  void phase_two() {
     std::int64_t work = 0;
     int shards = 1;
     if (step_threads_ > 1 && !this->transmitters_.empty()) {
@@ -490,7 +493,9 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       }
     }
     if (shards < 2) {
-      this->phase_two_hoisted(step);
+      this->touched_count_ =
+          this->phase_two_hoisted(0, this->transmitters_.size(),
+                                  this->rx_.data(), this->touched_.data());
       return;
     }
 
@@ -513,73 +518,50 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
     p2_bounds_.push_back(this->transmitters_.size());
     const auto used = static_cast<int>(p2_bounds_.size()) - 1;
 
-    // Select the fault branch once per step, like phase_two_hoisted.
-    const int mode = this->faults_ == nullptr
-                         ? 0
-                         : (this->down_count_ == 0 ? 1 : 2);
     exec::run_shards(*pool_, used, [&](int s) {
       // used ≤ shards ≤ step_threads_, so the constructor-built scratch
       // set always covers s; nothing here allocates.
       auto& sc = p2_scratch_[static_cast<std::size_t>(s)];
-      sc.touched.clear();
-      const auto bump = [&sc, step](node_id v, node_id t) {
-        auto& st = sc.stamp[idx(v)];
-        if (st != step) {
-          st = step;
-          sc.arrivals[idx(v)] = 0;
-          sc.touched.push_back(v);
-        }
-        ++sc.arrivals[idx(v)];
-        sc.last_sender[idx(v)] = t;
-      };
-      const std::size_t lo = p2_bounds_[static_cast<std::size_t>(s)];
-      const std::size_t hi = p2_bounds_[static_cast<std::size_t>(s) + 1];
-      if (mode == 0) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const node_id t = this->transmitters_[i];
-          for (const node_id v : this->g_.out_neighbors(t)) bump(v, t);
-        }
-      } else if (mode == 1) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const node_id t = this->transmitters_[i];
-          for (const node_id v : this->g_.out_neighbors(t)) {
-            if (this->crashed_.test(idx(v))) continue;  // injection site 3
-            bump(v, t);
-          }
-        }
-      } else {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const node_id t = this->transmitters_[i];
-          const auto row = this->g_.out_neighbors(t);
-          const std::size_t slot0 = this->g_.out_edge_base(t);
-          for (std::size_t j = 0; j < row.size(); ++j) {
-            const node_id v = row[j];
-            if (this->crashed_.test(idx(v)) ||
-                this->down_mask_.test(slot0 + j)) {
-              continue;  // no signal: neither a delivery nor a collision
-            }
-            bump(v, t);
-          }
-        }
-      }
+      sc.count = this->phase_two_hoisted(
+          p2_bounds_[static_cast<std::size_t>(s)],
+          p2_bounds_[static_cast<std::size_t>(s) + 1], sc.rx.data(),
+          sc.touched.data());
     });
 
-    // Ordered merge into the global reception scratch (see header comment;
+    // Ordered merge into the run's reception records (see header comment;
     // debug_unordered_merge deliberately reverses the order so the chaos
-    // harness can prove the bit-identity invariant bites).
+    // harness can prove the bit-identity invariant bites). Each shard
+    // record is cleared as it is consumed.
+    detail::reception* const rx = this->rx_.data();
+    node_id* const out = this->touched_.data();
+    std::size_t nt = 0;
     for (int k = 0; k < used; ++k) {
       const int s = this->opts_.debug_unordered_merge ? used - 1 - k : k;
-      const auto& sc = p2_scratch_[static_cast<std::size_t>(s)];
-      for (const node_id v : sc.touched) {
-        auto& st = this->stamp_[idx(v)];
-        if (st != step) {
-          st = step;
-          this->arrivals_[idx(v)] = 0;
-          this->touched_.push_back(v);
-        }
-        this->arrivals_[idx(v)] += sc.arrivals[idx(v)];
-        this->last_sender_[idx(v)] = sc.last_sender[idx(v)];
+      auto& sc = p2_scratch_[static_cast<std::size_t>(s)];
+      for (std::size_t i = 0; i < sc.count; ++i) {
+        const node_id v = sc.touched[i];
+        const detail::reception part =
+            std::exchange(sc.rx[idx(v)], detail::reception{});
+        nt = detail::add_arrivals(rx, out, nt, v, part.last_sender,
+                                  part.arrivals);
       }
+    }
+    this->touched_count_ = nt;
+  }
+
+  // verify_sleepers: every reception record, the run's and each shard's,
+  // is back to zero once the step's receptions are committed.
+  void check_receptions_cleared() const {
+    const auto cleared = [](const std::vector<detail::reception>& rx) {
+      return std::all_of(rx.begin(), rx.end(), [](const detail::reception& r) {
+        return r.arrivals == 0 && r.last_sender == 0;
+      });
+    };
+    RC_CHECK_MSG(cleared(this->rx_),
+                 "a reception record outlived the step that wrote it");
+    for (const shard_scratch& sc : p2_scratch_) {
+      RC_CHECK_MSG(cleared(sc.rx),
+                   "a phase-2 shard record outlived the merge");
     }
   }
 
@@ -624,10 +606,10 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       this->result_.transmissions +=
           static_cast<std::int64_t>(this->transmitters_.size());
 
-      this->touched_.clear();
-      phase_two(step);
+      phase_two();
 
       this->commit_receptions(step);
+      if (this->opts_.verify_sleepers) check_receptions_cleared();
       if (this->opts_.metrics != nullptr) {
         this->push_step_metrics(collisions_before, deliveries_before,
                                 suppressed_before);
@@ -676,11 +658,12 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
   std::unique_ptr<exec::thread_pool> pool_;
   std::vector<node_id> p1_tx_arena_;
   std::vector<std::size_t> p1_counts_;
+  // A phase-2 shard's records (all zero outside phase 2, like rx_) and its
+  // first-touch list, touched[0, count).
   struct shard_scratch {
-    std::vector<std::int64_t> stamp;
-    std::vector<int> arrivals;
-    std::vector<node_id> last_sender;
+    std::vector<detail::reception> rx;
     std::vector<node_id> touched;
+    std::size_t count = 0;
   };
   std::vector<shard_scratch> p2_scratch_;
   std::vector<std::size_t> p2_bounds_;

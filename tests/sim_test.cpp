@@ -408,10 +408,10 @@ class hopping_protocol final : public protocol {
   hopping_soa_traits traits_;
 };
 
-// Crashes and recoveries at fixed steps.
+// Crashes, recoveries and dropped deliveries at fixed steps.
 class scripted_faults final : public fault::fault_model {
  public:
-  enum class kind { crash, retain, amnesia };
+  enum class kind { crash, retain, amnesia, drop };
   struct event {
     std::int64_t step;
     node_id node;
@@ -426,11 +426,23 @@ class scripted_faults final : public fault::fault_model {
   void begin_step(const fault::step_view& view,
                   fault::step_faults* out) override {
     for (const event& e : events_) {
-      if (e.step != view.step) continue;
+      if (e.step != view.step || e.what == kind::drop) continue;
       if (e.what == kind::crash) {
         out->crashes.push_back(e.node);
       } else {
         out->recoveries.push_back({e.node, e.what == kind::amnesia});
+      }
+    }
+  }
+  void filter_deliveries(
+      const fault::step_view& view,
+      std::vector<fault::delivery_candidate>* candidates) override {
+    for (fault::delivery_candidate& c : *candidates) {
+      for (const event& e : events_) {
+        if (e.what == kind::drop && e.step == view.step &&
+            e.node == c.listener) {
+          c.suppressed = true;
+        }
       }
     }
   }
@@ -621,6 +633,111 @@ TEST(SimTest, DecayRetainRecoveryDrawsMidPhase) {
         expect_calendar_matches_reference(g, *proto, opts);
     EXPECT_EQ(ref.result.informed_at[1], 0);
     EXPECT_EQ(ref.result.recoveries, 1);
+  }
+}
+
+std::vector<trace_event> events_at(const observed_run& run,
+                                   std::int64_t step, trace_event::type what) {
+  std::vector<trace_event> out;
+  for (const trace_event& e : run.events) {
+    if (e.step == step && e.what == what) out.push_back(e);
+  }
+  return out;
+}
+
+bool heard(const observed_run& run, std::int64_t step, node_id listener,
+           node_id sender) {
+  const auto receptions = events_at(run, step, trace_event::type::receive);
+  return std::any_of(receptions.begin(), receptions.end(),
+                     [&](const trace_event& e) {
+                       return e.node == listener && e.msg.from == sender;
+                     });
+}
+
+// Reception records are all zero between steps: the commit resets each one
+// it resolves, and the sharded merge clears each shard record it consumes.
+// Every scenario below leaves a record non-zero at the end of one step's
+// phase 2 in a different way, and the next step must read it as fresh. The
+// soa legs run with verify_sleepers, which also checks after every commit
+// that the run's records and every shard's are back to zero.
+TEST(SimTest, ReceptionRecordsResetBetweenSteps) {
+  {
+    SCOPED_TRACE("collision, then a single transmitter");
+    // 0 informs 1 and 2; at step 1 both transmit: 0 and 3 collide, and 1
+    // and 2 reach each other while transmitting. At step 2, 1 alone
+    // reaches 0 and 3 (collided at step 1) and 2 (reached at step 1 while
+    // it transmitted).
+    graph g = graph::undirected(4);
+    g.add_edge(0, 1);
+    g.add_edge(0, 2);
+    g.add_edge(1, 2);
+    g.add_edge(1, 3);
+    g.add_edge(2, 3);
+    g.finalize();
+    script_observer obs;
+    const scripted_protocol proto({{0, {0}}, {1, {1, 2}}, {2, {1}}}, &obs);
+    const observed_run ref =
+        expect_calendar_matches_reference(g, proto, capped_full(4));
+    EXPECT_EQ(events_at(ref, 1, trace_event::type::collision).size(), 2u);
+    EXPECT_TRUE(events_at(ref, 1, trace_event::type::receive).empty());
+    EXPECT_TRUE(heard(ref, 2, 0, 1));
+    EXPECT_TRUE(heard(ref, 2, 2, 1));
+    EXPECT_TRUE(heard(ref, 2, 3, 1));
+    EXPECT_EQ(ref.result.informed_at[3], 2);
+    EXPECT_EQ(ref.result.collisions, 2);
+    EXPECT_EQ(ref.result.deliveries, 5);
+  }
+  {
+    SCOPED_TRACE("suppressed delivery, crash of a touched listener");
+    // Star 0–{1, 2, 3, 4}. Step 0: leaf 1's delivery is dropped. Step 1:
+    // leaf 1 hears the center cleanly; leaf 2, touched at step 0, has
+    // crashed and hears nothing. Step 2: leaves 3 and 4 collide at the
+    // center. Step 3: leaf 2 is back and hears the center; leaf 1's
+    // delivery is dropped again, and it hears the center at step 4.
+    using k = scripted_faults::kind;
+    scripted_faults faults({{0, 1, k::drop},
+                            {1, 2, k::crash},
+                            {3, 2, k::retain},
+                            {3, 1, k::drop}});
+    script_observer obs;
+    const scripted_protocol proto(
+        {{0, {0, 1, 3, 4}}, {3, {2}}, {4, {2}}}, &obs);
+    run_options opts = capped_full(6);
+    opts.faults = &faults;
+    const observed_run ref =
+        expect_calendar_matches_reference(make_star(5), proto, opts);
+    EXPECT_EQ(ref.result.suppressed_deliveries, 2);
+    EXPECT_EQ(ref.result.informed_at[1], 1);
+    EXPECT_TRUE(heard(ref, 1, 1, 0));
+    EXPECT_FALSE(heard(ref, 1, 2, 0));
+    EXPECT_EQ(events_at(ref, 2, trace_event::type::collision).size(), 1u);
+    EXPECT_TRUE(heard(ref, 3, 2, 0));
+    EXPECT_FALSE(heard(ref, 3, 1, 0));
+    EXPECT_TRUE(heard(ref, 4, 1, 0));
+  }
+  {
+    SCOPED_TRACE("every node touched in one step");
+    // K_6: step 1 has two transmitters, so all six nodes are touched and
+    // the touched list fills its slack slot; step 3 has six. After each,
+    // a lone transmitter reaches every other node.
+    constexpr node_id kN = 6;
+    script_observer obs;
+    const scripted_protocol proto({{0, {0, 3}},
+                                   {1, {1, 3}},
+                                   {2, {1, 3}},
+                                   {3, {2, 3}},
+                                   {4, {3, 4}},
+                                   {5, {3}}},
+                                  &obs);
+    const observed_run ref =
+        expect_calendar_matches_reference(make_complete(kN), proto,
+                                          capped_full(6));
+    EXPECT_EQ(events_at(ref, 1, trace_event::type::collision).size(), 4u);
+    EXPECT_EQ(events_at(ref, 2, trace_event::type::receive).size(), 5u);
+    EXPECT_TRUE(events_at(ref, 3, trace_event::type::collision).empty());
+    EXPECT_TRUE(events_at(ref, 3, trace_event::type::receive).empty());
+    EXPECT_EQ(events_at(ref, 4, trace_event::type::receive).size(), 5u);
+    EXPECT_TRUE(heard(ref, 4, 0, 4));
   }
 }
 
