@@ -289,7 +289,7 @@ double set_edge_cost(obs::json_value& values, const std::string& prefix,
 }
 
 // Times the reference engine (phase 1 over all n nodes) against the soa
-// engine's awake-list walk (phase 1 over the awake set) on a topology
+// engine's awake-set walk (phase 1 over the awake set) on a topology
 // built to keep the awake set small for most of the run: a thin chain of
 // d − 1 single-node layers with all the slack in the LAST layer, so the
 // informed frontier stays ≤ a handful of nodes until the wave reaches the
@@ -322,7 +322,7 @@ void check_frontier_speedup(bench::reporter& rep) {
                    ref.result.collisions == poll.result.collisions &&
                    ref.result.deliveries == poll.result.deliveries &&
                    ref.result.informed_at == poll.result.informed_at,
-               "awake-list walk diverged from the reference engine");
+               "awake-set walk diverged from the reference engine");
 
   const double steps_per_sec_ref =
       static_cast<double>(ref.steps) / (ref.min_ms / 1000.0);
@@ -350,12 +350,12 @@ void check_frontier_speedup(bench::reporter& rep) {
             << "ms awake-walk=" << poll.min_ms << "ms over " << poll.steps
             << " steps (speedup=" << speedup << "x, "
             << steps_per_sec_poll << " steps/s)\n";
-  // The awake-list walk must actually be faster on its home turf — a
+  // The awake-set walk must actually be faster on its home turf — a
   // large deep network where awake ≪ n for most steps. The acceptance
   // target is ≥3×; the hard floor here is >1× so noisy CI hosts don't
   // flake, with the measured ratio recorded in the artifact.
   RC_CHECK_MSG(speedup > 1.0,
-               "awake-list walk not faster than the reference engine on a "
+               "awake-set walk not faster than the reference engine on a "
                "large-D layered network: the awake-set skip has regressed");
 }
 

@@ -33,8 +33,8 @@ class builder {
     nodes_.resize(static_cast<std::size_t>(n));
     gens_.reserve(static_cast<std::size_t>(n));
     informed_.assign(static_cast<std::size_t>(n), false);
-    tx_stamp_.assign(static_cast<std::size_t>(n), -1);
-    tx_msg_.resize(static_cast<std::size_t>(n));
+    sent_at_.assign(static_cast<std::size_t>(n), -1);
+    sent_msg_.resize(static_cast<std::size_t>(n));
     odd_layer_of_.assign(static_cast<std::size_t>(n), -1);
     in_star_.assign(static_cast<std::size_t>(n), false);
     for (node_id v = 0; v < n; ++v) {
@@ -104,7 +104,7 @@ class builder {
   // ---- simulation ----
 
   bool transmitted(node_id v) const {
-    return tx_stamp_[static_cast<std::size_t>(v)] == step_;
+    return sent_at_[static_cast<std::size_t>(v)] == step_;
   }
 
   /// Runs one synchronous step. In jam mode (jam != nullptr), `spine` is
@@ -122,8 +122,8 @@ class builder {
       auto decision = nodes_[static_cast<std::size_t>(v)]->on_step(ctx);
       if (!decision) continue;
       decision->from = v;
-      tx_stamp_[static_cast<std::size_t>(v)] = step_;
-      tx_msg_[static_cast<std::size_t>(v)] = *decision;
+      sent_at_[static_cast<std::size_t>(v)] = step_;
+      sent_msg_[static_cast<std::size_t>(v)] = *decision;
       transmitters_.push_back(v);
       if (first_tx_.size() <= static_cast<std::size_t>(v)) {
         first_tx_.resize(static_cast<std::size_t>(n_), -1);
@@ -241,7 +241,7 @@ class builder {
                  "delivery from a node that did not transmit this step");
     node_context ctx{step_, &gens_[static_cast<std::size_t>(to)]};
     nodes_[static_cast<std::size_t>(to)]->on_receive(
-        ctx, tx_msg_[static_cast<std::size_t>(sender)]);
+        ctx, sent_msg_[static_cast<std::size_t>(sender)]);
     informed_[static_cast<std::size_t>(to)] = true;
   }
 
@@ -362,8 +362,8 @@ class builder {
   std::vector<std::unique_ptr<protocol_node>> nodes_;
   std::vector<rng> gens_;
   std::vector<bool> informed_;
-  std::vector<std::int64_t> tx_stamp_;
-  std::vector<message> tx_msg_;
+  std::vector<std::int64_t> sent_at_;
+  std::vector<message> sent_msg_;
   std::vector<std::int64_t> first_tx_;
   std::vector<node_id> transmitters_;
   std::vector<node_id> y_;

@@ -6,8 +6,8 @@
 // (sim/soa_engine.h), whose per-node state is a contiguous POD array — a
 // traits protocol's own state, or, under virtual_view, a pointer to one of
 // its per-node traits_node objects. It runs both step loops: run_reference
-// below, and its own awake-list walk with the quiescence calendar and
-// phases that can shard across a thread pool.
+// below, and its own walk over the awake mask (or the quiescence calendar)
+// with phases that can shard across a thread pool.
 // The derived class provides the protocol hooks (proto_begin_step,
 // proto_step, proto_receive, proto_informed, proto_halted, proto_restart),
 // node construction (init_nodes), and the step loop (run_engine);
@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,28 +44,35 @@
 namespace radiocast::detail {
 
 // One listener's reception record for the step being resolved: how many
-// transmitters it heard, and the last of them in transmitter order. Every
-// record is all zero between steps — commit_receptions resets each record
-// it resolves — so arrivals == 0 doubles as "not yet touched this step".
-// Kept at 8 bytes: an edge visit is one load and one store to it.
+// transmitters it heard, and the last of them as an index into the step's
+// transmitter list. Every record is all zero between steps —
+// commit_receptions resets each record it resolves, and each transmitter's
+// — so arrivals == 0 doubles as "not yet touched this step". Kept at 8
+// bytes: an edge visit is one load and one store to it.
 struct reception {
-  int arrivals = 0;  // −1 once the commit finds the listener transmitting
+  int arrivals = 0;  // starts at kTransmitting while the node transmits
   node_id last_sender = 0;
 };
 static_assert(sizeof(reception) == 8);
 
-// Adds `k` arrivals from transmitter t to listener v. A first touch appends
-// v to `out` without a branch: the slot out[nt] is written every time and
-// kept only when v's record was empty, so `out` needs one slot past the
-// node count. Returns the new cursor, which callers keep in a local: a
-// member cursor is stored back after every visit in loops whose mask tests
-// can throw. The reference loop, the serial and sharded phase 2, and the
-// shard merge (k = a shard's count) all bump through here.
+// A transmitter's record before phase 2. A transmitter cannot receive, and
+// a count that starts here stays below zero after any number of arrivals
+// (an in-degree is below 2^31), so it never reads 0 and add_arrivals never
+// lists a transmitter as touched.
+inline constexpr int kTransmitting = std::numeric_limits<int>::min();
+
+// Adds `k` arrivals from the transmitter at index i of the step's
+// transmitter list to listener v. A first touch appends v to `out` without
+// a branch: the slot out[nt] is written every time and kept only when v's
+// record was empty, so `out` needs one slot past the node count. Returns
+// the new cursor; callers keep it in a local and store it once per step.
+// The reference loop, the serial and sharded phase 2, and the shard merge
+// (k = a shard's count) all bump through here.
 inline std::size_t add_arrivals(reception* rx, node_id* out, std::size_t nt,
-                                node_id v, node_id t, int k) {
+                                node_id v, node_id i, int k) {
   const reception old = rx[static_cast<std::size_t>(v)];
   out[nt] = v;
-  rx[static_cast<std::size_t>(v)] = {old.arrivals + k, t};
+  rx[static_cast<std::size_t>(v)] = {old.arrivals + k, i};
   return nt + static_cast<std::size_t>(old.arrivals == 0);
 }
 
@@ -167,21 +175,20 @@ class run_base {
     result_.transmissions_per_node.assign(static_cast<std::size_t>(n_), 0);
     result_.informed_at[0] = 0;
 
-    // Reception scratch: one zeroed record per listener, and the touched
-    // list with add_arrivals' slack slot.
+    // Reception scratch: one zeroed record per listener, the touched list
+    // with add_arrivals' slack slot, and room for every node to transmit.
     rx_.assign(static_cast<std::size_t>(n_), reception{});
     touched_.assign(static_cast<std::size_t>(n_) + 1, 0);
-    tx_msg_.resize(static_cast<std::size_t>(n_));
-    tx_stamp_.assign(static_cast<std::size_t>(n_), -1);
+    transmitters_.reserve(static_cast<std::size_t>(n_));
+    tx_msgs_.reserve(static_cast<std::size_t>(n_));
 
     // The awake set: source + every node that has received at least one
-    // message, minus crashed nodes. awake_.test(v) ⇔ v ∈ awake_list_
-    // (sorted ascending, so phase 1 visits nodes in the same order as the
-    // reference engine's 0…n−1 sweep). Maintained by every engine — the
-    // reference loop ignores the list but still reports sim.awake.
+    // message, minus crashed nodes. The soa loop's polling walk reads the
+    // mask's words in ascending order, the reference engine's 0…n−1 order.
+    // Maintained by every engine — the reference loop ignores it but still
+    // reports sim.awake.
     awake_.assign(static_cast<std::size_t>(n_), false);
     awake_.set(0);
-    awake_list_.push_back(0);
 
     if (faults_ != nullptr) {
       crashed_.assign(static_cast<std::size_t>(n_), false);
@@ -255,10 +262,10 @@ class run_base {
   // top of a step. A crash removes the node from the awake set
   // immediately, so phase 1 of this very step already skips it (matching
   // the reference engine's per-node crashed check); a recovery re-inserts
-  // it in sorted position, so phase 1 of this very step already includes
-  // it (matching the reference engine, which steps every non-crashed
-  // node). Crashes are applied before recoveries — a node both crashed
-  // and recovered in one step's buffers ends the step alive.
+  // it, so phase 1 of this very step already includes it (matching the
+  // reference engine, which steps every non-crashed node). Crashes are
+  // applied before recoveries — a node both crashed and recovered in one
+  // step's buffers ends the step alive.
   void apply_begin_step_faults(std::int64_t step) {
     step_faults_buf_.clear();
     const fault::step_view view{step, &g_, &result_.informed_at, &crashed_};
@@ -276,10 +283,6 @@ class run_base {
       if (awake_.test(idx(v))) {
         awake_.reset(idx(v));
         --awake_count_;
-        const auto it =
-            std::lower_bound(awake_list_.begin(), awake_list_.end(), v);
-        RC_CHECK(it != awake_list_.end() && *it == v);
-        awake_list_.erase(it);
       }
       if (opts_.sink != nullptr) {
         opts_.sink->record({step, trace_event::type::crash, v, {}});
@@ -349,9 +352,6 @@ class run_base {
     if ((v == 0 || received_any_[idx(v)] != 0) && !awake_.test(idx(v))) {
       awake_.set(idx(v));
       ++awake_count_;
-      const auto it =
-          std::lower_bound(awake_list_.begin(), awake_list_.end(), v);
-      awake_list_.insert(it, v);
     }
     if (opts_.sink != nullptr) {
       message m;
@@ -361,9 +361,10 @@ class run_base {
   }
 
   // Phase-1 body shared by every engine: ask node v for its transmit
-  // decision and record it. `check_spontaneous` is compile-time so the
-  // awake-list walk (where awake membership already implies the check)
-  // pays nothing for it.
+  // decision and record it, the message in tx_msgs_ beside v's entry in
+  // transmitters_. `check_spontaneous` is compile-time so the soa walk
+  // (where awake membership already implies the check) pays nothing for
+  // it.
   template <bool check_spontaneous>
   void step_node(node_id v, std::int64_t step) {
     node_context ctx{step, &gens_[idx(v)], opts_.metrics};
@@ -377,9 +378,8 @@ class run_base {
     }
     decision->from = labels_[idx(v)];
     transmitters_.push_back(v);
+    tx_msgs_.push_back(*decision);
     ++result_.transmissions_per_node[idx(v)];
-    tx_msg_[idx(v)] = *decision;
-    tx_stamp_[idx(v)] = step;
     if (opts_.sink != nullptr) {
       opts_.sink->record({step, trace_event::type::transmit, v, *decision});
     }
@@ -408,6 +408,20 @@ class run_base {
     }
   }
 
+  // Calls f(v) for every awake node v, ascending, one mask word at a
+  // time: the node order of the reference engine's 0…n−1 sweep.
+  template <class F>
+  void for_each_awake(F&& f) const {
+    const auto words = awake_.words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        f(static_cast<node_id>(w * util::bitset::kWordBits +
+                               static_cast<std::size_t>(
+                                   std::countr_zero(bits))));
+      }
+    }
+  }
+
   void sweep_one(node_id v, std::int64_t step) {
     const rng before = gens_[idx(v)];
     node_context ctx{step, &gens_[idx(v)], opts_.metrics};
@@ -422,21 +436,20 @@ class run_base {
                      std::to_string(step) + ")");
   }
 
-  void deliver(node_id v, node_id sender, std::int64_t step) {
-    const message* delivered = &tx_msg_[idx(sender)];
+  // Delivers the message of transmitters_[i] to listener v.
+  void deliver(node_id v, node_id i, std::int64_t step) {
+    const message* delivered = &tx_msgs_[idx(i)];
     const bool was_informed = derived().proto_informed(v);
     node_context ctx{step, &gens_[idx(v)], opts_.metrics};
     derived().proto_receive(v, ctx, *delivered);
     received_any_[idx(v)] = 1;
     // Wake on the mask, not received_any: the source is awake from setup
-    // yet receives its first reply mid-run, and must not re-enter the
-    // list. Wakes join the awake list at the end of the step (they were
-    // not stepped in this step's phase 1 — same as the reference engine,
-    // where a node's first post-reception on_step is next step's); the
-    // mask flips now so the sweep and the crash path see them awake.
-    if (!awake_.test(idx(v))) {
+    // yet receives its first reply mid-run, and must not be counted twice.
+    // A wake is first stepped next step, when the walk reads the mask (the
+    // same as the reference engine, where a node's first post-reception
+    // on_step is next step's).
+    if (!awake_.test_unchecked(idx(v))) {
       awake_.set(idx(v));
-      newly_awake_.push_back(v);
       ++awake_count_;
     }
     ++result_.deliveries;
@@ -455,20 +468,22 @@ class run_base {
     }
   }
 
-  // Resolve the listeners touched this step: collisions, then deliveries
-  // (deferred through the fault filter when a model is installed). Each
-  // record is reset as it is resolved, which restores the all-zero state
-  // the next step's phase 2 relies on.
+  // Before phase 2: start every transmitter's record at kTransmitting, so
+  // phase 2 never lists a transmitter as a touched listener.
+  void mark_transmitters() {
+    for (const node_id t : transmitters_) rx_[idx(t)].arrivals = kTransmitting;
+  }
+
+  // Resolve the listeners touched this step — only listeners, each with at
+  // least one arrival: collisions, then deliveries (deferred through the
+  // fault filter when a model is installed). Each record is reset as it is
+  // resolved, and the transmitters' after, which restores the all-zero
+  // state the next step's phase 2 relies on.
   void commit_receptions(std::int64_t step) {
-    for (const node_id t : transmitters_) {
-      reception& r = rx_[idx(t)];
-      if (r.arrivals != 0) r.arrivals = -1;  // transmitting; cannot receive
-    }
     const std::span<const node_id> touched(touched_.data(), touched_count_);
     if (faults_ == nullptr) {
       for (const node_id v : touched) {
         const reception r = std::exchange(rx_[idx(v)], reception{});
-        if (r.arrivals == -1) continue;  // v transmitted this step
         if (r.arrivals >= 2) {
           ++result_.collisions;
           if (opts_.sink != nullptr) {
@@ -477,24 +492,28 @@ class run_base {
           continue;
         }
         RC_CHECK(r.arrivals == 1);
-        RC_CHECK(tx_stamp_[idx(r.last_sender)] == step);
+        RC_CHECK(idx(r.last_sender) < transmitters_.size());
         deliver(v, r.last_sender, step);
       }
-      return;
+    } else {
+      commit_filtered(step, touched);
     }
+    for (const node_id t : transmitters_) rx_[idx(t)] = reception{};
+  }
 
-    // Injection site 4: unique-arrival listeners go through the model's
-    // delivery filter before anything is committed, but the trace must
-    // still interleave collision/receive/drop in touched order — a
-    // zero-intensity model's trace is byte-identical to the fault-free
-    // path's (the chaos harness holds us to that).
+  // Injection site 4: unique-arrival listeners go through the model's
+  // delivery filter before anything is committed, but the trace must still
+  // interleave collision/receive/drop in touched order — a zero-intensity
+  // model's trace is byte-identical to the fault-free path's (the chaos
+  // harness holds us to that).
+  void commit_filtered(std::int64_t step, std::span<const node_id> touched) {
     for (const node_id v : touched) {
       const reception& r = rx_[idx(v)];
-      if (r.arrivals == -1 || r.arrivals >= 2) continue;
+      if (r.arrivals >= 2) continue;
       RC_CHECK(r.arrivals == 1);
-      RC_CHECK(tx_stamp_[idx(r.last_sender)] == step);
-      pending_.push_back(
-          {v, r.last_sender, derived().proto_informed(v), false});
+      RC_CHECK(idx(r.last_sender) < transmitters_.size());
+      pending_.push_back({v, transmitters_[idx(r.last_sender)],
+                          derived().proto_informed(v), false});
     }
     if (!pending_.empty()) {
       const fault::step_view view{step, &g_, &result_.informed_at, &crashed_};
@@ -502,9 +521,8 @@ class run_base {
     }
     std::size_t next = 0;  // pending_ preserves touched order
     for (const node_id v : touched) {
-      const int count = std::exchange(rx_[idx(v)], reception{}).arrivals;
-      if (count == -1) continue;
-      if (count >= 2) {
+      const reception r = std::exchange(rx_[idx(v)], reception{});
+      if (r.arrivals >= 2) {
         ++result_.collisions;
         if (opts_.sink != nullptr) {
           opts_.sink->record({step, trace_event::type::collision, v, {}});
@@ -517,26 +535,14 @@ class run_base {
       if (c.suppressed) {
         ++result_.suppressed_deliveries;
         if (opts_.sink != nullptr) {
-          opts_.sink->record(
-              {step, trace_event::type::drop, v, tx_msg_[idx(c.sender)]});
+          opts_.sink->record({step, trace_event::type::drop, v,
+                              tx_msgs_[idx(r.last_sender)]});
         }
         continue;
       }
-      deliver(v, c.sender, step);
+      deliver(v, r.last_sender, step);
     }
     pending_.clear();
-  }
-
-  // Fold this step's wakes into the sorted awake list.
-  void merge_newly_awake() {
-    if (newly_awake_.empty()) return;
-    std::sort(newly_awake_.begin(), newly_awake_.end());
-    const auto mid = static_cast<std::ptrdiff_t>(awake_list_.size());
-    awake_list_.insert(awake_list_.end(), newly_awake_.begin(),
-                       newly_awake_.end());
-    std::inplace_merge(awake_list_.begin(), awake_list_.begin() + mid,
-                       awake_list_.end());
-    newly_awake_.clear();
   }
 
   void push_step_metrics(std::int64_t collisions_before,
@@ -658,36 +664,39 @@ class run_base {
   // down-edge mask is consulted only while an edge is actually down.
   // Bumps records in `rx` and appends first touches to `out` from slot 0;
   // returns the touched count. The serial step passes the run's own
-  // scratch and the whole list; a phase-2 shard passes its own.
+  // scratch and the whole list; a phase-2 shard passes its own. Mask reads
+  // are unchecked: v comes from a CSR row, base + j from the same row.
   std::size_t phase_two_hoisted(std::size_t lo, std::size_t hi,
                                 reception* rx, node_id* out) const {
     std::size_t nt = 0;
     if (faults_ == nullptr) {
       for (std::size_t i = lo; i < hi; ++i) {
-        const node_id t = transmitters_[i];
-        for (const node_id v : g_.out_neighbors(t)) {
-          nt = add_arrivals(rx, out, nt, v, t, 1);
+        const auto ti = static_cast<node_id>(i);
+        for (const node_id v : g_.out_neighbors(transmitters_[i])) {
+          nt = add_arrivals(rx, out, nt, v, ti, 1);
         }
       }
     } else if (down_count_ == 0) {
       for (std::size_t i = lo; i < hi; ++i) {
-        const node_id t = transmitters_[i];
-        for (const node_id v : g_.out_neighbors(t)) {
-          if (crashed_.test(idx(v))) continue;  // injection site 3
-          nt = add_arrivals(rx, out, nt, v, t, 1);
+        const auto ti = static_cast<node_id>(i);
+        for (const node_id v : g_.out_neighbors(transmitters_[i])) {
+          if (crashed_.test_unchecked(idx(v))) continue;  // injection site 3
+          nt = add_arrivals(rx, out, nt, v, ti, 1);
         }
       }
     } else {
       for (std::size_t i = lo; i < hi; ++i) {
         const node_id t = transmitters_[i];
+        const auto ti = static_cast<node_id>(i);
         const auto row = g_.out_neighbors(t);
         const std::size_t base = g_.out_edge_base(t);
         for (std::size_t j = 0; j < row.size(); ++j) {
           const node_id v = row[j];
-          if (crashed_.test(idx(v)) || down_mask_.test(base + j)) {
+          if (crashed_.test_unchecked(idx(v)) ||
+              down_mask_.test_unchecked(base + j)) {
             continue;  // no signal: neither a delivery nor a collision
           }
-          nt = add_arrivals(rx, out, nt, v, t, 1);
+          nt = add_arrivals(rx, out, nt, v, ti, 1);
         }
       }
     }
@@ -708,6 +717,7 @@ class run_base {
 
       // Phase 1: collect transmit decisions from ALL nodes.
       transmitters_.clear();
+      tx_msgs_.clear();
       for (node_id v = 0; v < n_; ++v) {
         if (faults_ != nullptr && crashed_.test(idx(v))) {
           continue;  // injection site 2: crashed nodes never transmit
@@ -717,20 +727,22 @@ class run_base {
       result_.transmissions += static_cast<std::int64_t>(transmitters_.size());
 
       // Phase 2: resolve receptions — touch only transmitters' neighbors.
+      mark_transmitters();
       reception* const rx = rx_.data();
       node_id* const out = touched_.data();
       std::size_t nt = 0;
-      for (const node_id t : transmitters_) {
+      for (std::size_t ti = 0; ti < transmitters_.size(); ++ti) {
+        const node_id t = transmitters_[ti];
         const auto row = g_.out_neighbors(t);
         const std::size_t base = faults_ != nullptr ? g_.out_edge_base(t) : 0;
         for (std::size_t i = 0; i < row.size(); ++i) {
           const node_id v = row[i];
           if (faults_ != nullptr &&  // injection site 3: crashes + churn
-              (crashed_.test(idx(v)) ||
-               (down_count_ != 0 && down_mask_.test(base + i)))) {
+              (crashed_.test_unchecked(idx(v)) ||
+               (down_count_ != 0 && down_mask_.test_unchecked(base + i)))) {
             continue;  // no signal: neither a delivery nor a collision
           }
-          nt = add_arrivals(rx, out, nt, v, t, 1);
+          nt = add_arrivals(rx, out, nt, v, static_cast<node_id>(ti), 1);
         }
       }
       touched_count_ = nt;
@@ -740,7 +752,6 @@ class run_base {
         push_step_metrics(collisions_before, deliveries_before,
                           suppressed_before);
       }
-      merge_newly_awake();
       if (step_epilogue(step)) break;
     }
   }
@@ -769,20 +780,19 @@ class run_base {
   std::vector<std::uint8_t> received_any_;
 
   // Awake set (see finish_setup comment). Packed words so the sleeper
-  // sweep can retire 64 nodes per OR.
+  // sweep can retire 64 nodes per OR and the polling walk can list the
+  // set in order; awake_count_ is its popcount.
   util::bitset awake_;
-  std::vector<node_id> awake_list_;
-  std::vector<node_id> newly_awake_;
 
   // Reception scratch: rx_ is all zero between steps; touched_[0,
   // touched_count_) lists this step's listeners in first-touch order, in
-  // n + 1 slots sized at setup.
+  // n + 1 slots sized at setup. tx_msgs_[i] is the message of
+  // transmitters_[i], the index a reception's last_sender holds.
   std::vector<reception> rx_;
   std::vector<node_id> touched_;
   std::size_t touched_count_ = 0;
   std::vector<node_id> transmitters_;
-  std::vector<message> tx_msg_;
-  std::vector<std::int64_t> tx_stamp_;
+  std::vector<message> tx_msgs_;
 
   // Fault state, allocated only for fault-injected runs. The simulator —
   // not the models — owns the crash mask and down-edge mask, so the hot

@@ -201,7 +201,7 @@ class protocol {
 /// soa_runner() runs an adapter traits (sim/simulator.cpp) whose state is
 /// one of make_node's traits_node objects, so every hook is a virtual call
 /// and there is no quiescence calendar. Under step_engine::soa that is the
-/// plain awake-list walk, which makes the view the per-node reference path
+/// plain awake-set walk, which makes the view the per-node reference path
 /// of the differential suite and the throughput bench's baseline for the
 /// SoA layout and the calendar. Each node owns its traits copy, so the
 /// view's steps shard like any other run. `inner` must outlive the view.

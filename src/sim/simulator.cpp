@@ -18,7 +18,7 @@ namespace {
 /// every hook is a virtual call. Each node owns its traits copy, so phase 1
 /// may shard across nodes. It has no begin_step (nodes hoist for
 /// themselves) and no next_poll, so soa_run (sim/soa_engine.h) walks the
-/// whole awake list each step under step_engine::soa and all n nodes under
+/// whole awake set each step under step_engine::soa and all n nodes under
 /// reference.
 struct virtual_soa_traits {
   const protocol* proto;

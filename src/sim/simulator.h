@@ -112,7 +112,7 @@ struct run_options {
   /// Intra-step worker threads (soa engine only; the reference loop
   /// ignores these fields): 1 = serial (the default), 0 = the
   /// RADIOCAST_THREADS environment default, N ≥ 2 = shard each step's
-  /// phase 1 (transmit decisions over the awake list) and phase 2
+  /// phase 1 (transmit decisions over the awake set) and phase 2
   /// (reception scan over transmitters' neighborhoods) into N contiguous
   /// shards merged in shard order — bit-identical to serial at every
   /// thread count (docs/PERFORMANCE.md gives the ordered-merge argument).

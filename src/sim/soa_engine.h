@@ -11,11 +11,11 @@
 // but shares every line of the step loops:
 //
 //   * step_engine::reference runs run_base::run_reference (on_step on all
-//     n nodes); step_engine::soa runs the loop below (the awake-list walk,
-//     the quiescence calendar, and intra-step sharding). The calendar and
-//     the pool exist only under step_engine::soa: the reference loop is
-//     what the differential suite holds the next_poll hints and the
-//     dormant-node contract against;
+//     n nodes); step_engine::soa runs the loop below (the walk over the
+//     awake mask, the quiescence calendar, and intra-step sharding). The
+//     calendar and the pool exist only under step_engine::soa: the
+//     reference loop is what the differential suite holds the next_poll
+//     hints and the dormant-node contract against;
 //
 //   * STATE: per-node protocol state is one contiguous std::vector of a POD
 //     `Traits::state` (plus the flat awake/crashed/received masks and the
@@ -31,15 +31,16 @@
 //
 // THE ORDERED-MERGE ARGUMENT (why sharded ≡ serial, bit for bit):
 //
-//   Phase 1 cuts the sorted awake list (the sorted due list under the
-//   quiescence calendar below) into contiguous shards. Each worker
-//   writes only per-node-disjoint slots (states_[v], gens_[v], tx_msg_[v],
-//   tx_stamp_[v]) plus a shard-private transmitter list; per-node RNG
+//   Phase 1 cuts the step's sorted visit list — every awake node, read off
+//   the awake mask in ascending order, or the due list under the
+//   quiescence calendar below — into contiguous shards. Each worker writes
+//   only per-node-disjoint slots (states_[v], gens_[v]) plus a
+//   shard-private slice of transmitters and their messages; per-node RNG
 //   streams make the draws independent of the sharding. The merge walks
-//   shards IN ORDER appending transmitters — and since shard s covers an
-//   ascending contiguous slice, the concatenation IS the serial visit
-//   order: transmitters_, trace transmit events, and transmissions_per_node
-//   come out byte-identical.
+//   shards IN ORDER appending transmitters and messages — and since shard
+//   s covers an ascending contiguous slice, the concatenation IS the serial
+//   visit order: transmitters_, tx_msgs_, trace transmit events, and
+//   transmissions_per_node come out byte-identical.
 //
 //   Phase 2 cuts the transmitter list (already in serial order, by phase
 //   1) into contiguous shards balanced by out-degree sum. Each worker runs
@@ -49,23 +50,26 @@
 //   list. The merge walks shards in order and feeds each touched entry
 //   through the same add_arrivals bump, with the shard's count as the
 //   increment: a listener first touched in shard s joins the global
-//   touched list while merging shard s. Serial first-touch order sorts
-//   listeners by the index of the first transmitter that reaches them;
-//   every listener first touched in shard s has that index inside shard
-//   s's contiguous range, so shard-order concatenation of per-shard
-//   first-touch orders equals the serial order. Arrival counts add across
-//   shards (same sum as serial), and last_sender resolves by shard-order
-//   overwrite — the last shard touching v holds the globally last
-//   transmitter index, exactly serial's last-write. The merge clears each
-//   shard record it consumes, so the shard scratch is all zero again for
-//   the next step. (run_options::debug_unordered_merge reverses the merge
-//   to prove the chaos engine-bit-identity invariant catches a broken
-//   reduction.)
+//   touched list while merging shard s. A shard's records are not marked,
+//   so a shard lists the transmitters it reaches; the run's records are,
+//   so the merge adds their counts to a kTransmitting record and never
+//   lists them. Serial first-touch order sorts listeners by the index of
+//   the first transmitter that reaches them; every listener first touched
+//   in shard s has that index inside shard s's contiguous range, so
+//   shard-order concatenation of per-shard first-touch orders equals the
+//   serial order. Arrival counts add across shards (same sum as serial),
+//   and last_sender — an index into the whole transmitter list, which
+//   every shard indexes — resolves by shard-order overwrite: the last
+//   shard touching v holds the globally last transmitter index, exactly
+//   serial's last-write. The merge clears each shard record it consumes,
+//   so the shard scratch is all zero again for the next step.
+//   (run_options::debug_unordered_merge reverses the merge to prove the
+//   chaos engine-bit-identity invariant catches a broken reduction.)
 //
 //   Everything downstream of the merge — commit_receptions, the fault
-//   delivery filter, traces, metrics, the awake-list fold — is the shared
-//   serial code in sim/engine_core.h, operating on merged state that is
-//   byte-identical to what a serial phase produced.
+//   delivery filter, traces, metrics, the wakes on the awake mask — is the
+//   shared serial code in sim/engine_core.h, operating on merged state that
+//   is byte-identical to what a serial phase produced.
 //
 // Metrics-enabled runs pin phase 1 serial: protocols write their metrics
 // from on_step, and every shard would write through the one registry
@@ -97,10 +101,11 @@
 //   * A crash needs no calendar edit: drained nodes that are not awake
 //     (crashed, or evicted by an amnesia restart) are skipped.
 //   * The due list comes out sorted ascending — the visit order of the
-//     awake-list walk — and goes through the same contiguous-shard phase-1
-//     path. Heap entries pop in (step, node) order; a bucket is unordered,
-//     so a short due list is sorted and a long one is scattered into an
-//     n-bit mask whose words are scanned back out in order. Transmitters,
+//     polling walk over the awake mask — and goes through the same
+//     contiguous-shard phase-1 path. Heap entries pop in (step, node)
+//     order; a bucket is unordered, so a short due list is sorted and a
+//     long one is scattered into an n-bit mask whose words are scanned
+//     back out in order. Transmitters,
 //     traces, and rng streams are therefore identical to polling.
 //   * next_poll is asked again after every on_step (serially, after phase
 //     1), every on_receive, and every recovery (retain or amnesia, asked
@@ -108,9 +113,11 @@
 //     itself). Faults, metrics, and step_threads > 1 all use the calendar;
 //     there is no polling fallback.
 //   * Traits without next_poll compile, through `if constexpr`, to the
-//     plain awake-list walk. virtual_view (sim/protocol.h) hides a traits
-//     protocol behind that adapter, which is how the tests and benches time
-//     and check the walk without the calendar.
+//     plain polling walk: each step lists every awake node into due_ by
+//     scanning the awake mask's words in ascending order. virtual_view
+//     (sim/protocol.h) hides a traits protocol behind that adapter, which
+//     is how the tests and benches time and check the walk without the
+//     calendar.
 //
 // Traits requirements (see core/decay.cpp for the worked pattern). The
 // traits struct IS the protocol: make_node wraps the same configured traits
@@ -226,6 +233,7 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       pool_ = std::make_unique<exec::thread_pool>(step_threads_ - 1);
       const auto n = static_cast<std::size_t>(this->n_);
       p1_tx_arena_.resize(n);
+      p1_msg_arena_.resize(n);
       p1_counts_.assign(static_cast<std::size_t>(step_threads_), 0);
       p2_scratch_.resize(static_cast<std::size_t>(step_threads_));
       for (shard_scratch& sc : p2_scratch_) {
@@ -234,6 +242,7 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       }
       p2_bounds_.reserve(static_cast<std::size_t>(step_threads_) + 1);
     }
+    if (soa_loop_) due_.reserve(static_cast<std::size_t>(this->n_));
     if constexpr (kCalendar) {
       if (soa_loop_) {
         const auto n = static_cast<std::size_t>(this->n_);
@@ -241,7 +250,6 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
         head_.fill(-1);
         next_.assign(n, -1);
         prev_.assign(n, kUnlinked);
-        due_.reserve(n);
         due_words_.assign((n + 63) / 64, 0);
         reschedule(0, -1);  // the source, the only node awake at setup
       }
@@ -341,7 +349,7 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       const node_id v = overflow_.front().node;
       std::pop_heap(overflow_.begin(), overflow_.end(), cal_later);
       overflow_.pop_back();
-      if (wake_[idx(v)] != step || !this->awake_.test(idx(v)) ||
+      if (wake_[idx(v)] != step || !this->awake_.test_unchecked(idx(v)) ||
           prev_[idx(v)] != kUnlinked) {
         continue;
       }
@@ -351,7 +359,7 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
     node_id& head = head_[slot(step)];
     for (node_id v = head; v >= 0; v = next_[idx(v)]) {
       prev_[idx(v)] = kUnlinked;
-      if (this->awake_.test(idx(v))) due_.push_back(v);
+      if (this->awake_.test_unchecked(idx(v))) due_.push_back(v);
     }
     head = -1;
     sort_due();
@@ -385,6 +393,13 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
     }
   }
 
+  // The polling walk's visit list (traits without next_poll): every awake
+  // node into due_, ascending.
+  void collect_awake() {
+    due_.clear();
+    this->for_each_awake([this](node_id v) { due_.push_back(v); });
+  }
+
   // A recovered node's state changed under the calendar (amnesia) or sat
   // out its wakes (retain): ask again, allowing a wake this very step.
   void reschedule_recoveries(std::int64_t step) {
@@ -398,9 +413,9 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
   // drawing is a sleep-contract violation — the hint answered too late.
   void sweep_calendar_sleepers(std::int64_t step) {
     std::size_t d = 0;
-    for (const node_id v : this->awake_list_) {
+    this->for_each_awake([&](node_id v) {
       while (d < due_.size() && due_[d] < v) ++d;
-      if (d < due_.size() && due_[d] == v) continue;
+      if (d < due_.size() && due_[d] == v) return;
       typename Traits::state copy = states_[idx(v)];
       rng gen = this->gens_[idx(v)];
       node_context ctx{step, &gen, nullptr};
@@ -415,13 +430,13 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
                        " drew randomness at step " + std::to_string(step) +
                        " while the calendar held it asleep (wake " +
                        std::to_string(wake_[idx(v)]) + ")");
-    }
+    });
   }
 
-  // Phase 1: transmit decisions over `list` — the awake list, or the due
-  // list under the calendar — sharded when there is enough work, serial
-  // otherwise (and always serial when metrics are on; see the header
-  // comment). Both paths are bit-identical.
+  // Phase 1: transmit decisions over `list` — every awake node, or the
+  // nodes due under the calendar — sharded when there is enough work,
+  // serial otherwise (and always serial when metrics are on; see the
+  // header comment). Both paths are bit-identical.
   void phase_one(const std::vector<node_id>& list, std::int64_t step) {
     const auto list_sz = static_cast<std::int64_t>(list.size());
     int shards = 1;
@@ -441,8 +456,9 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
           static_cast<std::size_t>(list_sz * s / shards);
       const auto hi =
           static_cast<std::size_t>(list_sz * (s + 1) / shards);
-      // Shard s's transmitters land at arena offset lo — its slice of the
-      // list emits at most hi − lo of them, so slices never overlap.
+      // Shard s's transmitters and their messages land at arena offset lo
+      // — its slice of the list emits at most hi − lo of them, so slices
+      // never overlap.
       std::size_t count = 0;
       for (std::size_t i = lo; i < hi; ++i) {
         const node_id v = list[i];
@@ -452,26 +468,27 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
         std::optional<message> decision = traits_.on_step(&states_[idx(v)], ctx);
         if (!decision) continue;
         decision->from = this->labels_[idx(v)];
-        this->tx_msg_[idx(v)] = *decision;
-        this->tx_stamp_[idx(v)] = step;
         p1_tx_arena_[lo + count] = v;
+        p1_msg_arena_[lo + count] = *decision;
         ++count;
       }
       p1_counts_[static_cast<std::size_t>(s)] = count;
     });
     // Ordered merge: shard s covered an ascending contiguous slice of the
     // sorted list, so shard-order concatenation is the serial visit order —
-    // transmitters_, the energy counts, and the trace all match serial.
+    // transmitters_, tx_msgs_, the energy counts, and the trace all match
+    // serial.
     for (int s = 0; s < shards; ++s) {
       const auto lo = static_cast<std::size_t>(list_sz * s / shards);
       const std::size_t count = p1_counts_[static_cast<std::size_t>(s)];
       for (std::size_t i = 0; i < count; ++i) {
         const node_id v = p1_tx_arena_[lo + i];
+        const message& m = p1_msg_arena_[lo + i];
         this->transmitters_.push_back(v);
+        this->tx_msgs_.push_back(m);
         ++this->result_.transmissions_per_node[idx(v)];
         if (this->opts_.sink != nullptr) {
-          this->opts_.sink->record(
-              {step, trace_event::type::transmit, v, this->tx_msg_[idx(v)]});
+          this->opts_.sink->record({step, trace_event::type::transmit, v, m});
         }
       }
     }
@@ -576,10 +593,10 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
     }
   }
 
-  // The soa step loop: phase 1 costs O(|awake|), or O(|due|) under the
-  // calendar. Crashed nodes were already removed from the awake list, and
-  // dormant nodes are no-ops by contract — so the walk is bit-identical to
-  // stepping all n.
+  // The soa step loop: phase 1 costs O(|awake| + n/64), or O(|due|) under
+  // the calendar. Crashed nodes were already removed from the awake mask,
+  // and dormant nodes are no-ops by contract — so the walk is bit-identical
+  // to stepping all n.
   void run_soa() {
     for (std::int64_t step = 0; step < this->opts_.max_steps; ++step) {
       const std::int64_t collisions_before = this->result_.collisions;
@@ -591,13 +608,15 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       proto_begin_step(step);
 
       this->transmitters_.clear();
+      this->tx_msgs_.clear();
       if constexpr (kCalendar) {
         if (this->faults_ != nullptr) reschedule_recoveries(step);
         collect_due(step);
         phase_one(due_, step);
         for (const node_id v : due_) reschedule(v, step);
       } else {
-        phase_one(this->awake_list_, step);
+        collect_awake();
+        phase_one(due_, step);
       }
       if (this->opts_.verify_sleepers) {
         this->sweep_sleepers(step);
@@ -606,15 +625,19 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
       this->result_.transmissions +=
           static_cast<std::int64_t>(this->transmitters_.size());
 
+      this->mark_transmitters();
       phase_two();
 
       this->commit_receptions(step);
-      if (this->opts_.verify_sleepers) check_receptions_cleared();
+      if (this->opts_.verify_sleepers) {
+        check_receptions_cleared();
+        RC_CHECK(this->awake_.count() ==
+                 static_cast<std::size_t>(this->awake_count_));
+      }
       if (this->opts_.metrics != nullptr) {
         this->push_step_metrics(collisions_before, deliveries_before,
                                 suppressed_before);
       }
-      this->merge_newly_awake();
       if (this->step_epilogue(step)) break;
     }
   }
@@ -646,17 +669,20 @@ class soa_run final : public detail::run_base<soa_run<Traits>> {
   std::vector<node_id> next_;
   std::vector<node_id> prev_;
   std::vector<cal_entry> overflow_;  // binary min-heap, wakes ≥ 64 ahead
+  // The step's phase-1 visit list: the due nodes under the calendar, every
+  // awake node otherwise. Reserved to n for either walk.
   std::vector<node_id> due_;
   std::vector<std::uint64_t> due_words_;  // sort_due's mask, clear between
 
   // Intra-step pool and shard arenas, built once in the constructor when
   // step_threads_ > 1 (serial runs never pay for them) and reused for the
   // run's lifetime — the step loop itself never allocates. Phase 1 shard s
-  // writes its transmitters at arena offset lo(s): its awake-list slice is
-  // [lo, hi) so slices cannot overlap, and the ordered merge reads them
-  // back in shard order.
+  // writes its transmitters and their messages at arena offset lo(s): its
+  // slice of the visit list is [lo, hi) so slices cannot overlap, and the
+  // ordered merge reads them back in shard order.
   std::unique_ptr<exec::thread_pool> pool_;
   std::vector<node_id> p1_tx_arena_;
+  std::vector<message> p1_msg_arena_;
   std::vector<std::size_t> p1_counts_;
   // A phase-2 shard's records (all zero outside phase 2, like rx_) and its
   // first-touch list, touched[0, count).

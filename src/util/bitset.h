@@ -9,6 +9,11 @@
 // "which of these 64 nodes are neither awake nor crashed?") via word() +
 // std::countr_zero.
 //
+// test/set/reset/word check their index and throw. The step engine's hot
+// loops read through test_unchecked and words() instead: their indices come
+// from a CSR row or the node range, and a per-visit bounds check is a
+// compare plus a branch to a throw path on every edge.
+//
 // Bits past size() in the last word are guaranteed zero (assign, set and
 // reset keep the invariant), so word-level consumers may OR whole words
 // without masking the tail — only bit INDICES need bounds care.
@@ -17,6 +22,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/assert.h"
@@ -46,6 +52,12 @@ class bitset {
 
   bool test(std::size_t i) const {
     RC_REQUIRE(i < size_);
+    return (words_[i / kWordBits] >> (i % kWordBits)) & 1;
+  }
+
+  /// test() without the bounds check, for indices the caller has already
+  /// bounded (a CSR row entry, a node id below the mask's size).
+  bool test_unchecked(std::size_t i) const noexcept {
     return (words_[i / kWordBits] >> (i % kWordBits)) & 1;
   }
 
@@ -85,6 +97,8 @@ class bitset {
     RC_REQUIRE(w < words_.size());
     return words_[w];
   }
+  /// All words at once, unchecked, for loops that walk every word.
+  std::span<const std::uint64_t> words() const noexcept { return words_; }
 
  private:
   std::size_t size_ = 0;

@@ -553,6 +553,50 @@ void step() {
   EXPECT_EQ(fired(rep, "hot-path"), 4);  // new, string, to_string, throw
 }
 
+TEST(AnalyzeTest, HotPathFiresOnAlgorithmsThatAllocateABuffer) {
+  // No `new` in sight, but libstdc++ allocates a temporary buffer in each.
+  const report rep = run_one("src/sim/foo.h", R"cpp(
+// radiocast-analyze: hot-path-begin
+void step() {
+  std::inplace_merge(list_.begin(), list_.begin() + mid, list_.end());
+  std::stable_sort(due_.begin(), due_.end());
+  std::stable_partition(due_.begin(), due_.end(), awake);
+  std::sort(due_.begin(), due_.end());
+}
+// radiocast-analyze: hot-path-end
+)cpp");
+  EXPECT_EQ(fired(rep, "hot-path"), 3);  // std::sort works in place
+  for (const finding& f : rep.findings) {
+    if (f.pass != "hot-path") continue;
+    EXPECT_NE(f.message.find("temporary buffer"), std::string::npos)
+        << f.message;
+  }
+}
+
+TEST(AnalyzeTest, HotPathAllowsBufferedAlgorithmsOutsideRegions) {
+  const report rep = run_one("src/sim/foo.h", R"cpp(
+void setup() { std::stable_sort(order_.begin(), order_.end()); }
+// radiocast-analyze: hot-path-begin
+void step() { int x = 1; }
+// radiocast-analyze: hot-path-end
+void finish() { std::inplace_merge(a_.begin(), a_.begin() + 1, a_.end()); }
+)cpp");
+  EXPECT_EQ(fired(rep, "hot-path"), 0);
+}
+
+TEST(AnalyzeTest, HotPathBufferedAlgorithmSuppressedWithJustification) {
+  const report rep = run_one("src/sim/foo.h", R"cpp(
+// radiocast-analyze: hot-path-begin
+void rebuild() {
+  // radiocast-analyze: allow(hot-path) -- once per run, not per step.
+  std::stable_sort(order_.begin(), order_.end());
+}
+// radiocast-analyze: hot-path-end
+)cpp");
+  EXPECT_EQ(fired(rep, "hot-path"), 0);
+  EXPECT_EQ(suppressed(rep, "hot-path"), 1);
+}
+
 TEST(AnalyzeTest, HotPathFiresOnStringKeyedMetricLookups) {
   const report rep = run_one("src/core/foo.cpp", R"cpp(
 // radiocast-analyze: hot-path-begin

@@ -828,7 +828,7 @@ TEST(EngineDifferentialTest, VirtualViewOnSoa) {
   // a message in a step in which its on_step did not run: the adapter must
   // run begin_step from on_receive itself (Interleaved's on_receive reads
   // the step hoists). The view hides next_poll too, so this is the plain
-  // awake-list walk with every awake node polled. verify_sleepers also
+  // awake-set walk with every awake node polled. verify_sleepers also
   // sweeps the dormant traits_nodes.
   rng topo_gen(337);
   const graph g = make_gnp_connected(24, 0.15, topo_gen);

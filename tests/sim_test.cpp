@@ -741,6 +741,72 @@ TEST(SimTest, ReceptionRecordsResetBetweenSteps) {
   }
 }
 
+// A transmitter's record starts phase 2 at kTransmitting, so phase 2 never
+// lists it as a touched listener, however many arrivals it absorbs. Star
+// 0–{1, …, 5000}: at step 1 the hub transmits with every leaf, and its
+// record takes 5 000 arrivals. At step_threads 4 the degree-balanced cut
+// puts the hub alone in the first phase-2 shard, so the leaves' arrivals
+// reach its record through the shard merge. Steps 2 and 3 must read the
+// leaves' and the hub's records as fresh.
+TEST(SimTest, TransmittingHubAbsorbsEveryLeafArrival) {
+  constexpr node_id kLeaves = 5000;
+  script_map scripts = {{0, {0, 1, 2}}};
+  for (node_id v = 1; v <= kLeaves; ++v) scripts[v] = {1};
+  scripts[1] = {1, 3};
+  script_observer obs;
+  const scripted_protocol proto(std::move(scripts), &obs);
+  const observed_run ref = expect_calendar_matches_reference(
+      make_star(kLeaves + 1), proto, capped_full(5));
+  EXPECT_EQ(events_at(ref, 1, trace_event::type::transmit).size(),
+            static_cast<std::size_t>(kLeaves) + 1);
+  EXPECT_TRUE(events_at(ref, 1, trace_event::type::collision).empty());
+  EXPECT_TRUE(events_at(ref, 1, trace_event::type::receive).empty());
+  EXPECT_EQ(events_at(ref, 2, trace_event::type::receive).size(),
+            static_cast<std::size_t>(kLeaves));
+  EXPECT_TRUE(heard(ref, 3, 0, 1));
+  EXPECT_EQ(ref.result.collisions, 0);
+  EXPECT_EQ(ref.result.deliveries, 2 * kLeaves + 1);
+}
+
+// The polling walk (traits without next_poll) lists each step's visits off
+// the awake mask. Star 0–{1, …, n − 1}: leaf 2 and the last leaf are
+// crashed through the center's step-0 transmission and stay asleep after
+// they recover; leaf 1, awake since step 0, crashes at step 2 and comes
+// back at step 3, retaining its state or with amnesia, in the step where
+// the center's second transmission wakes the other two. The last leaf sits
+// in the mask's last, partial word: the only word on 4 nodes, the 33rd on
+// 2 052.
+TEST(SimTest, PollingWalkFollowsTheAwakeMask) {
+  using k = scripted_faults::kind;
+  for (const node_id n : kHopStars) {
+    const node_id last = n - 1;
+    for (const k back : {k::retain, k::amnesia}) {
+      SCOPED_TRACE("star " + std::to_string(n) +
+                   (back == k::retain ? ", retain" : ", amnesia"));
+      scripted_faults faults({{0, 2, k::crash},
+                              {0, last, k::crash},
+                              {1, 2, k::retain},
+                              {1, last, k::retain},
+                              {2, 1, k::crash},
+                              {3, 1, back}});
+      script_observer obs;
+      const scripted_protocol proto(
+          {{0, {0, 3}}, {1, {4}}, {2, {6}}, {last, {5}}}, &obs);
+      run_options opts = capped_full(8);
+      opts.faults = &faults;
+      const observed_run ref =
+          expect_calendar_matches_reference(make_star(n), proto, opts);
+      EXPECT_EQ(ref.result.informed_at[2], 3);
+      EXPECT_EQ(ref.result.informed_at[static_cast<std::size_t>(last)], 3);
+      EXPECT_EQ(ref.result.informed_at[1], back == k::retain ? 0 : 3);
+      EXPECT_TRUE(heard(ref, 4, 0, 1));
+      EXPECT_TRUE(heard(ref, 5, 0, last));
+      EXPECT_TRUE(heard(ref, 6, 0, 2));
+      EXPECT_EQ(ref.result.recoveries, 3);
+    }
+  }
+}
+
 // A traits whose on_receive reads its begin_step hoist: the adapter that
 // make_node returns must hoist before a reception in a step where on_step
 // never ran (a dormant node's first delivery, or the adversary feeding a

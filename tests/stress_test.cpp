@@ -140,7 +140,7 @@ TEST(StressTest, SoaMatchesPollingAtScale) {
 // Engine-matching helper for the deterministic-protocol scale checks
 // below: one seed, the soa calendar vs the virtual_view walk that polls
 // every awake node, every record field exact. The token protocols keep
-// all informed nodes in the awake list, so sizes here are bounded by
+// all informed nodes in the awake set, so sizes here are bounded by
 // steps × awake ≈ n² — a few thousand nodes is already well past what the
 // differential matrix runs.
 void expect_soa_matches_polling(const graph& g, const protocol& proto,

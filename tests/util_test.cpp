@@ -526,6 +526,14 @@ TEST(BitsetTest, PopcountSkipScanFindsExactlyTheSetBits) {
   EXPECT_EQ(seen, std::vector<std::size_t>(std::begin(picks),
                                            std::end(picks)));
   EXPECT_EQ(b.count(), std::size(picks));
+  // The hot loops' unchecked reads see the same bits and words.
+  ASSERT_EQ(b.words().size(), b.word_count());
+  for (std::size_t w = 0; w < b.word_count(); ++w) {
+    EXPECT_EQ(b.words()[w], b.word(w));
+  }
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(b.test_unchecked(i), b.test(i)) << i;
+  }
 }
 
 TEST(BitsetTest, AnyNoneAndReassignment) {

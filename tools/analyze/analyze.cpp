@@ -996,6 +996,12 @@ constexpr std::array<const char*, 16> kHotBannedIdents = {
     "clog",       "printf",      "fprintf",     "sprintf",
     "snprintf",   "endl",        "stringstream", "ostringstream"};
 
+// Algorithms that allocate behind the call: libstdc++ takes a
+// std::_Temporary_buffer (operator new) in each, so a step-loop call is a
+// heap allocation per step even though no `new` appears in the code.
+constexpr std::array<const char*, 3> kHotBannedTempBuffers = {
+    "inplace_merge", "stable_sort", "stable_partition"};
+
 // String-keyed registry lookups build a key and walk a map per call; step
 // code reaches instruments through a resolved reference or a metric_key.
 constexpr std::array<const char*, 4> kHotBannedLookups = {
@@ -1090,6 +1096,8 @@ void run_hot_path(file_ctx& ctx) {
                      "(docs/OBSERVABILITY.md)");
       } else if (in_table(kHotBannedIdents, tok)) {
         ban("'" + tok + "'");
+      } else if (in_table(kHotBannedTempBuffers, tok)) {
+        ban("'" + tok + "' (it allocates a temporary buffer)");
       }
     }
   }
@@ -1295,10 +1303,11 @@ const std::vector<pass_info>& passes() {
        "std::int64_t) const signatures; a src/core file defining traits "
        "defines no protocol_node subclass"},
       {"hot-path",
-       "no heap allocation, std::string, throw, iostream, or string-keyed "
-       "metric lookup (get_counter/get_gauge/get_histogram/get_series) "
-       "inside annotated step-loop regions (RC_* assertion arguments "
-       "exempt)"},
+       "no heap allocation (including the temporary buffer of "
+       "inplace_merge/stable_sort/stable_partition), std::string, throw, "
+       "iostream, or string-keyed metric lookup "
+       "(get_counter/get_gauge/get_histogram/get_series) inside annotated "
+       "step-loop regions (RC_* assertion arguments exempt)"},
   };
   return kPasses;
 }

@@ -158,7 +158,7 @@ struct validator {
     optional(c, where, "speedup", json_value::kind::number);
     // Step-engine telemetry: the frontier_speedup analytic case records
     // per-engine wall clock and throughput; its frontier_* keys hold the
-    // soa engine's awake-list walk (see bench_simulator_throughput.cpp).
+    // soa engine's awake-set walk (see bench_simulator_throughput.cpp).
     const json_value* values = c.find("values");
     if (values != nullptr && values->is_object()) {
       const std::string vwhere = where + ".values";
