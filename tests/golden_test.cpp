@@ -500,5 +500,203 @@ TEST(GoldenTest, MetricExportDigests) {
       << "no crash-recovery run exercised echo.recoveries";
 }
 
+// Generator pins: every generator in graph/generators.h, plus the graph
+// transforms and hand-built graphs, digested row by row (n, directedness,
+// edge count, every out-row and every in-row in order). Seeded generators
+// run at two seeds and also fold the generator's next draw, so a change in
+// how many draws a generator consumes shows too. The sparse G(n, p) at
+// p = 0.3/n leaves thousands of components for bridging; the random
+// geometric graphs need many bridging rounds. Any change to how a graph is
+// stored while it is built must leave every row, in order, as it is.
+std::uint64_t graph_digest(const graph& g) {
+  fnv d;
+  d.add(g.node_count());
+  d.add(g.is_directed() ? 1 : 0);
+  d.add(static_cast<std::int64_t>(g.edge_count()));
+  for (node_id u = 0; u < g.node_count(); ++u) {
+    d.add(-1);
+    for (const node_id v : g.out_neighbors(u)) d.add(v);
+    d.add(-2);
+    for (const node_id v : g.in_neighbors(u)) d.add(v);
+  }
+  return d.h;
+}
+
+std::map<std::string, std::uint64_t> observe_generators() {
+  std::map<std::string, std::uint64_t> out;
+  out["path/n50"] = graph_digest(make_path(50));
+  out["cycle/n31"] = graph_digest(make_cycle(31));
+  out["star/n40"] = graph_digest(make_star(40));
+  out["complete/n24"] = graph_digest(make_complete(24));
+  out["grid/7x9"] = graph_digest(make_grid(7, 9));
+  out["caterpillar/12x3"] = graph_digest(make_caterpillar(12, 3));
+  out["complete-layered/1-3-5-2-4"] =
+      graph_digest(make_complete_layered({1, 3, 5, 2, 4}));
+  out["complete-layered-uniform/n97d6"] =
+      graph_digest(make_complete_layered_uniform(97, 6));
+  out["complete-layered-fat/n80d5f3"] =
+      graph_digest(make_complete_layered_fat(80, 5, 3, 2));
+  out["even-split/100x7"] = [] {
+    fnv d;
+    for (const node_id s : even_split(100, 7)) d.add(s);
+    return d.h;
+  }();
+
+  const auto seeded = [&out](const std::string& key, auto&& make) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      rng gen(seed * 7919);
+      fnv d;
+      d.add(static_cast<std::int64_t>(make(gen)));
+      d.add(static_cast<std::int64_t>(gen.next()));
+      out[key + "/seed" + std::to_string(seed)] = d.h;
+    }
+  };
+  seeded("random-tree/n300",
+         [](rng& gen) { return graph_digest(make_random_tree(300, gen)); });
+  seeded("bounded-degree-tree/n300d3", [](rng& gen) {
+    return graph_digest(make_bounded_degree_tree(300, 3, gen));
+  });
+  seeded("gnp-dense/n150p0.2", [](rng& gen) {
+    return graph_digest(make_gnp_connected(150, 0.2, gen));
+  });
+  seeded("gnp-connected/n400p0.002", [](rng& gen) {
+    return graph_digest(make_gnp_connected(400, 0.002, gen));
+  });
+  seeded("gnp-sparse/n8192p0.3/n", [](rng& gen) {
+    return graph_digest(make_gnp_sparse_connected(8192, 0.3 / 8192, gen));
+  });
+  seeded("gnp-sparse/n4096p8/n", [](rng& gen) {
+    return graph_digest(make_gnp_sparse_connected(4096, 8.0 / 4096, gen));
+  });
+  seeded("random-layered/1-4-6-3-5p0.3", [](rng& gen) {
+    return graph_digest(make_random_layered({1, 4, 6, 3, 5}, 0.3, gen));
+  });
+  seeded("directed-layered/1-4-6-3-5p0.3", [](rng& gen) {
+    return graph_digest(make_directed_layered({1, 4, 6, 3, 5}, 0.3, gen));
+  });
+  seeded("random-geometric/n300r0.05", [](rng& gen) {
+    return graph_digest(make_random_geometric(300, 0.05, gen));
+  });
+  seeded("random-geometric-positions/n120r0.12", [](rng& gen) {
+    std::vector<std::pair<double, double>> points;
+    fnv d;
+    d.add(static_cast<std::int64_t>(
+        graph_digest(make_random_geometric(120, 0.12, gen, points))));
+    for (const auto& [x, y] : points) {
+      d.add(static_cast<std::int64_t>(x * 1e12));
+      d.add(static_cast<std::int64_t>(y * 1e12));
+    }
+    return d.h;
+  });
+  seeded("permute-labels/gnp200", [](rng& gen) {
+    const graph g = make_gnp_sparse_connected(200, 0.03, gen);
+    return graph_digest(permute_labels(g, gen));
+  });
+  seeded("permute-labels/directed-layered", [](rng& gen) {
+    const graph g = make_directed_layered({1, 5, 7, 4}, 0.4, gen);
+    return graph_digest(permute_labels(g, gen));
+  });
+  seeded("sparse-labels/n60r500", [](rng& gen) {
+    fnv d;
+    for (const node_id l : sparse_labels(60, 500, gen)) d.add(l);
+    return d.h;
+  });
+
+  const std::vector<node_id> perm = {0, 4, 2, 5, 1, 3};
+  out["permute-labels/explicit"] =
+      graph_digest(permute_labels(make_grid(2, 3), perm));
+  out["as-directed/grid4x5"] = graph_digest(make_grid(4, 5).as_directed());
+  out["from-edge-list/undirected"] = graph_digest(
+      graph::from_edge_list(6, "0 3\n3 1\n1 0\n5 2\n2 4\n3 0\n4 5\n0 2\n"));
+  out["from-edge-list/directed"] = graph_digest(graph::from_edge_list(
+      5, "0 1\n1 2\n2 0\n1 2\n4 3\n3 4\n0 4\n", /*directed_edges=*/true));
+
+  // Hand-built: a random stream heavy in duplicates, both directednesses.
+  for (const bool directed : {false, true}) {
+    rng gen(31337);
+    const node_id n = 40;
+    graph g = directed ? graph::directed(n) : graph::undirected(n);
+    for (int i = 0; i < 600; ++i) {
+      const auto u = static_cast<node_id>(gen.below(n));
+      const auto v = static_cast<node_id>(gen.below(n));
+      if (u != v) g.add_edge(u, v);
+    }
+    g.finalize();
+    out[directed ? "hand-built/duplicates/directed"
+                 : "hand-built/duplicates/undirected"] = graph_digest(g);
+  }
+  // Add, sort while building, add more: a sorted prefix, then the tail.
+  for (const bool directed : {false, true}) {
+    rng gen(2718);
+    const node_id n = 30;
+    graph g = directed ? graph::directed(n) : graph::undirected(n);
+    const auto adds = [&](int count) {
+      for (int i = 0; i < count; ++i) {
+        const auto u = static_cast<node_id>(gen.below(n));
+        const auto v = static_cast<node_id>(gen.below(n));
+        if (u != v) g.add_edge(u, v);
+      }
+    };
+    adds(150);
+    g.sort_adjacency();
+    adds(120);
+    g.finalize();
+    out[directed ? "hand-built/sort-then-add/directed"
+                 : "hand-built/sort-then-add/undirected"] = graph_digest(g);
+  }
+  return out;
+}
+
+const std::map<std::string, std::uint64_t> kGeneratorPins = {
+    {"as-directed/grid4x5", 0x53157d107fbd493eULL},
+    {"bounded-degree-tree/n300d3/seed1", 0x6976c235c6ab61ebULL},
+    {"bounded-degree-tree/n300d3/seed2", 0xab26359d0a4e6f6eULL},
+    {"caterpillar/12x3", 0x28ae7ab0f5106daaULL},
+    {"complete-layered-fat/n80d5f3", 0x2409e1e5ff46cd38ULL},
+    {"complete-layered-uniform/n97d6", 0x539cff062a38ced2ULL},
+    {"complete-layered/1-3-5-2-4", 0x1b07145ece3da0cfULL},
+    {"complete/n24", 0xe03729e6a2edd52eULL},
+    {"cycle/n31", 0xc5285f26478e6174ULL},
+    {"directed-layered/1-4-6-3-5p0.3/seed1", 0x3648c216c1e2de78ULL},
+    {"directed-layered/1-4-6-3-5p0.3/seed2", 0x7c7c9f388cd2b953ULL},
+    {"even-split/100x7", 0x1f84d931abd166bULL},
+    {"from-edge-list/directed", 0x8ac140ecd9e17d92ULL},
+    {"from-edge-list/undirected", 0x4eb565e37d6575e4ULL},
+    {"gnp-connected/n400p0.002/seed1", 0x5ae99db2260a2452ULL},
+    {"gnp-connected/n400p0.002/seed2", 0xa7d2a9e838e97481ULL},
+    {"gnp-dense/n150p0.2/seed1", 0xa4ac314186dd0656ULL},
+    {"gnp-dense/n150p0.2/seed2", 0xe0d2d248e6ea8592ULL},
+    {"gnp-sparse/n4096p8/n/seed1", 0x7b9dbaf2925729e1ULL},
+    {"gnp-sparse/n4096p8/n/seed2", 0xef7a2e2819aa6aaULL},
+    {"gnp-sparse/n8192p0.3/n/seed1", 0xef7a5e8ee641cea1ULL},
+    {"gnp-sparse/n8192p0.3/n/seed2", 0x6d5c3fa9d1874452ULL},
+    {"grid/7x9", 0x9148bd77a218d15ULL},
+    {"hand-built/duplicates/directed", 0xbf316e544af7855eULL},
+    {"hand-built/duplicates/undirected", 0x2e29a6bd2c92fc2ULL},
+    {"hand-built/sort-then-add/directed", 0xfdb61fc2d9f4a945ULL},
+    {"hand-built/sort-then-add/undirected", 0x8079ee99b9884a76ULL},
+    {"path/n50", 0xff554ae0f768dec6ULL},
+    {"permute-labels/directed-layered/seed1", 0x54f0df41fde04335ULL},
+    {"permute-labels/directed-layered/seed2", 0xeabd50df5187e53dULL},
+    {"permute-labels/explicit", 0xe676770f690a9044ULL},
+    {"permute-labels/gnp200/seed1", 0x4882a4e36c4ed8f3ULL},
+    {"permute-labels/gnp200/seed2", 0xdaad52292ca1fd6eULL},
+    {"random-geometric-positions/n120r0.12/seed1", 0xeda1723e75b313c6ULL},
+    {"random-geometric-positions/n120r0.12/seed2", 0x5a589961bbcb932bULL},
+    {"random-geometric/n300r0.05/seed1", 0xdf3ad9524b56c560ULL},
+    {"random-geometric/n300r0.05/seed2", 0xf716dd969314d839ULL},
+    {"random-layered/1-4-6-3-5p0.3/seed1", 0x4f5edb804ff0d095ULL},
+    {"random-layered/1-4-6-3-5p0.3/seed2", 0x184eec9e5c20cb0dULL},
+    {"random-tree/n300/seed1", 0x38d76c5f5f7f777eULL},
+    {"random-tree/n300/seed2", 0x176b30890fba2375ULL},
+    {"sparse-labels/n60r500/seed1", 0xc411a290856d31bULL},
+    {"sparse-labels/n60r500/seed2", 0x759361f33d7b957aULL},
+    {"star/n40", 0x2ef1e0b9c78e7aeaULL},
+};
+
+TEST(GoldenTest, GeneratorDigests) {
+  expect_pins(kGeneratorPins, observe_generators());
+}
+
 }  // namespace
 }  // namespace radiocast
