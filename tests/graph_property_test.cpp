@@ -492,16 +492,71 @@ TEST(GraphPropertyTest, SparseLabels) {
 // CSR finalize vs the old per-add duplicate scan.
 // ---------------------------------------------------------------------------
 
+using oracle_rows = std::vector<std::vector<node_id>>;
+
+// Checks every row of g (out- and in-rows, and has_edge over all pairs)
+// against the per-row oracle, in order. Works in either storage phase.
+void expect_rows_match(const graph& g, const oracle_rows& out,
+                       const oracle_rows& in, const std::string& what) {
+  const node_id n = g.node_count();
+  for (node_id u = 0; u < n; ++u) {
+    const auto row = g.out_neighbors(u);
+    const auto& want = out[static_cast<std::size_t>(u)];
+    ASSERT_EQ(row.size(), want.size()) << what << " out-row " << u;
+    EXPECT_TRUE(std::equal(row.begin(), row.end(), want.begin()))
+        << what << ": out-row order differs at node " << u;
+    EXPECT_EQ(g.out_degree(u), static_cast<node_id>(want.size())) << what;
+    const auto in_row = g.in_neighbors(u);
+    const auto& want_in = in[static_cast<std::size_t>(u)];
+    ASSERT_EQ(in_row.size(), want_in.size()) << what << " in-row " << u;
+    EXPECT_TRUE(std::equal(in_row.begin(), in_row.end(), want_in.begin()))
+        << what << ": in-row order differs at node " << u;
+    for (node_id v = 0; v < n; ++v) {
+      const bool want_edge =
+          std::find(want.begin(), want.end(), v) != want.end();
+      EXPECT_EQ(g.has_edge(u, v), want_edge)
+          << what << ": has_edge(" << u << ", " << v << ")";
+    }
+  }
+}
+
+// Sorts every oracle row, as sort_adjacency() must, and returns each row's
+// length: later adds must land after that sorted prefix.
+std::vector<std::size_t> sort_oracle(oracle_rows& rows) {
+  std::vector<std::size_t> prefix;
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end());
+    prefix.push_back(row.size());
+  }
+  return prefix;
+}
+
+void expect_sorted_prefixes(const graph& g,
+                            const std::vector<std::size_t>& prefix,
+                            const std::string& what) {
+  for (node_id u = 0; u < g.node_count(); ++u) {
+    const auto row = g.out_neighbors(u);
+    const auto len = prefix[static_cast<std::size_t>(u)];
+    ASSERT_GE(row.size(), len) << what;
+    EXPECT_TRUE(std::is_sorted(row.begin(),
+                               row.begin() + static_cast<std::ptrdiff_t>(len)))
+        << what << ": sorted prefix broken at node " << u;
+  }
+}
+
 TEST(GraphPropertyTest, FinalizeDedupMatchesPerAddScanOracle) {
   // finalize() dedupes adjacency in one pass; the contract is that the
   // result is IDENTICAL (order included) to what the pre-CSR graph built
   // by scanning for duplicates on every add_edge. Replay a dup-heavy
-  // random edge stream into both and compare row by row.
+  // random edge stream into both and compare row by row — also while
+  // building: reads between adds must see every add so far, deduped, and
+  // a mid-stream sort_adjacency() must leave a sorted prefix per row with
+  // later adds appended after it.
   rng gen(401);
   for (const node_id n : {5, 17, 60}) {
     const std::string what = "dedup n=" + std::to_string(n);
     graph g = graph::undirected(n);
-    std::vector<std::vector<node_id>> oracle(static_cast<std::size_t>(n));
+    oracle_rows oracle(static_cast<std::size_t>(n));
     const auto oracle_add = [&oracle](node_id u, node_id v) {
       auto& row = oracle[static_cast<std::size_t>(u)];
       if (std::find(row.begin(), row.end(), v) == row.end()) {
@@ -509,7 +564,17 @@ TEST(GraphPropertyTest, FinalizeDedupMatchesPerAddScanOracle) {
       }
     };
     const int adds = static_cast<int>(n) * 8;  // dense in dups by design
+    std::vector<std::size_t> prefix;
     for (int i = 0; i < adds; ++i) {
+      if (i % (adds / 6) == 0) {
+        expect_rows_match(g, oracle, oracle, what + " building @" +
+                                                  std::to_string(i));
+      }
+      if (i == adds / 2) {
+        g.sort_adjacency();
+        prefix = sort_oracle(oracle);
+        expect_rows_match(g, oracle, oracle, what + " sorted");
+      }
       const auto u = static_cast<node_id>(gen.below(
           static_cast<std::uint64_t>(n)));
       const auto v = static_cast<node_id>(gen.below(
@@ -519,16 +584,14 @@ TEST(GraphPropertyTest, FinalizeDedupMatchesPerAddScanOracle) {
       oracle_add(u, v);
       oracle_add(v, u);
     }
+    EXPECT_FALSE(g.finalized());
+    expect_rows_match(g, oracle, oracle, what + " building");
+    expect_sorted_prefixes(g, prefix, what + " building");
     g.finalize();
+    expect_rows_match(g, oracle, oracle, what);
+    expect_sorted_prefixes(g, prefix, what);
     std::size_t oracle_arcs = 0;
-    for (node_id u = 0; u < n; ++u) {
-      const auto row = g.out_neighbors(u);
-      const auto& want = oracle[static_cast<std::size_t>(u)];
-      oracle_arcs += want.size();
-      ASSERT_EQ(row.size(), want.size()) << what << " node " << u;
-      EXPECT_TRUE(std::equal(row.begin(), row.end(), want.begin()))
-          << what << ": adjacency order differs at node " << u;
-    }
+    for (const auto& row : oracle) oracle_arcs += row.size();
     EXPECT_EQ(2 * g.edge_count(), oracle_arcs) << what;
   }
 }
@@ -537,12 +600,23 @@ TEST(GraphPropertyTest, FinalizeDedupMatchesPerAddScanOracleDirected) {
   rng gen(409);
   const node_id n = 24;
   graph g = graph::directed(n);
-  std::vector<std::vector<node_id>> out_oracle(static_cast<std::size_t>(n));
-  std::vector<std::vector<node_id>> in_oracle(static_cast<std::size_t>(n));
+  oracle_rows out_oracle(static_cast<std::size_t>(n));
+  oracle_rows in_oracle(static_cast<std::size_t>(n));
   const auto scan_add = [](std::vector<node_id>& row, node_id v) {
     if (std::find(row.begin(), row.end(), v) == row.end()) row.push_back(v);
   };
+  std::vector<std::size_t> prefix;
   for (int i = 0; i < 200; ++i) {
+    if (i % 30 == 0) {
+      expect_rows_match(g, out_oracle, in_oracle,
+                        "building @" + std::to_string(i));
+    }
+    if (i == 100) {
+      g.sort_adjacency();
+      prefix = sort_oracle(out_oracle);
+      sort_oracle(in_oracle);
+      expect_rows_match(g, out_oracle, in_oracle, "sorted");
+    }
     const auto u = static_cast<node_id>(gen.below(
         static_cast<std::uint64_t>(n)));
     const auto v = static_cast<node_id>(gen.below(
@@ -552,21 +626,14 @@ TEST(GraphPropertyTest, FinalizeDedupMatchesPerAddScanOracleDirected) {
     scan_add(out_oracle[static_cast<std::size_t>(u)], v);
     scan_add(in_oracle[static_cast<std::size_t>(v)], u);
   }
+  EXPECT_FALSE(g.finalized());
+  expect_rows_match(g, out_oracle, in_oracle, "building");
+  expect_sorted_prefixes(g, prefix, "building");
   g.finalize();
+  expect_rows_match(g, out_oracle, in_oracle, "finalized");
+  expect_sorted_prefixes(g, prefix, "finalized");
   std::size_t arcs = 0;
-  for (node_id u = 0; u < n; ++u) {
-    const auto out = g.out_neighbors(u);
-    const auto& want_out = out_oracle[static_cast<std::size_t>(u)];
-    ASSERT_EQ(out.size(), want_out.size()) << "node " << u;
-    EXPECT_TRUE(std::equal(out.begin(), out.end(), want_out.begin()))
-        << "out order differs at node " << u;
-    const auto in = g.in_neighbors(u);
-    const auto& want_in = in_oracle[static_cast<std::size_t>(u)];
-    ASSERT_EQ(in.size(), want_in.size()) << "node " << u;
-    EXPECT_TRUE(std::equal(in.begin(), in.end(), want_in.begin()))
-        << "in order differs at node " << u;
-    arcs += out.size();
-  }
+  for (const auto& row : out_oracle) arcs += row.size();
   EXPECT_EQ(g.edge_count(), arcs);
 }
 
