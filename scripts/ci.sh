@@ -22,7 +22,10 @@
 #   1. Release build (build/)           — cmake + ctest, the tier-1 gate.
 #      RADIOCAST_WERROR=ON (the default) promotes the hardened warning set
 #      (-Wshadow -Wconversion -Wsign-conversion -Wextra-semi -Wpedantic)
-#      to errors.
+#      to errors. The stage also fails unless every out-of-line
+#      soa_run<…>::run_soa in the Release throughput bench starts at 0 mod
+#      64 (scripts/hot_loop_offsets.sh): the step loops are pinned to a
+#      cache line, and an edit that drops the pin must not go unnoticed.
 #   2. Sanitizer build (build-san/)     — address+undefined via
 #      -DRADIOCAST_SANITIZE=address,undefined, full ctest under
 #      instrumentation.
@@ -103,6 +106,18 @@ cmake --build build --parallel "$jobs"
 # Stage 0's report gets its schema check here, now that
 # radiocast_inspect exists.
 build/tools/radiocast_inspect validate build/analysis-report.json
+# Code placement: run_soa carries [[gnu::aligned(64)]], so every instance
+# must print offset 0.
+offsets=$(scripts/hot_loop_offsets.sh build/bench/bench_simulator_throughput)
+echo "$offsets"
+if grep '::run_soa()' <<< "$offsets" | grep -qv '^ 0  '; then
+  echo "ci: a soa_run<…>::run_soa does not start on a 64-byte boundary" >&2
+  exit 1
+fi
+if ! grep -q '::run_soa()' <<< "$offsets"; then
+  echo "ci: no out-of-line run_soa in bench_simulator_throughput" >&2
+  exit 1
+fi
 ctest --test-dir build --output-on-failure --timeout 300
 
 echo "=== [2/7] Sanitizer build + tests (address,undefined) ==="
