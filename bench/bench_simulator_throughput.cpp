@@ -10,6 +10,7 @@
 // checks ever stop being free, this bench fails.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -517,6 +518,56 @@ void check_gnp_scale(bench::reporter& rep) {
             << " steps/s, " << ns_per_edge_visit << " ns/edge visit)\n";
 }
 
+// Graph construction alone: the set-up every trial set, bench and campaign
+// point pays before its first step. A sparse G(n, p) at n = 2^18, p = 8/n
+// (draws, edge buffer, union-find bridging, finalize) and perfbench
+// det_full's complete layered C(1536, 16). `build_ms` is the minimum over
+// reps of a fresh build; `ns_per_edge` divides it by the finalized edge
+// count.
+void check_graph_build(bench::reporter& rep) {
+  const int reps = bench::smoke() ? 3 : 5;
+  const auto record = [&rep, reps](const std::string& name,
+                                   obs::json_value params, auto&& make) {
+    double build_ms = 0.0;
+    std::size_t edges = 0;
+    for (int i = 0; i < reps; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const graph g = make();
+      const double ms = std::chrono::duration_cast<
+                            std::chrono::duration<double, std::milli>>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+      build_ms = i == 0 ? ms : std::min(build_ms, ms);
+      edges = g.edge_count();
+    }
+    const double ns_per_edge =
+        build_ms * 1e6 / static_cast<double>(std::max<std::size_t>(edges, 1));
+    obs::json_value values = obs::json_value::object();
+    values.set("reps", reps);
+    values.set("build_ms", build_ms);
+    values.set("edges", static_cast<std::int64_t>(edges));
+    values.set("ns_per_edge", ns_per_edge);
+    rep.add_analytic_case(name, std::move(params), std::move(values),
+                          build_ms);
+    std::cout << "graph build: " << name << " " << build_ms << "ms for "
+              << edges << " edges (" << ns_per_edge << " ns/edge)\n";
+  };
+
+  const node_id n = bench::smoke() ? (1 << 14) : (1 << 18);
+  record("graph_build/gnp_sparse/n=" + std::to_string(n),
+         bench::params("n", n, "family", "gnp_sparse"), [n] {
+           rng gen(11);
+           return make_gnp_sparse_connected(n, 8.0 / n, gen);
+         });
+  const node_id layered_n = 1536;
+  const int layered_d = 16;
+  record("graph_build/complete_layered/n=" + std::to_string(layered_n) +
+             "/d=" + std::to_string(layered_d),
+         bench::params("n", layered_n, "d", layered_d, "family",
+                       "complete_layered"),
+         [=] { return make_complete_layered_uniform(layered_n, layered_d); });
+}
+
 // --------------------------------------------------------------------------
 // Deterministic-protocol SoA measurement.
 // --------------------------------------------------------------------------
@@ -740,6 +791,7 @@ int main(int argc, char** argv) {
   radiocast::check_frontier_speedup(rep);
   radiocast::check_mega_scale(rep);
   radiocast::check_gnp_scale(rep);
+  radiocast::check_graph_build(rep);
   radiocast::check_deterministic_scale(rep);
   radiocast::check_full_deterministic(rep);
   return 0;
