@@ -208,7 +208,7 @@ class run_base {
   // and every built-in model churns real edges only, so the linear row
   // scan off the hot path is cheaper than keeping a hash map around.
   std::size_t edge_slot(node_id u, node_id v) const {
-    const auto row = g_.out_neighbors(u);
+    const auto row = g_.out_row(u);
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (row[i] == v) return g_.out_edge_base(u) + i;
     }
@@ -629,7 +629,7 @@ class run_base {
       bfs_queue_.push_back(0);
       for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
         const node_id u = bfs_queue_[head];
-        const auto row = g_.out_neighbors(u);
+        const auto row = g_.out_row(u);
         const std::size_t base = faults_ != nullptr ? g_.out_edge_base(u) : 0;
         for (std::size_t i = 0; i < row.size(); ++i) {
           const node_id v = row[i];
@@ -672,14 +672,14 @@ class run_base {
     if (faults_ == nullptr) {
       for (std::size_t i = lo; i < hi; ++i) {
         const auto ti = static_cast<node_id>(i);
-        for (const node_id v : g_.out_neighbors(transmitters_[i])) {
+        for (const node_id v : g_.out_row(transmitters_[i])) {
           nt = add_arrivals(rx, out, nt, v, ti, 1);
         }
       }
     } else if (down_count_ == 0) {
       for (std::size_t i = lo; i < hi; ++i) {
         const auto ti = static_cast<node_id>(i);
-        for (const node_id v : g_.out_neighbors(transmitters_[i])) {
+        for (const node_id v : g_.out_row(transmitters_[i])) {
           if (crashed_.test_unchecked(idx(v))) continue;  // injection site 3
           nt = add_arrivals(rx, out, nt, v, ti, 1);
         }
@@ -688,7 +688,7 @@ class run_base {
       for (std::size_t i = lo; i < hi; ++i) {
         const node_id t = transmitters_[i];
         const auto ti = static_cast<node_id>(i);
-        const auto row = g_.out_neighbors(t);
+        const auto row = g_.out_row(t);
         const std::size_t base = g_.out_edge_base(t);
         for (std::size_t j = 0; j < row.size(); ++j) {
           const node_id v = row[j];
@@ -733,7 +733,7 @@ class run_base {
       std::size_t nt = 0;
       for (std::size_t ti = 0; ti < transmitters_.size(); ++ti) {
         const node_id t = transmitters_[ti];
-        const auto row = g_.out_neighbors(t);
+        const auto row = g_.out_row(t);
         const std::size_t base = faults_ != nullptr ? g_.out_edge_base(t) : 0;
         for (std::size_t i = 0; i < row.size(); ++i) {
           const node_id v = row[i];
