@@ -9,7 +9,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <utility>
 
 #include "campaign/artifact.h"
@@ -144,12 +143,12 @@ std::string run_chunk(const manifest& m, const point_state& point,
   const trial_set set = run_trials(point.g, *point.proto, topts);
   RC_CHECK_MSG(static_cast<int>(set.trials.size()) == c.count,
                "chunk returned a partial trial batch");
-  std::ostringstream out;
+  std::string out;
   for (const trial_record& t : set.trials) {
-    trial_record_json(t).write(out);
-    out << '\n';
+    out += trial_record_json(t).dump();
+    out += '\n';
   }
-  return std::move(out).str();
+  return out;
 }
 
 /// Executes the pending shards on one pool and retires them in plan order

@@ -197,7 +197,9 @@ json_value metrics_registry::to_json() const {
   json_value js = json_value::object();
   for (const auto& [k, s] : series_) {
     json_value vals = json_value::array();
-    for (const std::int64_t v : s.values()) vals.push_back(v);
+    std::vector<json_value>& items = vals.items();
+    items.reserve(s.values().size());
+    for (const std::int64_t v : s.values()) items.emplace_back(v);
     js.set(k, std::move(vals));
   }
   root.set("series", std::move(js));
