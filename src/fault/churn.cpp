@@ -69,8 +69,9 @@ void churn_model::begin_run(const run_view& view) {
 void churn_model::begin_step(const step_view& view, step_faults* out) {
   (void)view;
   if (opts_.toggle_probability <= 0.0) return;
+  rng gen = gen_;  // a local copy stays in registers across the loop
   for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (!gen_.bernoulli(opts_.toggle_probability)) continue;
+    if (!gen.bernoulli(opts_.toggle_probability)) continue;
     auto& state = down_[i];
     state ^= 1;
     ++toggle_count_;
@@ -82,6 +83,7 @@ void churn_model::begin_step(const step_view& view, step_faults* out) {
       out->edges_up.push_back(edges_[i]);
     }
   }
+  gen_ = gen;
 }
 
 }  // namespace radiocast::fault

@@ -53,11 +53,14 @@ void crash_model::begin_step(const step_view& view, step_faults* out) {
   if (opts_.crash_probability > 0.0) {
     // Fixed node order keeps the draw sequence — and thus the schedule —
     // a pure function of the seed and the model's own crash history.
+    // A local copy of the generator stays in registers across the loop.
     const node_id first = opts_.spare_source ? 1 : 0;
+    rng gen = gen_;
     for (node_id v = first; v < n_; ++v) {
       if (down_[static_cast<std::size_t>(v)] != 0) continue;
-      if (gen_.bernoulli(opts_.crash_probability)) crash(v);
+      if (gen.bernoulli(opts_.crash_probability)) crash(v);
     }
+    gen_ = gen;
   }
 }
 

@@ -24,13 +24,15 @@ void loss_model::filter_deliveries(
     const step_view& view, std::vector<delivery_candidate>* candidates) {
   (void)view;
   if (opts_.drop_probability <= 0.0) return;
+  rng gen = gen_;  // a local copy stays in registers across the loop
   for (delivery_candidate& c : *candidates) {
     if (c.suppressed) continue;  // spend no randomness on dead candidates
-    if (gen_.bernoulli(opts_.drop_probability)) {
+    if (gen.bernoulli(opts_.drop_probability)) {
       c.suppressed = true;
       ++dropped_count_;
     }
   }
+  gen_ = gen;
 }
 
 }  // namespace radiocast::fault

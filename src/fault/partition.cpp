@@ -81,8 +81,9 @@ void partition_model::begin_step(const step_view& view, step_faults* out) {
 
   // 2. Per-edge churn, every edge eligible — bridges included.
   if (opts_.toggle_probability > 0.0) {
+    rng gen = gen_;  // a local copy stays in registers across the loop
     for (std::size_t i = 0; i < edges_.size(); ++i) {
-      if (!gen_.bernoulli(opts_.toggle_probability)) continue;
+      if (!gen.bernoulli(opts_.toggle_probability)) continue;
       auto& s = state_[i];
       const bool was_down = s != 0;
       s ^= kChurnBit;
@@ -96,6 +97,7 @@ void partition_model::begin_step(const step_view& view, step_faults* out) {
         out->edges_up.push_back(edges_[i]);
       }
     }
+    gen_ = gen;
   }
 
   // 3. Open a new window: grow a BFS ball of ⌈fraction·n⌉ nodes from a

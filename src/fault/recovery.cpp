@@ -69,15 +69,19 @@ void recovery_model::begin_step(const step_view& view, step_faults* out) {
   if (opts_.crash_probability > 0.0) {
     // Fixed node order keeps the draw sequence — and thus the schedule —
     // a pure function of the seed and the model's own up/down history.
+    // A local copy of the generator stays in registers across the loop.
     const node_id first = opts_.spare_source ? 1 : 0;
+    rng gen = gen_;
     for (node_id v = first; v < n_; ++v) {
       if (down_[static_cast<std::size_t>(v)] != 0) continue;
-      if (gen_.bernoulli(opts_.crash_probability)) crash(v);
+      if (gen.bernoulli(opts_.crash_probability)) crash(v);
     }
+    gen_ = gen;
   }
 
   if (!recovery_enabled() || down_count_ == 0) return;
   const bool amnesia = opts_.mode == recovery_mode::amnesia;
+  rng gen = gen_;
   for (node_id v = 0; v < n_; ++v) {
     const auto i = static_cast<std::size_t>(v);
     if (down_[i] == 0) continue;
@@ -86,7 +90,7 @@ void recovery_model::begin_step(const step_view& view, step_faults* out) {
               view.step - down_since_[i] >= opts_.downtime;
     if (!up && opts_.recovery_probability > 0.0) {
       // Geometric: one draw per down node per step, in fixed node order.
-      up = gen_.bernoulli(opts_.recovery_probability);
+      up = gen.bernoulli(opts_.recovery_probability);
     }
     if (!up) continue;
     down_[i] = 0;
@@ -95,6 +99,7 @@ void recovery_model::begin_step(const step_view& view, step_faults* out) {
     ++recovered_count_;
     out->recoveries.push_back({v, amnesia});
   }
+  gen_ = gen;
 }
 
 std::int64_t recovery_model::pending_recoveries() const {

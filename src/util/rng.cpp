@@ -9,14 +9,6 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 rng::rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
@@ -25,18 +17,6 @@ rng::rng(std::uint64_t seed) {
   if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
     state_[0] = 0x9e3779b97f4a7c15ULL;
   }
-}
-
-std::uint64_t rng::next() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 rng rng::split() noexcept { return rng(next()); }
@@ -59,17 +39,6 @@ std::int64_t rng::uniform_int(std::int64_t lo, std::int64_t hi) {
     return static_cast<std::int64_t>(next());
   }
   return lo + static_cast<std::int64_t>(below(span));
-}
-
-double rng::uniform01() noexcept {
-  // 53 random mantissa bits → uniform double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
 }
 
 }  // namespace radiocast
