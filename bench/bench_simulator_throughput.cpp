@@ -12,14 +12,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.h"
+#include "campaign/artifact.h"
 #include "core/runner.h"
 #include "graph/generators.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/ndjson.h"
 #include "sim/simulator.h"
 #include "util/assert.h"
 #include "util/stats.h"
@@ -568,6 +572,107 @@ void check_graph_build(bench::reporter& rep) {
          [=] { return make_complete_layered_uniform(layered_n, layered_d); });
 }
 
+// The JSON codec on the two documents the trial and campaign layers move:
+// a metrics export of 10 per-step series (83 561 steps, one perfbench
+// trial_batch export) and 12 000 trial-record NDJSON lines (a campaign
+// shard set). `dump_ms` builds and writes the text, `parse_ms` reads it
+// back (json_parse, ndjson_reader), each the minimum over reps; `mb_per_s`
+// is the text's size over their sum, and `value_bytes` is
+// sizeof(json_value). Not gated.
+void check_json_codec(bench::reporter& rep) {
+  const int reps = bench::smoke() ? 3 : 5;
+  const auto elapsed_ms = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration_cast<
+               std::chrono::duration<double, std::milli>>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  const auto record = [&](const std::string& name, obs::json_value params,
+                          auto&& dump, auto&& parse) {
+    double dump_ms = 0.0;
+    double parse_ms = 0.0;
+    std::size_t bytes = 0;
+    for (int i = 0; i < reps; ++i) {
+      auto start = std::chrono::steady_clock::now();
+      const std::string text = dump();
+      const double d_ms = elapsed_ms(start);
+      start = std::chrono::steady_clock::now();
+      RC_CHECK_MSG(parse(text), "json_codec: " + name + " did not parse");
+      const double p_ms = elapsed_ms(start);
+      dump_ms = i == 0 ? d_ms : std::min(dump_ms, d_ms);
+      parse_ms = i == 0 ? p_ms : std::min(parse_ms, p_ms);
+      bytes = text.size();
+    }
+    const double mb_per_s =
+        static_cast<double>(bytes) / 1e3 / std::max(dump_ms + parse_ms, 1e-9);
+    obs::json_value values = obs::json_value::object();
+    values.set("reps", reps);
+    values.set("bytes", bytes);
+    values.set("dump_ms", dump_ms);
+    values.set("parse_ms", parse_ms);
+    values.set("mb_per_s", mb_per_s);
+    values.set("value_bytes", sizeof(obs::json_value));
+    rep.add_analytic_case(name, std::move(params), std::move(values),
+                          dump_ms + parse_ms);
+    std::cout << "json codec: " << name << " " << bytes << " bytes, dump "
+              << dump_ms << "ms, parse " << parse_ms << "ms (" << mb_per_s
+              << " MB/s)\n";
+  };
+
+  rng gen(26);
+  const int series = 10;
+  const int steps = bench::smoke() ? 8000 : 83561;
+  obs::metrics_registry metrics;
+  for (int s = 0; s < series; ++s) {
+    obs::series& one = metrics.get_series("series" + std::to_string(s));
+    for (int t = 0; t < steps; ++t) {
+      one.push(static_cast<std::int64_t>(gen.below(2048)));
+    }
+    metrics.get_histogram("hist" + std::to_string(s))
+        .observe(static_cast<std::int64_t>(gen.below(1 << 20)));
+  }
+  record("json_codec/metrics_export/series=" + std::to_string(series) +
+             "/steps=" + std::to_string(steps),
+         bench::params("series", series, "steps", steps),
+         [&metrics] { return metrics.to_json().dump(); },
+         [](const std::string& text) {
+           return obs::json_parse(text).has_value();
+         });
+
+  const int lines = bench::smoke() ? 1200 : 12000;
+  std::vector<trial_record> trials(static_cast<std::size_t>(lines));
+  for (int i = 0; i < lines; ++i) {
+    trial_record& t = trials[static_cast<std::size_t>(i)];
+    t.seed = static_cast<std::uint64_t>(i) + 1;
+    t.completed = gen.below(16) != 0;
+    t.steps = static_cast<std::int64_t>(gen.below(100000));
+    t.informed_step = t.completed ? t.steps - 1 : -1;
+    t.transmissions = static_cast<std::int64_t>(gen.below(1 << 20));
+    t.collisions = static_cast<std::int64_t>(gen.below(1 << 16));
+    t.deliveries = static_cast<std::int64_t>(gen.below(1 << 16));
+    t.reachable_nodes = 128;
+    t.informed_reachable = 128;
+    t.wall_ms = gen.uniform01() * 10.0;
+  }
+  record("json_codec/trial_records/lines=" + std::to_string(lines),
+         bench::params("lines", lines),
+         [&trials] {
+           std::string text;
+           for (const trial_record& t : trials) {
+             text += campaign::trial_record_json(t).dump();
+             text += '\n';
+           }
+           return text;
+         },
+         [lines](const std::string& text) {
+           std::istringstream in(text);
+           obs::ndjson_reader reader(in);
+           while (reader.next().has_value()) {
+           }
+           return !reader.failed() && reader.documents() == lines;
+         });
+}
+
 // --------------------------------------------------------------------------
 // Deterministic-protocol SoA measurement.
 // --------------------------------------------------------------------------
@@ -792,6 +897,7 @@ int main(int argc, char** argv) {
   radiocast::check_mega_scale(rep);
   radiocast::check_gnp_scale(rep);
   radiocast::check_graph_build(rep);
+  radiocast::check_json_codec(rep);
   radiocast::check_deterministic_scale(rep);
   radiocast::check_full_deterministic(rep);
   return 0;
