@@ -300,9 +300,9 @@ double set_edge_cost(obs::json_value& values, const std::string& prefix,
 // informed frontier stays ≤ a handful of nodes until the wave reaches the
 // fat layer. Checks the two engines produce bit-identical results where
 // the speedup is measured, and asserts the walk actually wins. Both legs
-// run through virtual_view, i.e. per-node traits_node objects behind
-// virtual calls, so the ratio measures the awake-set skip under virtual
-// dispatch. The case keeps its historical name and `frontier_*` keys (the
+// run through virtual_view, i.e. one node_bank whose hooks are virtual
+// calls by node index, so the ratio measures the awake-set skip under
+// virtual dispatch. The case keeps its historical name and `frontier_*` keys (the
 // walk was once a separate frontier engine), so baselines compare like
 // for like.
 void check_frontier_speedup(bench::reporter& rep) {
@@ -373,7 +373,8 @@ void check_frontier_speedup(bench::reporter& rep) {
 // step 2 on, so the awake-set skip buys nothing and the SoA layout's
 // remaining levers — contiguous state, devirtualized step loop — are what
 // get measured (the `frontier` leg is the same soa walk through
-// virtual_view: per-node traits_node objects behind virtual calls). Also
+// virtual_view: contiguous states in one node_bank, but one virtual call
+// per hook and no calendar). Also
 // drives the engine's namesake workload: a (smoke-scaled) million-node
 // layered and sparse-G(n, p) completion run each, recorded as wall clock +
 // exact step counts.
@@ -738,8 +739,8 @@ void require_identical(const run_result& a, const run_result& b,
 // step_threads = 4 sharded-step measurement so the multi-core intra-step
 // number lands in a committed baseline. The polling legs (recorded under
 // the historical `*_frontier_*` keys) run virtual_view on the soa engine:
-// per-node traits_node objects behind virtual calls, every awake node
-// polled every step. The gate therefore compares virtual polling against
+// one node_bank behind a virtual call per hook, every awake node polled
+// every step. The gate therefore compares virtual polling against
 // the SoA layout with its calendar.
 void check_deterministic_scale(bench::reporter& rep) {
   const node_id n = bench::smoke() ? (1 << 13) : (1 << 18);
@@ -830,8 +831,8 @@ void check_deterministic_scale(bench::reporter& rep) {
 // fixed window. With the quiescence calendar (sim/soa_engine.h) a node
 // waiting for a reply slot or the token costs nothing per step, and the
 // whole O(n log n)-step traversal of Theorem 3 runs at n = 2^16. At smoke
-// size the record must match the polling walk's (virtual_view on soa: no
-// calendar).
+// size the record must match the polling walk's (virtual_view on soa: a
+// node_bank behind virtual calls, no calendar).
 void check_full_deterministic(bench::reporter& rep) {
   const node_id n = bench::smoke() ? (1 << 12) : (1 << 16);
   const int d = bench::smoke() ? 64 : 1024;  // layer width 64

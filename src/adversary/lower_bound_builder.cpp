@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 
 #include "adversary/jamming.h"
+#include "sim/soa_engine.h"
 #include "util/assert.h"
 #include "util/math.h"
 
@@ -12,13 +14,13 @@ namespace radiocast {
 
 namespace {
 
-/// The whole construction state: protocol instances for every label plus
+/// The whole construction state: the protocol's bank over every label plus
 /// the partially built topology.
 class builder {
  public:
   builder(const protocol& proto, node_id n, int d,
           const adversary_options& options)
-      : proto_(proto), n_(n), d_(d), options_(options) {
+      : n_(n), d_(d), options_(options) {
     RC_REQUIRE_MSG(proto.deterministic(),
                    "the lower-bound adversary needs a deterministic protocol");
     RC_REQUIRE_MSG(d >= 4 && d % 2 == 0, "need even D ≥ 4");
@@ -27,20 +29,23 @@ class builder {
     if (k_ % 2 == 1) --k_;  // the paper assumes even k
     RC_REQUIRE_MSG(k_ >= 4, "need n ≥ 16·D so that k = ⌊n/4D⌋ ≥ 4");
 
-    params_.r = n - 1;
-    params_.d_hint = -1;
+    // The network does not exist yet: the bank is built on an edgeless
+    // graph, with labels = node ids and r = n − 1. Only dfs_known reads the
+    // graph, and the adversary does not run on it.
+    graph edgeless = graph::undirected(n);
+    edgeless.finalize();
+    bank_ = proto.soa_runner()->make_bank(edgeless, proto, n - 1, {});
 
-    nodes_.resize(static_cast<std::size_t>(n));
     gens_.reserve(static_cast<std::size_t>(n));
     informed_.assign(static_cast<std::size_t>(n), false);
     sent_at_.assign(static_cast<std::size_t>(n), -1);
     sent_msg_.resize(static_cast<std::size_t>(n));
+    first_tx_.assign(static_cast<std::size_t>(n), -1);
     odd_layer_of_.assign(static_cast<std::size_t>(n), -1);
     in_star_.assign(static_cast<std::size_t>(n), false);
     for (node_id v = 0; v < n; ++v) {
       gens_.emplace_back(std::uint64_t{0x5eed0000} +
                          static_cast<std::uint64_t>(v));
-      nodes_[static_cast<std::size_t>(v)] = proto.make_node(v, params_);
     }
     informed_[0] = true;  // the source
 
@@ -114,20 +119,18 @@ class builder {
   /// (jam == nullptr), `spine` is the node whose first transmission we are
   /// waiting for; returns true the step it transmits.
   bool do_step(int spine, jamming* jam) {
+    bank_->begin_step(step_);
     // Phase 1: decisions of every informed node.
     transmitters_.clear();
     for (node_id v = 0; v < n_; ++v) {
       if (!informed_[static_cast<std::size_t>(v)]) continue;
       node_context ctx{step_, &gens_[static_cast<std::size_t>(v)]};
-      auto decision = nodes_[static_cast<std::size_t>(v)]->on_step(ctx);
+      auto decision = bank_->on_step(v, ctx);
       if (!decision) continue;
       decision->from = v;
       sent_at_[static_cast<std::size_t>(v)] = step_;
       sent_msg_[static_cast<std::size_t>(v)] = *decision;
       transmitters_.push_back(v);
-      if (first_tx_.size() <= static_cast<std::size_t>(v)) {
-        first_tx_.resize(static_cast<std::size_t>(n_), -1);
-      }
       if (first_tx_[static_cast<std::size_t>(v)] < 0) {
         first_tx_[static_cast<std::size_t>(v)] = step_;
       }
@@ -147,12 +150,11 @@ class builder {
       // under construction with its built in-neighborhood below.
       if (!transmitted(spine)) {
         const std::optional<node_id> below = unique_below_transmitter(spine);
-        const bool below_any = any_below_transmitter(spine);
         if (answer.what == jamming::outcome::kind::silence && below &&
             below_count_ == 1) {
           deliver(spine, *below);
         } else if (answer.what == jamming::outcome::kind::unique &&
-                   !below_any) {
+                   below_count_ == 0) {
           deliver(spine, answer.unique);
         }
       }
@@ -240,8 +242,7 @@ class builder {
     RC_CHECK_MSG(transmitted(sender),
                  "delivery from a node that did not transmit this step");
     node_context ctx{step_, &gens_[static_cast<std::size_t>(to)]};
-    nodes_[static_cast<std::size_t>(to)]->on_receive(
-        ctx, sent_msg_[static_cast<std::size_t>(sender)]);
+    bank_->on_receive(to, ctx, sent_msg_[static_cast<std::size_t>(sender)]);
     informed_[static_cast<std::size_t>(to)] = true;
   }
 
@@ -259,20 +260,13 @@ class builder {
     return below_count_ >= 1 ? std::optional<node_id>(found) : std::nullopt;
   }
 
-  bool any_below_transmitter(int spine) {
-    // below_count_ was just refreshed by unique_below_transmitter.
-    (void)spine;
-    return below_count_ >= 1;
-  }
-
   /// Waits (simulating with real semantics on the built part) until spine
   /// node i transmits for the first time. Returns its step, or −1 on cap.
   std::int64_t wait_for_spine_tx(int i) {
-    const auto v = static_cast<node_id>(i);
-    if (first_tx_.size() > static_cast<std::size_t>(v) &&
-        first_tx_[static_cast<std::size_t>(v)] >= 0) {
+    const std::int64_t first = first_tx_[static_cast<std::size_t>(i)];
+    if (first >= 0) {
       // Already transmitted during an earlier phase of the simulation.
-      return first_tx_[static_cast<std::size_t>(v)];
+      return first;
     }
     for (std::int64_t waited = 0; waited < options_.stage_wait_cap;
          ++waited) {
@@ -305,13 +299,11 @@ class builder {
     for (node_id c : pool_) {
       if (chosen[static_cast<std::size_t>(c)]) continue;
       next_pool.push_back(c);
-      nodes_[static_cast<std::size_t>(c)] = proto_.make_node(c, params_);
+      bank_->reset(c);
       gens_[static_cast<std::size_t>(c)] =
           rng(std::uint64_t{0x5eed0000} + static_cast<std::uint64_t>(c));
       informed_[static_cast<std::size_t>(c)] = false;
-      if (first_tx_.size() > static_cast<std::size_t>(c)) {
-        first_tx_[static_cast<std::size_t>(c)] = -1;
-      }
+      first_tx_[static_cast<std::size_t>(c)] = -1;
     }
     pool_ = std::move(next_pool);
   }
@@ -350,16 +342,14 @@ class builder {
     return g;
   }
 
-  const protocol& proto_;
   node_id n_;
   int d_;
   adversary_options options_;
   int spine_count_ = 0;
   int k_ = 0;
   std::int64_t jam_steps_ = 0;
-  protocol_params params_;
 
-  std::vector<std::unique_ptr<protocol_node>> nodes_;
+  std::unique_ptr<node_bank> bank_;
   std::vector<rng> gens_;
   std::vector<bool> informed_;
   std::vector<std::int64_t> sent_at_;

@@ -24,9 +24,9 @@ constexpr message_kind kStopLastTag = 9;
 
 constexpr selection_kinds kKinds{kOrder, kReply};
 
-// The protocol (sim/soa_engine.h traits): make_node wraps it in a
-// traits_node, soa_runner runs it on every step engine. The echo queue and
-// the selection initiator are the POD forms in core/echo.h. The chain
+// The protocol (sim/soa_engine.h traits): soa_runner runs it on every
+// step engine and builds its bank. The echo queue and the selection
+// initiator are the POD forms in core/echo.h. The chain
 // head's selection is not instrumented: every sel_* call passes a null
 // metrics registry.
 struct cl_soa_traits {
@@ -204,12 +204,7 @@ cl_soa_traits cl_traits(node_id r) {
 
 }  // namespace
 
-std::unique_ptr<protocol_node> complete_layered_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  return make_traits_node(cl_traits(params.r), label, params);
-}
-
-soa_entry complete_layered_protocol::soa_runner() const {
+const soa_entry* complete_layered_protocol::soa_runner() const {
   return &soa_entry_for<cl_traits>;
 }
 

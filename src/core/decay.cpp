@@ -37,8 +37,8 @@ std::vector<obs::metric_key> stage_tx_keys() {
 
 const std::vector<obs::metric_key> kStageTx = stage_tx_keys();
 
-// The protocol (sim/soa_engine.h traits): make_node wraps it in a
-// traits_node, soa_runner runs it on every step engine.
+// The protocol (sim/soa_engine.h traits): soa_runner runs it on every
+// step engine and builds its bank.
 struct decay_soa_traits {
   std::int64_t phase_len = 1;  // shared config: 2⌈log(r+1)⌉ (decay_traits)
 
@@ -155,12 +155,7 @@ decay_soa_traits decay_traits(node_id r) {
 
 }  // namespace
 
-std::unique_ptr<protocol_node> decay_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  return make_traits_node(decay_traits(params.r), label, params);
-}
-
-soa_entry decay_protocol::soa_runner() const {
+const soa_entry* decay_protocol::soa_runner() const {
   return &soa_entry_for<decay_traits>;
 }
 

@@ -20,11 +20,9 @@ class decay_protocol final : public protocol {
 
   std::string name() const override { return "bgi-decay"; }
   bool deterministic() const override { return false; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Runs every step engine on the protocol's traits (POD per-node state;
-  /// make_node wraps the same traits).
-  soa_entry soa_runner() const override;
+  /// Runs every step engine on the protocol's traits (POD per-node state),
+  /// and builds their bank.
+  const soa_entry* soa_runner() const override;
 };
 
 }  // namespace radiocast

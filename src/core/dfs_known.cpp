@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/soa_engine.h"
@@ -14,12 +15,11 @@ namespace {
 constexpr message_kind kAnnounce = 1;  // "I have just been visited"
 constexpr message_kind kToken = 2;     // a = receiving node's label
 
-}  // namespace
-
-/// What the nodes know a priori, in one label space: rows[label] is the
-/// row of the node carrying that label (empty for labels no node carries),
-/// and neighbor_labels[slot] holds that row's neighbor labels, sorted.
-struct dfs_known_protocol::knowledge {
+/// What the nodes know a priori, in the run's label space: rows[label] is
+/// the row of the node carrying that label (empty for labels no node
+/// carries), and neighbor_labels[slot] holds that row's neighbor labels,
+/// sorted. unvisited[slot] is the run's one volatile flag per slot.
+struct knowledge {
   /// A node's row: the CSR slots [begin, end) of its graph node.
   struct row {
     std::size_t begin = 0;
@@ -27,11 +27,8 @@ struct dfs_known_protocol::knowledge {
   };
   std::vector<row> rows;
   std::vector<node_id> neighbor_labels;
+  std::vector<std::uint8_t> unvisited;
 };
-
-namespace {
-
-using knowledge = dfs_known_protocol::knowledge;
 
 /// The rows of `g` under `labels` (empty ⇒ node ids), for labels ≤ r.
 knowledge build_knowledge(const graph& g, node_id r,
@@ -57,26 +54,23 @@ knowledge build_knowledge(const graph& g, node_id r,
     std::sort(first, first + static_cast<std::ptrdiff_t>(nbrs.size()));
     k.rows[static_cast<std::size_t>(own)] = {begin, begin + nbrs.size()};
   }
+  k.unvisited.resize(k.neighbor_labels.size());
   return k;
 }
 
-// The protocol (sim/soa_engine.h traits): make_node wraps it in a
-// traits_node, soa_runner runs it on every step engine. A node's knowledge
-// of its neighbors does not fit the POD state, so it lives in per-run
-// arrays the traits point to: the node's row of neighbor labels, and one
-// "unvisited" flag per slot of that row. Only the owning node writes its
-// flags, and only from init, on_receive and on_restart, which every engine
-// runs serially; on_step only reads them, so a sharded phase 1 is
+// The protocol (sim/soa_engine.h traits): soa_runner runs it on every
+// step engine and builds its bank. A node's knowledge of its neighbors
+// does not fit the POD state, so it lives in the run's knowledge, which
+// the traits share and point into: the node's row of neighbor labels, and
+// one "unvisited" flag per slot of that row. Only the owning node writes
+// its flags, and only from init, on_receive and on_restart, which every
+// engine runs serially; on_step only reads them, so a sharded phase 1 is
 // race-free.
 struct dfs_known_soa_traits {
+  std::shared_ptr<knowledge> known;          // owns the arrays below
   const knowledge::row* rows = nullptr;      // by label
   const node_id* neighbor_labels = nullptr;  // by slot
-  // unvisited[slot − flag_base]: a run's entry owns one flag per slot
-  // (flag_base 0); make_node gives a node flags for its own row only
-  // (own_flags, based at the row's first slot).
-  std::uint8_t* unvisited = nullptr;
-  std::size_t flag_base = 0;
-  std::shared_ptr<std::uint8_t[]> own_flags;
+  std::uint8_t* unvisited = nullptr;         // by slot
 
   struct state {
     node_id label = 0;
@@ -171,7 +165,7 @@ struct dfs_known_soa_traits {
     s->act_at = -1;
     const knowledge::row row = rows[static_cast<std::size_t>(s->label)];
     for (std::size_t i = row.begin; i < row.end; ++i) {
-      unvisited[i - flag_base] = 1;
+      unvisited[i] = 1;
     }
   }
 
@@ -181,61 +175,55 @@ struct dfs_known_soa_traits {
     const node_id* last = neighbor_labels + row.end;
     const node_id* it = std::lower_bound(first, last, who);
     if (it != last && *it == who) {
-      unvisited[static_cast<std::size_t>(it - neighbor_labels) - flag_base] =
-          0;
+      unvisited[it - neighbor_labels] = 0;
     }
   }
 
   node_id lowest_unvisited(const state& s) const {
     const knowledge::row row = rows[static_cast<std::size_t>(s.label)];
     for (std::size_t i = row.begin; i < row.end; ++i) {
-      if (unvisited[i - flag_base] != 0) return neighbor_labels[i];
+      if (unvisited[i] != 0) return neighbor_labels[i];
     }
     return -1;
   }
   // radiocast-analyze: hot-path-end
 };
 
-dfs_known_soa_traits traits_over(const knowledge& k) {
+// The traits over the knowledge of the run that (g, r, opts) describe:
+// the run and its bank both start here.
+dfs_known_soa_traits dfs_traits(const graph& g, node_id r,
+                                const run_options& opts) {
   dfs_known_soa_traits t;
-  t.rows = k.rows.data();
-  t.neighbor_labels = k.neighbor_labels.data();
+  t.known = std::make_shared<knowledge>(build_knowledge(g, r, opts.labels));
+  t.rows = t.known->rows.data();
+  t.neighbor_labels = t.known->neighbor_labels.data();
+  t.unvisited = t.known->unvisited.data();
   return t;
 }
 
-run_result dfs_known_entry(const graph& g, const protocol&, node_id r,
-                           const run_options& opts) {
-  const knowledge k = build_knowledge(g, r, opts.labels);
-  std::vector<std::uint8_t> unvisited(k.neighbor_labels.size());
-  dfs_known_soa_traits traits = traits_over(k);
-  traits.unvisited = unvisited.data();
-  return run_broadcast_soa(g, traits, r, opts);
+run_result dfs_known_run(const graph& g, const protocol&, node_id r,
+                         const run_options& opts) {
+  return run_broadcast_soa(g, dfs_traits(g, r, opts), r, opts);
 }
+
+std::unique_ptr<node_bank> dfs_known_bank(const graph& g, const protocol&,
+                                          node_id r,
+                                          const run_options& opts) {
+  return std::make_unique<traits_bank<dfs_known_soa_traits>>(
+      dfs_traits(g, r, opts), g, r, opts);
+}
+
+constexpr soa_entry kDfsKnownEntry{&dfs_known_run, &dfs_known_bank};
 
 }  // namespace
 
 dfs_known_protocol::dfs_known_protocol(const graph& g) {
   RC_REQUIRE_MSG(!g.is_directed(),
                  "the DFS baseline runs on undirected networks");
-  identity_ = std::make_shared<const knowledge>(
-      build_knowledge(g, g.node_count() - 1, {}));
 }
 
-dfs_known_protocol::~dfs_known_protocol() = default;
-
-std::unique_ptr<protocol_node> dfs_known_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  RC_REQUIRE_MSG(label >= 0 &&
-                     static_cast<std::size_t>(label) < identity_->rows.size(),
-                 "make_node takes node ids as labels");
-  const knowledge::row row = identity_->rows[static_cast<std::size_t>(label)];
-  dfs_known_soa_traits traits = traits_over(*identity_);
-  traits.own_flags = std::make_shared<std::uint8_t[]>(row.end - row.begin);
-  traits.unvisited = traits.own_flags.get();
-  traits.flag_base = row.begin;
-  return make_traits_node(std::move(traits), label, params);
+const soa_entry* dfs_known_protocol::soa_runner() const {
+  return &kDfsKnownEntry;
 }
-
-soa_entry dfs_known_protocol::soa_runner() const { return &dfs_known_entry; }
 
 }  // namespace radiocast

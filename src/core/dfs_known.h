@@ -19,8 +19,6 @@
 // exactly the price of not knowing one's neighbors.
 #pragma once
 
-#include <memory>
-
 #include "graph/graph.h"
 #include "sim/protocol.h"
 
@@ -28,27 +26,18 @@ namespace radiocast {
 
 class dfs_known_protocol final : public protocol {
  public:
-  /// The known-neighborhood assumption: a node knows its neighbors'
-  /// labels in `g`. A run builds that knowledge from its own labelling
-  /// (run_options::labels); make_node, which has no labelling, takes
-  /// node ids as labels. `g` must be the simulator's topology.
+  /// The known-neighborhood assumption: a node knows its neighbors' labels
+  /// in the run's graph. The run and its bank both build that knowledge
+  /// from the graph and labelling (run_options::labels) they are given.
+  /// `g` must be undirected.
   explicit dfs_known_protocol(const graph& g);
-  ~dfs_known_protocol() override;
 
   std::string name() const override { return "dfs-known-neighbors"; }
   bool deterministic() const override { return true; }
-  /// Nodes share the rows built at construction and must not outlive the
-  /// protocol.
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Runs every step engine on the protocol's traits, with the neighbor
-  /// rows built once per run in the run's label space.
-  soa_entry soa_runner() const override;
-
-  struct knowledge;  ///< implementation detail (dfs_known.cpp)
-
- private:
-  std::shared_ptr<const knowledge> identity_;  // rows for labels = node ids
+  /// Runs every step engine on the protocol's traits, and builds their
+  /// bank, with the neighbor rows built once per run in the run's label
+  /// space.
+  const soa_entry* soa_runner() const override;
 };
 
 }  // namespace radiocast

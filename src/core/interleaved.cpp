@@ -12,9 +12,9 @@ namespace {
 
 constexpr message_kind kRoundRobinPayload = 100;
 
-// The protocol (sim/soa_engine.h traits): make_node wraps it in a
-// traits_node, soa_runner runs it on every step engine. The odd-step
-// Select-and-Send stream reuses the shared sas_proto state machine
+// The protocol (sim/soa_engine.h traits): soa_runner runs it on every
+// step engine and builds its bank. The odd-step Select-and-Send stream
+// reuses the shared sas_proto state machine
 // (core/select_and_send_soa.h) with a null metrics registry. begin_step
 // hoists the round-robin slot and virtual-substep arithmetic out of the
 // per-node loop: they depend only on the global step, not on the node.
@@ -100,12 +100,7 @@ interleaved_soa_traits interleaved_traits(node_id r) {
 
 }  // namespace
 
-std::unique_ptr<protocol_node> interleaved_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  return make_traits_node(interleaved_traits(params.r), label, params);
-}
-
-soa_entry interleaved_protocol::soa_runner() const {
+const soa_entry* interleaved_protocol::soa_runner() const {
   return &soa_entry_for<interleaved_traits>;
 }
 

@@ -21,11 +21,9 @@ class interleaved_protocol final : public protocol {
 
   std::string name() const override { return "interleaved(rr+sas)"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Runs every step engine on the protocol's traits (POD per-node state;
-  /// make_node wraps the same traits).
-  soa_entry soa_runner() const override;
+  /// Runs every step engine on the protocol's traits (POD per-node state),
+  /// and builds their bank.
+  const soa_entry* soa_runner() const override;
 };
 
 }  // namespace radiocast

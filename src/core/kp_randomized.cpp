@@ -231,29 +231,10 @@ kp_soa_traits kp_randomized_protocol::traits(node_id r) const {
   return t;
 }
 
-std::unique_ptr<protocol_node> kp_randomized_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  if (use_bgi_fallback_) {
-    RC_REQUIRE_MSG(params.r <= r_, "kp_randomized_protocol was built for a "
-                                   "smaller label bound");
-    return decay_protocol().make_node(label, params);
-  }
-  return make_traits_node(traits(params.r), label, params);
-}
-
-run_result kp_randomized_protocol::soa_entry_fn(const graph& g,
-                                                const protocol& proto,
-                                                node_id r,
-                                                const run_options& opts) {
-  const auto& kp = static_cast<const kp_randomized_protocol&>(proto);
-  return run_broadcast_soa(g, kp.traits(r), r, opts);
-}
-
-soa_entry kp_randomized_protocol::soa_runner() const {
-  // The BGI-fallback regime runs Decay (make_node above), so its SoA entry
-  // is Decay's too.
+const soa_entry* kp_randomized_protocol::soa_runner() const {
+  // The BGI-fallback regime runs Decay, so its entries are Decay's.
   if (use_bgi_fallback_) return decay_protocol().soa_runner();
-  return &kp_randomized_protocol::soa_entry_fn;
+  return &soa_entry_for<&kp_randomized_protocol::traits>;
 }
 
 }  // namespace radiocast

@@ -64,11 +64,9 @@ class kp_randomized_protocol final : public protocol {
 
   std::string name() const override;
   bool deterministic() const override { return false; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Runs every step engine on the protocol's traits. In the BGI-fallback
-  /// regime this returns Decay's entry, as make_node returns Decay's nodes.
-  soa_entry soa_runner() const override;
+  /// Runs every step engine on the protocol's traits, and builds their
+  /// bank. In the BGI-fallback regime this returns Decay's entries.
+  const soa_entry* soa_runner() const override;
 
   /// Total schedule period (the wrapper repeats with this period).
   std::int64_t schedule_period() const;
@@ -77,10 +75,8 @@ class kp_randomized_protocol final : public protocol {
 
  private:
   /// The configured traits for label bound r (≤ the constructor's r) —
-  /// the one place make_node and the SoA entry get them from.
+  /// the one place the run and the bank get them from.
   kp_soa_traits traits(node_id r) const;
-  static run_result soa_entry_fn(const graph& g, const protocol& proto,
-                                 node_id r, const run_options& opts);
 
   node_id r_;
   kp_options options_;

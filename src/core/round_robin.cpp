@@ -9,8 +9,8 @@ namespace {
 
 constexpr message_kind kRoundRobinPayload = 1;
 
-// The protocol (sim/soa_engine.h traits): make_node wraps it in a
-// traits_node, soa_runner runs it on every step engine.
+// The protocol (sim/soa_engine.h traits): soa_runner runs it on every
+// step engine and builds its bank.
 struct round_robin_soa_traits {
   std::int64_t modulus = 1;  // shared config: r + 1 (round_robin_traits)
 
@@ -65,12 +65,7 @@ round_robin_soa_traits round_robin_traits(node_id r) {
 
 }  // namespace
 
-std::unique_ptr<protocol_node> round_robin_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  return make_traits_node(round_robin_traits(params.r), label, params);
-}
-
-soa_entry round_robin_protocol::soa_runner() const {
+const soa_entry* round_robin_protocol::soa_runner() const {
   return &soa_entry_for<round_robin_traits>;
 }
 

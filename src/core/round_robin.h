@@ -17,11 +17,9 @@ class round_robin_protocol final : public protocol {
 
   std::string name() const override { return "round-robin"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
   /// Runs every step engine on the protocol's traits (per-node state:
-  /// label + informed flag).
-  soa_entry soa_runner() const override;
+  /// label + informed flag), and builds their bank.
+  const soa_entry* soa_runner() const override;
 };
 
 }  // namespace radiocast

@@ -54,12 +54,7 @@ sas_soa_traits sas_traits(node_id r) {
 
 }  // namespace
 
-std::unique_ptr<protocol_node> select_and_send_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  return make_traits_node(sas_traits(params.r), label, params);
-}
-
-soa_entry select_and_send_protocol::soa_runner() const {
+const soa_entry* select_and_send_protocol::soa_runner() const {
   return &soa_entry_for<sas_traits>;
 }
 

@@ -90,20 +90,8 @@ selective_soa_traits selective_broadcast_protocol::traits(node_id r) const {
   return t;
 }
 
-std::unique_ptr<protocol_node> selective_broadcast_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  return make_traits_node(traits(params.r), label, params);
-}
-
-run_result selective_broadcast_protocol::soa_entry_fn(
-    const graph& g, const protocol& proto, node_id r,
-    const run_options& opts) {
-  const auto& sel = static_cast<const selective_broadcast_protocol&>(proto);
-  return run_broadcast_soa(g, sel.traits(r), r, opts);
-}
-
-soa_entry selective_broadcast_protocol::soa_runner() const {
-  return &selective_broadcast_protocol::soa_entry_fn;
+const soa_entry* selective_broadcast_protocol::soa_runner() const {
+  return &soa_entry_for<&selective_broadcast_protocol::traits>;
 }
 
 }  // namespace radiocast

@@ -39,11 +39,9 @@ class selective_broadcast_protocol final : public protocol {
 
   std::string name() const override;
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
   /// Runs every step engine on the protocol's traits (per-node state:
-  /// label + informed flag; the family is shared).
-  soa_entry soa_runner() const override;
+  /// label + informed flag; the family is shared), and builds their bank.
+  const soa_entry* soa_runner() const override;
 
   /// Length of one pass over the family.
   std::int64_t family_size() const;
@@ -53,10 +51,8 @@ class selective_broadcast_protocol final : public protocol {
 
  private:
   /// The configured traits for label bound r (≤ the constructor's r) —
-  /// the one place make_node and the SoA entry get them from.
+  /// the one place the run and the bank get them from.
   selective_soa_traits traits(node_id r) const;
-  static run_result soa_entry_fn(const graph& g, const protocol& proto,
-                                 node_id r, const run_options& opts);
 
   node_id r_;
   int k_;

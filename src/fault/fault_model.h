@@ -65,7 +65,7 @@ struct step_view {
 
 /// A crashed node rejoining the computation (recovery models, recovery.h).
 /// `amnesia` selects the restart semantics the simulator applies: true ⇒
-/// protocol state is re-initialized via protocol_node::on_restart and the
+/// protocol state is re-initialized via the traits' on_restart and the
 /// node is evicted from the informed set (it must be re-informed); false ⇒
 /// "retain" — state survived the outage and the node resumes where it was.
 struct node_recovery {

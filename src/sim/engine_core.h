@@ -4,8 +4,8 @@
 //
 // One run derives from run_base: the templated soa_run
 // (sim/soa_engine.h), whose per-node state is a contiguous POD array — a
-// traits protocol's own state, or, under virtual_view, a pointer to one of
-// its per-node traits_node objects. It runs both step loops: run_reference
+// traits protocol's own state, or, under virtual_view, a node index into
+// the inner protocol's node_bank. It runs both step loops: run_reference
 // below, and its own walk over the awake mask (or the quiescence calendar)
 // with phases that can shard across a thread pool.
 // The derived class provides the protocol hooks (proto_begin_step,
@@ -42,6 +42,31 @@
 #include "util/rng.h"
 
 namespace radiocast::detail {
+
+// The labelling of an n-node run with label bound r: `given`
+// (run_options::labels), or node ids when it is empty. Checked to cover
+// every node with distinct labels in [0, r], the source carrying 0.
+inline std::vector<node_id> resolve_labels(node_id n, node_id r,
+                                           const std::vector<node_id>& given) {
+  std::vector<node_id> labels = given;
+  if (labels.empty()) {
+    labels.resize(static_cast<std::size_t>(n));
+    for (node_id v = 0; v < n; ++v) {
+      labels[static_cast<std::size_t>(v)] = v;
+    }
+  }
+  RC_REQUIRE_MSG(labels.size() == static_cast<std::size_t>(n),
+                 "labels must cover every node");
+  RC_REQUIRE_MSG(labels[0] == 0, "the source must carry label 0");
+  std::vector<bool> seen(static_cast<std::size_t>(r) + 1, false);
+  for (node_id label : labels) {
+    RC_REQUIRE_MSG(label >= 0 && label <= r, "label out of range");
+    RC_REQUIRE_MSG(!seen[static_cast<std::size_t>(label)],
+                   "labels must be distinct");
+    seen[static_cast<std::size_t>(label)] = true;
+  }
+  return labels;
+}
 
 // One listener's reception record for the step being resolved: how many
 // transmitters it heard, and the last of them as an index into the step's
@@ -96,29 +121,9 @@ class run_base {
 
     params_.r = r;
     // d_hint is a per-protocol construction choice, not a per-run one: the
-    // protocol object bakes it into the nodes it makes (see kp_randomized).
+    // protocol object bakes it into its traits (see kp_randomized).
     params_.d_hint = -1;
-
-    // Resolve the (possibly sparse) labeling.
-    labels_ = opts.labels;
-    if (labels_.empty()) {
-      labels_.resize(static_cast<std::size_t>(n_));
-      for (node_id v = 0; v < n_; ++v) {
-        labels_[static_cast<std::size_t>(v)] = v;
-      }
-    }
-    RC_REQUIRE_MSG(labels_.size() == static_cast<std::size_t>(n_),
-                   "labels must cover every node");
-    RC_REQUIRE_MSG(labels_[0] == 0, "the source must carry label 0");
-    {
-      std::vector<bool> seen(static_cast<std::size_t>(r) + 1, false);
-      for (node_id label : labels_) {
-        RC_REQUIRE_MSG(label >= 0 && label <= r, "label out of range");
-        RC_REQUIRE_MSG(!seen[static_cast<std::size_t>(label)],
-                       "labels must be distinct");
-        seen[static_cast<std::size_t>(label)] = true;
-      }
-    }
+    labels_ = resolve_labels(n_, r, opts.labels);
   }
 
   // Second setup phase, called from the DERIVED constructor body (the base

@@ -2,16 +2,16 @@
 //
 // The paper models an algorithm as an action function π(v, H_{k−1}(v)) — the
 // decision of node v at step k depends only on v's label and the messages it
-// has received so far. We mirror that: each node is an object whose
-// `on_step` returns its transmit decision for the current step and whose
-// `on_receive` extends its history.
+// has received so far. We mirror that: a node's `on_step` returns its
+// transmit decision for the current step and its `on_receive` extends its
+// history.
 //
 // Every protocol writes that action function ONCE, as SoA traits (a POD
-// per-node state plus const hooks; sim/soa_engine.h). soa_runner hands the
-// traits to the templated step loops, and make_node wraps the same traits
-// in a traits_node for code that drives nodes one at a time. protocol_node
-// is only that adapter's interface: traits_node is its one subclass, and
-// nothing else can construct one.
+// per-node state plus const hooks; sim/soa_engine.h). soa_runner hands out
+// one static pair of entries built from the same configured traits: `run`
+// runs the templated step loops, and `make_bank` builds a node_bank — the
+// traits and the states of all n nodes, with the hooks by node index — for
+// code that drives nodes itself (the lower-bound adversary, virtual_view).
 //
 // Knowledge model (paper §1.3): a node knows a priori only its own label and
 // the bound r on labels. Procedures explicitly parameterized by D (such as
@@ -41,7 +41,7 @@
 // POOLED PER-NODE RNG (the CONTRACT's second beneficiary): every engine
 // now draws per-node randomness from one contiguous pool, `gens_` in
 // sim/engine_core.h, split from the root seed in node order 0…n−1 — the
-// generator is no longer embedded in the node object. This is only sound
+// generator is not part of the protocol state. This is only sound
 // BECAUSE of the dormant-node contract: a dormant node never advances its
 // pool slot, so an engine that skips dormant nodes (soa) leaves
 // the pool byte-identical to one that steps all n (reference), and the
@@ -86,27 +86,37 @@ class metrics_registry;
 namespace radiocast {
 
 class graph;
+class node_bank;     // sim/soa_engine.h
 struct run_options;  // sim/simulator.h
 struct run_result;   // sim/simulator.h
 class protocol;
 
-/// Entry point of a protocol's struct-of-arrays step engine: runs one full
-/// broadcast of `proto` on `g` with the given label bound and options,
-/// using the templated SoA run instantiated for that protocol's POD state
-/// (see sim/soa_engine.h) on whichever step loop opts.engine names. A plain
-/// function pointer, not a virtual per-step call: run_broadcast_with_r
-/// resolves it ONCE per run through protocol::soa_runner, and the step
-/// loops it jumps into have no virtual dispatch at all — on_step is inlined
-/// into the loop body.
-using soa_entry = run_result (*)(const graph& g, const protocol& proto,
-                                 node_id r, const run_options& opts);
+/// A protocol's entries, built from its one configured traits
+/// (soa_entry_for in sim/soa_engine.h). run_broadcast_with_r resolves them
+/// ONCE per run through protocol::soa_runner.
+struct soa_entry {
+  /// Runs one full broadcast of `proto` on `g` with the given label bound
+  /// and options, using the templated SoA run instantiated for the
+  /// protocol's POD state on whichever step loop opts.engine names. The
+  /// step loops it jumps into have no virtual dispatch at all — on_step is
+  /// inlined into the loop body.
+  run_result (*run)(const graph& g, const protocol& proto, node_id r,
+                    const run_options& opts);
+  /// Builds the bank those arguments would run on: the configured traits
+  /// and every node's state after init, under opts.labels (node ids when
+  /// empty). Of the graph only its node count is read, and dfs_known's
+  /// neighbor rows; the bank keeps no reference to it.
+  std::unique_ptr<node_bank> (*make_bank)(const graph& g,
+                                          const protocol& proto, node_id r,
+                                          const run_options& opts);
+};
 
 /// next_poll's "no scheduled wake" answer: only a reception (or a
 /// recovery) makes the node worth stepping again (see SLEEP CONTRACT).
 inline constexpr std::int64_t kWakeOnReceive =
     std::numeric_limits<std::int64_t>::max();
 
-/// Static parameters handed to every node at creation.
+/// Static parameters handed to every node's init.
 struct protocol_params {
   node_id r = 0;    ///< labels are drawn from {0, …, r}; r = O(n)
   int d_hint = -1;  ///< radius for D-parameterized procedures; −1 = unknown
@@ -129,49 +139,7 @@ struct node_context {
   obs::metrics_registry* metrics = nullptr;
 };
 
-/// One node's running protocol instance: the per-node face of a traits
-/// protocol, for code that drives nodes one at a time. Only traits_node
-/// (sim/soa_engine.h) derives from it.
-class protocol_node {
- public:
-  virtual ~protocol_node() = default;
-  protocol_node(const protocol_node&) = delete;
-  protocol_node& operator=(const protocol_node&) = delete;
-
-  /// The node's action at this step: a message to transmit, or std::nullopt
-  /// to act as a receiver. Called exactly once per step, in step order.
-  virtual std::optional<message> on_step(const node_context& ctx) = 0;
-
-  /// Delivery: called after on_step in the same step, iff this node acted
-  /// as a receiver and exactly one of its in-neighbors transmitted.
-  virtual void on_receive(const node_context& ctx, const message& msg) = 0;
-
-  /// True once this node holds the source message.
-  virtual bool informed() const = 0;
-
-  /// True once this node has permanently stopped (it will never transmit
-  /// again). Used to detect full protocol termination for token algorithms.
-  virtual bool halted() const = 0;
-
-  /// Amnesia restart (crash-recovery fault model, src/fault/recovery.h):
-  /// the node rebooted with volatile state lost. Implementations MUST
-  /// return to their freshly-constructed state — exactly what make_node
-  /// produced for this label — and MUST NOT draw from ctx.gen (a restart
-  /// never perturbs the per-node coin-flip stream; guarded by the
-  /// reference/soa differential suite). After on_restart the source
-  /// (label 0) is informed() again — the message is its own — and every
-  /// other node is uninformed and dormant, subject to the dormant-node
-  /// contract above, until re-informed by a fresh delivery. The simulator
-  /// RC_CHECKs the informed() state after every amnesia restart.
-  virtual void on_restart(const node_context& ctx) = 0;
-
- private:
-  template <class>
-  friend class traits_node;
-  protocol_node() = default;
-};
-
-/// Factory for protocol nodes; one per algorithm.
+/// One broadcasting algorithm.
 class protocol {
  public:
   virtual ~protocol() = default;
@@ -183,27 +151,19 @@ class protocol {
   /// adversary, which replays node decisions).
   virtual bool deterministic() const = 0;
 
-  /// Creates the protocol instance for the node with the given label.
-  /// Label 0 is the source and starts informed.
-  virtual std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const = 0;
-
-  /// The protocol's struct-of-arrays entry: it runs both engines —
-  /// reference and soa — on the protocol's traits, and is never null.
-  /// make_node is only for code that drives single nodes (the lower-bound
-  /// adversary, virtual_view below). Both must be built from the same
-  /// configured traits (make_traits_node in sim/soa_engine.h;
-  /// core/decay.cpp shows the pattern), so the two paths cannot disagree.
-  virtual soa_entry soa_runner() const = 0;
+  /// The protocol's entries: a pointer to a static pair that runs both
+  /// engines — reference and soa — on the protocol's traits, and builds
+  /// their bank. Never null.
+  virtual const soa_entry* soa_runner() const = 0;
 };
 
-/// A view of `inner` with its traits form hidden: make_node forwards, and
-/// soa_runner() runs an adapter traits (sim/simulator.cpp) whose state is
-/// one of make_node's traits_node objects, so every hook is a virtual call
-/// and there is no quiescence calendar. Under step_engine::soa that is the
-/// plain awake-set walk, which makes the view the per-node reference path
-/// of the differential suite and the throughput bench's baseline for the
-/// SoA layout and the calendar. Each node owns its traits copy, so the
+/// A view of `inner` with its traits form hidden: its run drives an
+/// adapter traits (sim/simulator.cpp) whose state is a node index into
+/// inner's bank for the run, so every hook is a virtual call and there is
+/// no quiescence calendar. Under step_engine::soa that is the plain
+/// awake-set walk, which makes the view the per-node reference path of the
+/// differential suite and the throughput bench's baseline for the SoA
+/// layout and the calendar. Workers only read the bank's traits, so the
 /// view's steps shard like any other run. `inner` must outlive the view.
 class virtual_view final : public protocol {
  public:
@@ -211,13 +171,16 @@ class virtual_view final : public protocol {
 
   std::string name() const override { return inner_.name(); }
   bool deterministic() const override { return inner_.deterministic(); }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override {
-    return inner_.make_node(label, params);
-  }
-  soa_entry soa_runner() const override;
+  const soa_entry* soa_runner() const override;
 
  private:
+  static run_result run(const graph& g, const protocol& view, node_id r,
+                        const run_options& opts);
+  static std::unique_ptr<node_bank> make_bank(const graph& g,
+                                              const protocol& view,
+                                              node_id r,
+                                              const run_options& opts);
+
   const protocol& inner_;
 };
 

@@ -13,55 +13,65 @@ namespace radiocast {
 
 namespace {
 
-/// virtual_view's traits: per-node state is a pointer to a traits_node that
-/// make_node built, in node order, into a vector that outlives the run, and
-/// every hook is a virtual call. Each node owns its traits copy, so phase 1
-/// may shard across nodes. It has no begin_step (nodes hoist for
-/// themselves) and no next_poll, so soa_run (sim/soa_engine.h) walks the
-/// whole awake set each step under step_engine::soa and all n nodes under
-/// reference.
+/// virtual_view's traits: per-node state is a node index into the inner
+/// protocol's bank for the run, and every hook is a virtual call on it.
+/// begin_step forwards to the bank, once per step and serially, so workers
+/// of a sharded phase 1 only read the bank's traits. There is no next_poll,
+/// so soa_run (sim/soa_engine.h) walks the whole awake set each step under
+/// step_engine::soa and all n nodes under reference.
 struct virtual_soa_traits {
-  const protocol* proto;
-  std::vector<std::unique_ptr<protocol_node>>* nodes;
+  node_bank* bank = nullptr;
+  node_id* inits = nullptr;  // soa_run inits nodes 0…n−1 in order
 
   struct state {
-    protocol_node* node;
+    node_id v;
   };
 
-  void init(state* s, node_id label, const protocol_params& params) const {
-    nodes->push_back(proto->make_node(label, params));
-    s->node = nodes->back().get();
-    RC_CHECK(s->node != nullptr);
+  void init(state* s, node_id, const protocol_params&) const {
+    s->v = (*inits)++;
   }
+  void begin_step(std::int64_t step) { bank->begin_step(step); }
 
   // radiocast-analyze: hot-path-begin -- per-node dispatch, called once
   // per stepped node per step.
 
   std::optional<message> on_step(state* s, const node_context& ctx) const {
-    return s->node->on_step(ctx);
+    return bank->on_step(s->v, ctx);
   }
   void on_receive(state* s, const node_context& ctx, const message& m) const {
-    s->node->on_receive(ctx, m);
+    bank->on_receive(s->v, ctx, m);
   }
-  bool informed(const state& s) const { return s.node->informed(); }
-  bool halted(const state& s) const { return s.node->halted(); }
+  bool informed(const state& s) const { return bank->informed(s.v); }
+  bool halted(const state& s) const { return bank->halted(s.v); }
   void on_restart(state* s, const node_context& ctx) const {
-    s->node->on_restart(ctx);
+    bank->on_restart(s->v, ctx);
   }
 
   // radiocast-analyze: hot-path-end
 };
 
-run_result virtual_entry(const graph& g, const protocol& view, node_id r,
-                         const run_options& opts) {
-  std::vector<std::unique_ptr<protocol_node>> nodes;
-  nodes.reserve(static_cast<std::size_t>(g.node_count()));
-  return run_broadcast_soa(g, virtual_soa_traits{&view, &nodes}, r, opts);
-}
-
 }  // namespace
 
-soa_entry virtual_view::soa_runner() const { return &virtual_entry; }
+run_result virtual_view::run(const graph& g, const protocol& view, node_id r,
+                             const run_options& opts) {
+  const std::unique_ptr<node_bank> bank = make_bank(g, view, r, opts);
+  node_id inits = 0;
+  return run_broadcast_soa(g, virtual_soa_traits{bank.get(), &inits}, r,
+                           opts);
+}
+
+std::unique_ptr<node_bank> virtual_view::make_bank(const graph& g,
+                                                   const protocol& view,
+                                                   node_id r,
+                                                   const run_options& opts) {
+  const protocol& inner = static_cast<const virtual_view&>(view).inner_;
+  return inner.soa_runner()->make_bank(g, inner, r, opts);
+}
+
+const soa_entry* virtual_view::soa_runner() const {
+  static constexpr soa_entry kEntry{&run, &make_bank};
+  return &kEntry;
+}
 
 const char* run_outcome_name(run_outcome o) {
   switch (o) {
@@ -80,7 +90,7 @@ run_result run_broadcast_with_r(const graph& g, const protocol& proto,
   obs::scoped_span run_span(profiler, "run_broadcast");
   // One virtual call per RUN: the protocol's templated SoA entry — the
   // step loops behind it have no virtual dispatch.
-  return proto.soa_runner()(g, proto, r, opts);
+  return proto.soa_runner()->run(g, proto, r, opts);
 }
 
 run_result run_broadcast(const graph& g, const protocol& proto,

@@ -41,7 +41,7 @@ enum class stop_condition {
 /// Which step loop runs the broadcast (see docs/PERFORMANCE.md). Every
 /// protocol runs both loops on the templated SoA run (sim/soa_engine.h)
 /// through its traits (protocol::soa_runner), with the hooks inlined;
-/// virtual_view runs them on per-node protocol_node objects instead. Only
+/// virtual_view runs them through a node_bank's virtual hooks instead. Only
 /// these two loops exist because of the dormant-node
 /// contract in sim/protocol.h: the paper's model has no spontaneous
 /// transmissions, so skipping nodes that never received is unobservable.

@@ -1,14 +1,14 @@
 // Struct-of-arrays step engine: the one run type for every protocol, on
 // both step engines.
 //
-// A per-node protocol_node pays three taxes per awake node per step: a
-// pointer chase to a heap-scattered node object, a virtual on_step call the
+// A per-node object pays three taxes per awake node per step: a pointer
+// chase to a heap-scattered node object, a virtual on_step call the
 // compiler cannot inline, and the cache misses both imply once n outgrows
 // the LLC. soa_run removes all three: every protocol's soa_runner() lands
 // here whatever run_options::engine says. virtual_view (sim/protocol.h)
 // runs here too, through a small adapter traits (sim/simulator.cpp) whose
-// POD state is a pointer to a per-node traits_node — it keeps the taxes
-// but shares every line of the step loops:
+// POD state is a node index into a node_bank (below) — it keeps the
+// virtual call but shares every line of the step loops:
 //
 //   * step_engine::reference runs run_base::run_reference (on_step on all
 //     n nodes); step_engine::soa runs the loop below (the walk over the
@@ -120,9 +120,9 @@
 //     calendar.
 //
 // Traits requirements (see core/decay.cpp for the worked pattern). The
-// traits struct IS the protocol: make_node wraps the same configured traits
-// in a traits_node (below), so there is no second implementation to keep
-// in step.
+// traits struct IS the protocol: soa_entry_for (below) builds both the run
+// and the node_bank from the same configured traits, so there is no second
+// implementation to keep in step.
 //   struct state;                       // POD per-node protocol state
 //   void init(state*, node_id label, const protocol_params&) const;
 //   std::optional<message> on_step(state*, const node_context&) const;
@@ -130,6 +130,15 @@
 //   bool informed(const state&) const;
 //   bool halted(const state&) const;
 //   void on_restart(state*, const node_context&) const;
+//       // amnesia restart (crash-recovery fault model, fault/recovery.h):
+//       // the node rebooted with volatile state lost. It MUST return the
+//       // state to what init made for this label and MUST NOT draw from
+//       // ctx.gen (a restart never perturbs the per-node coin-flip stream;
+//       // guarded by the reference/soa differential suite). After it the
+//       // source (label 0) is informed again — the message is its own —
+//       // and every other node is uninformed and dormant, subject to the
+//       // dormant-node contract in sim/protocol.h, until a fresh delivery;
+//       // the simulator RC_CHECKs that after every amnesia restart.
 // Optionally:
 //   void begin_step(std::int64_t step);  // per-step hoist, see below
 //   std::int64_t next_poll(const state&, std::int64_t step) const;
@@ -152,7 +161,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -710,66 +718,136 @@ run_result run_broadcast_soa(const graph& g, const Traits& traits, node_id r,
   return run.run();
 }
 
-/// The soa_entry of a protocol whose configured traits depend only on the
-/// label bound: `MakeTraits(r)` is the one place that configuration
-/// happens, shared with make_node (`make_traits_node(MakeTraits(params.r),
-/// …)`).
-template <auto MakeTraits>
-run_result soa_entry_for(const graph& g, const protocol&, node_id r,
-                         const run_options& opts) {
-  return run_broadcast_soa(g, MakeTraits(r), r, opts);
-}
-
-/// One node of a traits protocol behind the protocol_node interface, for
-/// code that drives nodes one by one: the lower-bound adversary, user code,
-/// and virtual_view's adapter (the differential suite's virtual leg). It is
-/// the only protocol_node subclass there can be. It holds one traits copy
-/// and one state, and runs begin_step itself whenever it sees a new step —
-/// before on_step, on_receive and on_restart alike, since a node can
-/// receive in a step in which it was not polled and a hook may read the
-/// hoist.
-template <class Traits>
-class traits_node final : public protocol_node {
+/// A run's protocol state for code that drives nodes itself: one
+/// configured traits object and the states of all n nodes, with the hooks
+/// by node index. The lower-bound adversary and virtual_view's adapter
+/// (sim/simulator.cpp) drive one; soa_entry::make_bank builds it.
+///
+/// The driver calls begin_step once per step, serially, before any other
+/// hook of that step (on_restart aside, which runs before it), as soa_run
+/// does. The hooks never hoist for themselves, so the workers of a sharded
+/// step that share a bank only read its traits.
+class node_bank {
  public:
-  traits_node(Traits traits, node_id label, const protocol_params& params)
-      : traits_(std::move(traits)) {
-    traits_.init(&state_, label, params);
-  }
+  node_bank() = default;
+  virtual ~node_bank() = default;
+  node_bank(const node_bank&) = delete;
+  node_bank& operator=(const node_bank&) = delete;
 
-  std::optional<message> on_step(const node_context& ctx) override {
-    hoist(ctx.step);
-    return traits_.on_step(&state_, ctx);
-  }
-  void on_receive(const node_context& ctx, const message& msg) override {
-    hoist(ctx.step);
-    traits_.on_receive(&state_, ctx, msg);
-  }
-  bool informed() const override { return traits_.informed(state_); }
-  bool halted() const override { return traits_.halted(state_); }
-  void on_restart(const node_context& ctx) override {
-    hoist(ctx.step);
-    traits_.on_restart(&state_, ctx);
-  }
-
- private:
-  void hoist(std::int64_t step) {
-    if constexpr (detail::traits_have_begin_step<Traits>::value) {
-      if (step == hoisted_step_) return;
-      traits_.begin_step(step);
-      hoisted_step_ = step;
-    }
-  }
-
-  Traits traits_;
-  typename Traits::state state_{};
-  std::int64_t hoisted_step_ = std::numeric_limits<std::int64_t>::min();
+  virtual void begin_step(std::int64_t step) = 0;
+  /// Node v's action at this step: a message to transmit, or std::nullopt
+  /// to act as a receiver.
+  virtual std::optional<message> on_step(node_id v,
+                                         const node_context& ctx) = 0;
+  /// Delivery: node v acted as a receiver and exactly one of its
+  /// in-neighbors transmitted.
+  virtual void on_receive(node_id v, const node_context& ctx,
+                          const message& msg) = 0;
+  /// True once node v holds the source message.
+  virtual bool informed(node_id v) const = 0;
+  /// True once node v has permanently stopped transmitting.
+  virtual bool halted(node_id v) const = 0;
+  /// Amnesia restart (the traits' on_restart contract above).
+  virtual void on_restart(node_id v, const node_context& ctx) = 0;
+  /// Node v as the bank built it: its state value-initialised and init
+  /// re-run for its label.
+  virtual void reset(node_id v) = 0;
 };
 
 template <class Traits>
-std::unique_ptr<protocol_node> make_traits_node(Traits traits, node_id label,
-                                                const protocol_params& params) {
-  return std::make_unique<traits_node<Traits>>(std::move(traits), label,
-                                               params);
+class traits_bank final : public node_bank {
+ public:
+  /// The bank run_broadcast_soa(g, traits, r, opts) would step: n =
+  /// g.node_count() states, node v initialised for label opts.labels[v]
+  /// (v when opts.labels is empty), the labels checked as the run checks
+  /// them.
+  traits_bank(Traits traits, const graph& g, node_id r,
+              const run_options& opts)
+      : traits_(std::move(traits)),
+        labels_(detail::resolve_labels(g.node_count(), r, opts.labels)),
+        states_(static_cast<std::size_t>(g.node_count())) {
+    params_.r = r;
+    for (node_id v = 0; v < g.node_count(); ++v) {
+      traits_.init(&states_[idx(v)], labels_[idx(v)], params_);
+    }
+  }
+
+  // radiocast-analyze: hot-path-begin -- per-node dispatch, called once
+  // per stepped node per step.
+
+  void begin_step(std::int64_t step) override {
+    if constexpr (detail::traits_have_begin_step<Traits>::value) {
+      traits_.begin_step(step);
+    }
+  }
+  std::optional<message> on_step(node_id v,
+                                 const node_context& ctx) override {
+    return traits_.on_step(&states_[idx(v)], ctx);
+  }
+  void on_receive(node_id v, const node_context& ctx,
+                  const message& msg) override {
+    traits_.on_receive(&states_[idx(v)], ctx, msg);
+  }
+  bool informed(node_id v) const override {
+    return traits_.informed(states_[idx(v)]);
+  }
+  bool halted(node_id v) const override {
+    return traits_.halted(states_[idx(v)]);
+  }
+  void on_restart(node_id v, const node_context& ctx) override {
+    traits_.on_restart(&states_[idx(v)], ctx);
+  }
+  void reset(node_id v) override {
+    states_[idx(v)] = typename Traits::state{};
+    traits_.init(&states_[idx(v)], labels_[idx(v)], params_);
+  }
+
+  // radiocast-analyze: hot-path-end
+
+ private:
+  static std::size_t idx(node_id v) { return static_cast<std::size_t>(v); }
+
+  Traits traits_;
+  protocol_params params_;
+  std::vector<node_id> labels_;
+  std::vector<typename Traits::state> states_;
+};
+
+namespace detail {
+// Calls a traits maker: a free `make(r)`, or a protocol's own `traits(r)`
+// member on `proto`.
+template <class Traits>
+Traits make_traits(Traits (*make)(node_id), const protocol&, node_id r) {
+  return make(r);
 }
+template <class Traits, class P>
+Traits make_traits(Traits (P::*make)(node_id) const, const protocol& proto,
+                   node_id r) {
+  return (static_cast<const P&>(proto).*make)(r);
+}
+
+template <auto MakeTraits>
+run_result run_made(const graph& g, const protocol& proto, node_id r,
+                    const run_options& opts) {
+  return run_broadcast_soa(g, make_traits(MakeTraits, proto, r), r, opts);
+}
+
+template <auto MakeTraits>
+std::unique_ptr<node_bank> bank_made(const graph& g, const protocol& proto,
+                                     node_id r, const run_options& opts) {
+  auto traits = make_traits(MakeTraits, proto, r);
+  return std::make_unique<traits_bank<decltype(traits)>>(std::move(traits),
+                                                         g, r, opts);
+}
+}  // namespace detail
+
+/// The entries of a protocol whose configured traits depend only on the
+/// label bound: `MakeTraits` is a free `Traits f(node_id r)` or the
+/// protocol's own `Traits P::traits(node_id r) const`, and it is the one
+/// place that configuration happens for the run and the bank alike.
+/// soa_runner returns `&soa_entry_for<…>`.
+template <auto MakeTraits>
+inline constexpr soa_entry soa_entry_for{&detail::run_made<MakeTraits>,
+                                         &detail::bank_made<MakeTraits>};
 
 }  // namespace radiocast

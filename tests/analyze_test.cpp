@@ -271,7 +271,7 @@ struct good_soa_traits {
   void on_restart(state* s, const node_context& ctx) const;
   void begin_step(std::int64_t step);
 };
-soa_entry good_protocol::soa_runner() const { return &good_soa_entry; }
+const soa_entry* good_protocol::soa_runner() const { return &good_entry; }
 )cpp";
 
 TEST(AnalyzeTest, ContractAcceptsAConformingTraits) {
@@ -424,7 +424,9 @@ struct cl_like_soa_traits {
   bool halted(const state& s) const;
   void on_restart(state* s, const node_context& ctx) const;
 };
-soa_entry cl_like_protocol::soa_runner() const { return &cl_like_entry; }
+const soa_entry* cl_like_protocol::soa_runner() const {
+  return &cl_like_entry;
+}
 )cpp");
   EXPECT_EQ(fired(rep, "contract"), 0);
 }
@@ -451,7 +453,9 @@ struct il_like_soa_traits {
   bool halted(const state& s) const;
   void on_restart(state* s, const node_context& ctx) const;
 };
-soa_entry il_like_protocol::soa_runner() const { return &il_like_entry; }
+const soa_entry* il_like_protocol::soa_runner() const {
+  return &il_like_entry;
+}
 )cpp");
   EXPECT_EQ(fired(rep, "contract"), 0);
 }
@@ -479,7 +483,8 @@ struct il_bad_soa_traits {
   EXPECT_EQ(fired(rep, "contract"), 1);
 }
 
-// One implementation per protocol: the traits, wrapped by make_node.
+// One implementation per protocol: the traits, behind the entry pair
+// soa_entry_for builds from them.
 const char* kTraitsOnlyProtocol = R"cpp(
 struct one_soa_traits {
   struct state {
@@ -493,16 +498,13 @@ struct one_soa_traits {
   bool halted(const state& s) const;
   void on_restart(state* s, const node_context& ctx) const;
 };
-std::unique_ptr<protocol_node> one_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  return make_traits_node(one_soa_traits{}, label, params);
-}
-soa_entry one_protocol::soa_runner() const {
+one_soa_traits one_traits(node_id) { return {}; }
+const soa_entry* one_protocol::soa_runner() const {
   return &soa_entry_for<one_traits>;
 }
 )cpp";
 
-TEST(AnalyzeTest, ContractAcceptsTraitsWrappedByMakeNode) {
+TEST(AnalyzeTest, ContractAcceptsTraitsBehindTheirEntryPair) {
   EXPECT_EQ(fired(run_one("src/core/one.cpp", kTraitsOnlyProtocol),
                   "contract"),
             0);
@@ -510,12 +512,12 @@ TEST(AnalyzeTest, ContractAcceptsTraitsWrappedByMakeNode) {
 
 TEST(AnalyzeTest, ContractFiresOnEntryWithoutTraits) {
   const report rep = run_one("src/core/bad.cpp", R"cpp(
-soa_entry bad_protocol::soa_runner() const { return &some_entry_fn; }
+const soa_entry* bad_protocol::soa_runner() const { return &some_entry; }
 )cpp");
   EXPECT_EQ(fired(rep, "contract"), 1);
   // The generic entry helper's shape triggers the same check.
   const report generic = run_one("src/core/bad2.cpp", R"cpp(
-soa_entry bad2_protocol::soa_runner() const {
+const soa_entry* bad2_protocol::soa_runner() const {
   return &soa_entry_for<bad2_traits>;
 }
 )cpp");
@@ -526,13 +528,13 @@ TEST(AnalyzeTest, ContractIgnoresDelegatingAndNullRunners) {
   // A runner that returns nullptr names no entry; kp's fallback path
   // delegates. Neither requires local traits.
   EXPECT_EQ(fired(run_one("src/core/a.h",
-                          "virtual soa_entry soa_runner() const { return "
-                          "nullptr; }\n"),
+                          "virtual const soa_entry* soa_runner() const { "
+                          "return nullptr; }\n"),
                   "contract"),
             0);
   EXPECT_EQ(
       fired(run_one("src/core/b.cpp",
-                    "soa_entry b::soa_runner() const { return "
+                    "const soa_entry* b::soa_runner() const { return "
                     "other_protocol().soa_runner(); }\n"),
             "contract"),
       0);

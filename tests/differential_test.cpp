@@ -26,10 +26,12 @@
 // wrong step — fails here even if the protocol still happens to complete.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -445,8 +447,8 @@ TEST(DifferentialTest, TrialRecordsMatchTracedReruns) {
 // skips sleeping nodes through the quiescence calendar, hoists the fault
 // branches out of phase 2, and shards both phases of a single step across
 // threads with an ordered merge. Every protocol runs both engines on its
-// SoA state; a virtual_view of it runs them over protocol_node objects
-// instead. The contract for ALL is
+// SoA state; a virtual_view of it runs them through the virtual hooks of
+// its node_bank instead. The contract for ALL is
 // BIT IDENTITY with the reference engine — not statistical agreement:
 // trial records, full metrics dumps, and event-for-event trace NDJSON must
 // all be byte-equal, across protocols, graph families, fault models, the
@@ -465,31 +467,36 @@ struct engine_observation {
 /// Factory so each engine gets a fresh, identically-configured model.
 using fault_factory = std::function<std::unique_ptr<fault::fault_model>()>;
 
+/// `labels` (run_options::labels) is a labelling for the traced run; trial
+/// batches carry none, so a labelled observation is that run alone.
 engine_observation observe(const graph& g, const protocol& proto,
                            step_engine engine, const fault_factory& faults,
-                           int threads, int step_threads = 1) {
+                           int threads, int step_threads = 1,
+                           const std::vector<node_id>& labels = {}) {
   engine_observation out;
 
   // Trial batch with metrics, through the requested executor. Grain 1
   // forces intra-step sharding even on these tiny graphs whenever
   // step_threads > 1.
-  obs::metrics_registry metrics;
-  std::unique_ptr<fault::fault_model> model =
-      faults ? faults() : nullptr;
-  trial_options topts;
-  topts.trials = 4;
-  topts.base_seed = 101;
-  topts.max_steps = 200'000;
-  topts.metrics = &metrics;
-  topts.faults = model.get();
-  topts.engine = engine;
-  topts.verify_sleepers = engine != step_engine::reference;
-  topts.threads = threads;
-  topts.step_threads = step_threads;
-  topts.step_shard_grain = step_threads > 1 ? 1 : 0;
-  out.records = threads == 0 ? run_trials(g, proto, topts)
-                             : parallel_run_trials(g, proto, topts);
-  out.metrics_dump = metrics.to_json().dump();
+  if (labels.empty()) {
+    obs::metrics_registry metrics;
+    std::unique_ptr<fault::fault_model> model =
+        faults ? faults() : nullptr;
+    trial_options topts;
+    topts.trials = 4;
+    topts.base_seed = 101;
+    topts.max_steps = 200'000;
+    topts.metrics = &metrics;
+    topts.faults = model.get();
+    topts.engine = engine;
+    topts.verify_sleepers = engine != step_engine::reference;
+    topts.threads = threads;
+    topts.step_threads = step_threads;
+    topts.step_shard_grain = step_threads > 1 ? 1 : 0;
+    out.records = threads == 0 ? run_trials(g, proto, topts)
+                               : parallel_run_trials(g, proto, topts);
+    out.metrics_dump = metrics.to_json().dump();
+  }
 
   // One traced single run (separate from the batch so the trace covers a
   // known seed regardless of executor sharding). No metrics registry here,
@@ -506,6 +513,7 @@ engine_observation observe(const graph& g, const protocol& proto,
   ropts.verify_sleepers = engine != step_engine::reference;
   ropts.step_threads = step_threads;
   ropts.step_shard_grain = step_threads > 1 ? 1 : 0;
+  ropts.labels = labels;
   run_broadcast(g, proto, ropts);
   std::ostringstream os;
   tr.to_ndjson(os);
@@ -543,24 +551,25 @@ void expect_observations_equal(const engine_observation& ref,
 
 void expect_engines_agree(const graph& g, const protocol& proto,
                           const fault_factory& faults, int threads,
-                          const std::string& what) {
+                          const std::string& what,
+                          const std::vector<node_id>& labels = {}) {
   const engine_observation ref =
-      observe(g, proto, step_engine::reference, faults, threads);
+      observe(g, proto, step_engine::reference, faults, threads, 1, labels);
 
   // The soa engine: serial, and intra-step sharded at 2 and 8 threads
   // (grain 1). Every variant must match the reference byte-for-byte.
   for (int st : {1, 2, 8}) {
     const engine_observation soa =
-        observe(g, proto, step_engine::soa, faults, threads, st);
+        observe(g, proto, step_engine::soa, faults, threads, st, labels);
     expect_observations_equal(ref, soa,
                               what + "/soa@st" + std::to_string(st));
   }
   // The virtual leg: with the traits form hidden, the reference loop
-  // drives one traits_node per node through the virtual adapter — the
-  // per-node path the lower-bound adversary and user code take.
+  // drives the protocol's node_bank through the virtual adapter — the
+  // by-index path the lower-bound adversary takes.
   const virtual_view view(proto);
   const engine_observation virt =
-      observe(g, view, step_engine::reference, faults, threads);
+      observe(g, view, step_engine::reference, faults, threads, 1, labels);
   expect_observations_equal(ref, virt, what + "/virtual");
 }
 
@@ -610,8 +619,9 @@ TEST(EngineDifferentialTest, DfsKnownWithoutATraitsForm) {
   // outside its POD state (the name predates its traits form). The soa
   // legs at 2 and 8 threads (grain 1) shard phase 1 across those rows and
   // must match the reference byte for byte, as must the virtual leg, whose
-  // nodes own their flags — fault-free and under retain-mode
-  // crash-recovery, which can strand the token.
+  // bank owns its own rows and flags — fault-free, under retain-mode
+  // crash-recovery, which can strand the token, and under a permuted
+  // labelling, which the bank's rows must follow.
   rng topo_gen(341);
   std::vector<std::pair<std::string, graph>> graphs;
   graphs.emplace_back("gnp24", make_gnp_connected(24, 0.15, topo_gen));
@@ -624,10 +634,16 @@ TEST(EngineDifferentialTest, DfsKnownWithoutATraitsForm) {
     o.downtime = 6;
     return std::make_unique<fault::recovery_model>(o);
   };
+  rng label_gen(343);
   for (const auto& [gtag, g] : graphs) {
     const dfs_known_protocol proto(g);
     expect_engines_agree(g, proto, nullptr, 0, gtag + "/dfs-known");
     expect_engines_agree(g, proto, retain, 0, gtag + "/retain/dfs-known");
+    std::vector<node_id> perm(static_cast<std::size_t>(g.node_count()));
+    std::iota(perm.begin(), perm.end(), node_id{0});
+    std::shuffle(perm.begin() + 1, perm.end(), label_gen);  // source keeps 0
+    expect_engines_agree(g, proto, nullptr, 0, gtag + "/permuted/dfs-known",
+                         perm);
   }
 }
 
@@ -824,12 +840,13 @@ TEST(EngineDifferentialTest, CalendarFarWakesAndRecoveries) {
 }
 
 TEST(EngineDifferentialTest, VirtualViewOnSoa) {
-  // The soa loop never polls a dormant node, so a traits_node first hears
-  // a message in a step in which its on_step did not run: the adapter must
-  // run begin_step from on_receive itself (Interleaved's on_receive reads
-  // the step hoists). The view hides next_poll too, so this is the plain
-  // awake-set walk with every awake node polled. verify_sleepers also
-  // sweeps the dormant traits_nodes.
+  // The soa loop never polls a dormant node, so a node first hears a
+  // message in a step in which its on_step did not run: the bank's
+  // begin_step, which the adapter forwards once per step, must already
+  // have run (Interleaved's on_receive reads the step hoists). The view
+  // hides next_poll too, so this is the plain awake-set walk with every
+  // awake node polled. verify_sleepers also sweeps the dormant nodes
+  // through the bank.
   rng topo_gen(337);
   const graph g = make_gnp_connected(24, 0.15, topo_gen);
   for (const std::string proto_name :

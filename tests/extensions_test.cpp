@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -146,13 +147,31 @@ TEST(DfsKnownTest, EveryLabellingWalksTheSameDfs) {
   // A node knows its neighbors' labels, not their node ids, so the walk
   // must not depend on how labels are assigned: the path is informed at
   // step 9 and the tree halts at 3n − 1 under dense, permuted and sparse
-  // labellings alike.
+  // labellings alike. virtual_view drives the same labelling through the
+  // protocol's bank, on both engines, and must reproduce the protocol's
+  // own run.
   const auto run_labelled = [](const graph& g, std::vector<node_id> labels,
                                node_id r, stop_condition stop) {
     const dfs_known_protocol proto(g);
     run_options opts = capped(100'000, stop);
     opts.labels = std::move(labels);
-    return run_broadcast_with_r(g, proto, r, opts);
+    const run_result own = run_broadcast_with_r(g, proto, r, opts);
+    const virtual_view view(proto);
+    for (const step_engine engine :
+         {step_engine::reference, step_engine::soa}) {
+      opts.engine = engine;
+      const run_result viewed = run_broadcast_with_r(g, view, r, opts);
+      const std::string what =
+          std::string("view on ") +
+          (engine == step_engine::soa ? "soa" : "reference") +
+          ", r=" + std::to_string(r);
+      EXPECT_EQ(viewed.outcome, own.outcome) << what;
+      EXPECT_EQ(viewed.steps, own.steps) << what;
+      EXPECT_EQ(viewed.informed_at, own.informed_at) << what;
+      EXPECT_EQ(viewed.transmissions_per_node, own.transmissions_per_node)
+          << what;
+    }
+    return own;
   };
   const graph path = make_path(6);
   const std::vector<std::pair<std::vector<node_id>, node_id>> path_labels = {

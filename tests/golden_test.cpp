@@ -4,12 +4,12 @@
 // complete layered, random tree), fault-free and under retain-mode
 // crash-recovery. A digest folds the run's steps, informed_step,
 // transmissions, collisions, deliveries and the full informed_at vector.
-// The lower-bound adversary is pinned too: it drives protocol nodes through
-// protocol::make_node, so its edge lists cover the per-node path that the
-// engines do not take.
+// The lower-bound adversary is pinned too: it drives the protocol's
+// node_bank by node index, so its edge lists cover the by-index path that
+// the engines do not take.
 //
-// The values were captured from the hand-written protocol_node classes that
-// predate the single traits implementation (dfs_known's from its last
+// The values were captured from the hand-written per-node protocol classes
+// that predate the single traits implementation (dfs_known's from its last
 // hand-written node, on the per-node reference loop); any behavioural
 // drift in a protocol, in the traits adapter, or in the engine routing
 // changes a digest. A mismatch prints the observed pin line.

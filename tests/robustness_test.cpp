@@ -45,11 +45,7 @@ class silent_protocol final : public protocol {
  public:
   std::string name() const override { return "silent"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override {
-    return make_traits_node(silent_traits(params.r), label, params);
-  }
-  soa_entry soa_runner() const override {
+  const soa_entry* soa_runner() const override {
     return &soa_entry_for<silent_traits>;
   }
 };
@@ -74,12 +70,7 @@ class uninformed_source_protocol final : public protocol {
  public:
   std::string name() const override { return "broken-source"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override {
-    return make_traits_node(uninformed_source_traits(params.r), label,
-                            params);
-  }
-  soa_entry soa_runner() const override {
+  const soa_entry* soa_runner() const override {
     return &soa_entry_for<uninformed_source_traits>;
   }
 };

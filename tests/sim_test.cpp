@@ -13,7 +13,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "core/dfs_known.h"
@@ -82,37 +81,16 @@ class scripted_protocol final : public protocol {
   std::string name() const override { return "scripted"; }
   bool deterministic() const override { return true; }
 
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override {
-    return make_traits_node(traits(), label, params);
+  const soa_entry* soa_runner() const override {
+    return &soa_entry_for<&scripted_protocol::traits>;
   }
-  soa_entry soa_runner() const override { return &run; }
 
  private:
-  scripted_soa_traits traits() const { return {&scripts_, observer_}; }
-  static run_result run(const graph& g, const protocol& proto, node_id r,
-                        const run_options& opts) {
-    return run_broadcast_soa(
-        g, static_cast<const scripted_protocol&>(proto).traits(), r, opts);
-  }
+  scripted_soa_traits traits(node_id) const { return {&scripts_, observer_}; }
 
   script_map scripts_;
   script_observer* observer_;
 };
-
-// protocol_node is sealed: its constructor is private to traits_node, so a
-// hand-written node — even one that overrides every hook — cannot be built.
-class hand_written final : public protocol_node {
- public:
-  std::optional<message> on_step(const node_context&) override {
-    return std::nullopt;
-  }
-  void on_receive(const node_context&, const message&) override {}
-  bool informed() const override { return false; }
-  bool halted() const override { return false; }
-  void on_restart(const node_context&) override {}
-};
-static_assert(!std::is_default_constructible_v<hand_written>);
 
 run_options capped(std::int64_t max_steps) {
   run_options o;
@@ -292,11 +270,7 @@ class slotted_protocol final : public protocol {
  public:
   std::string name() const override { return "slotted"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override {
-    return make_traits_node(slotted_traits(params.r), label, params);
-  }
-  soa_entry soa_runner() const override {
+  const soa_entry* soa_runner() const override {
     return &soa_entry_for<slotted_traits>;
   }
 };
@@ -391,18 +365,12 @@ class hopping_protocol final : public protocol {
 
   std::string name() const override { return "hopping"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override {
-    return make_traits_node(traits_, label, params);
+  const soa_entry* soa_runner() const override {
+    return &soa_entry_for<&hopping_protocol::traits>;
   }
-  soa_entry soa_runner() const override { return &run; }
 
  private:
-  static run_result run(const graph& g, const protocol& proto, node_id r,
-                        const run_options& opts) {
-    return run_broadcast_soa(
-        g, static_cast<const hopping_protocol&>(proto).traits_, r, opts);
-  }
+  hopping_soa_traits traits(node_id) const { return traits_; }
 
   script_map scripts_;
   hopping_soa_traits traits_;
@@ -807,10 +775,10 @@ TEST(SimTest, PollingWalkFollowsTheAwakeMask) {
   }
 }
 
-// A traits whose on_receive reads its begin_step hoist: the adapter that
-// make_node returns must hoist before a reception in a step where on_step
+// A traits whose on_receive reads its begin_step hoist: a bank's driver
+// calls begin_step once per step, and a reception in a step where on_step
 // never ran (a dormant node's first delivery, or the adversary feeding a
-// candidate), and again before a restart.
+// candidate) must see that step's hoist.
 struct hoist_probe_traits {
   std::int64_t hoisted = -1;
 
@@ -841,21 +809,46 @@ struct hoist_probe_traits {
   }
 };
 
-TEST(SimTest, TraitsNodeHoistsBeforeEveryHook) {
+hoist_probe_traits hoist_probe(node_id) { return {}; }
+
+class hoist_probe_protocol final : public protocol {
+ public:
+  std::string name() const override { return "hoist-probe"; }
+  bool deterministic() const override { return true; }
+  const soa_entry* soa_runner() const override {
+    return &soa_entry_for<hoist_probe>;
+  }
+};
+
+TEST(SimTest, BankHoistsOncePerStepForEveryHook) {
+  const graph g = make_path(4);
+  const hoist_probe_protocol proto;
+  run_options opts;
+  opts.labels = {0, 3, 1, 2};
+  const std::unique_ptr<node_bank> bank =
+      proto.soa_runner()->make_bank(g, proto, 3, opts);
   rng gen(5);
-  const auto node = make_traits_node(hoist_probe_traits{}, 3,
-                                     protocol_params{7, -1});
-  EXPECT_FALSE(node->informed());
-  node->on_receive(node_context{4, &gen, nullptr}, message{});
+  EXPECT_TRUE(bank->informed(0));
+  EXPECT_FALSE(bank->informed(1));
+  bank->begin_step(4);
+  bank->on_receive(1, node_context{4, &gen, nullptr}, message{});
+  bank->begin_step(6);
   const std::optional<message> out =
-      node->on_step(node_context{6, &gen, nullptr});
+      bank->on_step(1, node_context{6, &gen, nullptr});
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->a, 4);  // the reception saw step 4's hoist
-  EXPECT_EQ(out->b, 6);  // the step saw its own
-  node->on_restart(node_context{9, &gen, nullptr});
-  EXPECT_FALSE(node->informed());
-  node->on_receive(node_context{9, &gen, nullptr}, message{});
-  EXPECT_EQ(node->on_step(node_context{10, &gen, nullptr})->a, 9);
+  EXPECT_EQ(out->from, 3);  // node 1 carries label 3
+  EXPECT_EQ(out->a, 4);     // the reception saw step 4's hoist
+  EXPECT_EQ(out->b, 6);     // the step saw its own
+  // reset(v) returns what init made: uninformed, no hoist heard.
+  bank->reset(1);
+  EXPECT_FALSE(bank->informed(1));
+  EXPECT_FALSE(bank->on_step(1, node_context{7, &gen, nullptr}).has_value());
+  bank->begin_step(9);
+  bank->on_receive(1, node_context{9, &gen, nullptr}, message{});
+  EXPECT_EQ(bank->on_step(1, node_context{9, &gen, nullptr})->a, 9);
+  bank->reset(0);
+  EXPECT_TRUE(bank->informed(0));
+  EXPECT_EQ(bank->on_step(0, node_context{9, &gen, nullptr})->a, -1);
 }
 
 TEST(SimTest, VirtualViewHidesTheTraitsForm) {
@@ -936,18 +929,12 @@ class thread_probe_protocol final : public protocol {
 
   std::string name() const override { return "thread-probe"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override {
-    return make_traits_node(traits_, label, params);
+  const soa_entry* soa_runner() const override {
+    return &soa_entry_for<&thread_probe_protocol::traits>;
   }
-  soa_entry soa_runner() const override { return &run; }
 
  private:
-  static run_result run(const graph& g, const protocol& proto, node_id r,
-                        const run_options& opts) {
-    return run_broadcast_soa(
-        g, static_cast<const thread_probe_protocol&>(proto).traits_, r, opts);
-  }
+  thread_probe_traits traits(node_id) const { return traits_; }
 
   thread_probe_traits traits_;
 };
@@ -966,7 +953,7 @@ TEST(SimTest, DefaultRunNeverShards) {
   EXPECT_FALSE(off_thread.load()) << "a default-options run sharded";
 
   // Asked to, the traits form shards — and so does its virtual view, whose
-  // nodes each own a traits copy.
+  // workers share one bank.
   run_options threaded = opts;
   threaded.step_threads = 4;
   threaded.step_shard_grain = 1;

@@ -118,7 +118,7 @@ TEST(StressTest, SoaMatchesPollingAtScale) {
   // Record-level spot check at a size the differential matrix (which runs
   // every engine × fault × thread combination on small graphs) cannot
   // afford: one seed, n = 50k, the SoA traits vs the virtual_view walk
-  // over traits_node objects must agree exactly.
+  // over the bank's virtual hooks must agree exactly.
   const node_id n = 50'000;
   graph g = make_complete_layered_fat(n, 32, /*fat_index=*/1);
   const auto proto = make_protocol("decay", n - 1);

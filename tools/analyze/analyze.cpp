@@ -1297,11 +1297,10 @@ const std::vector<pass_info>& passes() {
        "wall-clock reads only flow into wall_ms-family outputs, and every "
        "rng construction derives from a seeded stream (util/rng.h)"},
       {"contract",
-       "protocols exposing soa_runner() ship SoA traits with POD state, "
-       "the full hook set including on_restart, and exact "
-       "begin_step(std::int64_t) and std::int64_t next_poll(const state&, "
-       "std::int64_t) const signatures; a src/core file defining traits "
-       "defines no protocol_node subclass"},
+       "a soa_runner() that returns an entry has *_soa_traits in its file, "
+       "and every traits struct has POD state, the full hook set including "
+       "on_restart, and exact begin_step(std::int64_t) and std::int64_t "
+       "next_poll(const state&, std::int64_t) const signatures"},
       {"hot-path",
        "no heap allocation (including the temporary buffer of "
        "inplace_merge/stable_sort/stable_partition), std::string, throw, "

@@ -33,15 +33,16 @@
 //                 must derive from a seeded stream (util/rng.h): a numeric
 //                 literal, a *seed*/*salt* expression, mix_seed/splitmix64,
 //                 split(), or another generator.
-//   P3 contract   every protocol exposing soa_runner() ships SoA traits
-//                 whose `struct state` avoids owning/non-trivially-copyable
+//   P3 contract   a soa_runner() definition that returns an entry
+//                 (`return &…`) needs SoA traits — a `*_soa_traits`
+//                 struct — in the same file. Every such struct has a
+//                 `struct state` free of owning/non-trivially-copyable
 //                 members, implements the full hook set (init, on_step,
 //                 on_receive, informed, halted, on_restart — restart
-//                 tolerance is mandatory), and declares any begin_step hook
-//                 with the exact signature the engine detects
-//                 (`begin_step(std::int64_t)`). A src/core file that
-//                 defines SoA traits may not also define a protocol_node
-//                 subclass: the traits are the only implementation.
+//                 tolerance is mandatory), and declares any begin_step and
+//                 next_poll hook with the exact signature the engine
+//                 detects (`begin_step(std::int64_t)`, `std::int64_t
+//                 next_poll(const state&, std::int64_t) const`).
 //   P4 hot-path   no heap allocation, std::string construction, throw,
 //                 iostream, or string-keyed metric lookup (get_counter,
 //                 get_gauge, get_histogram, get_series) inside the
