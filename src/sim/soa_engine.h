@@ -723,7 +723,7 @@ run_result run_broadcast_soa(const graph& g, const Traits& traits, node_id r,
 /// by node index. The lower-bound adversary and virtual_view's adapter
 /// (sim/simulator.cpp) drive one; soa_entry::make_bank builds it.
 ///
-/// The driver calls begin_step once per step, serially, before any other
+/// Its user calls begin_step once per step, serially, before any other
 /// hook of that step (on_restart aside, which runs before it), as soa_run
 /// does. The hooks never hoist for themselves, so the workers of a sharded
 /// step that share a bank only read its traits.

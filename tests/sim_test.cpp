@@ -775,7 +775,7 @@ TEST(SimTest, PollingWalkFollowsTheAwakeMask) {
   }
 }
 
-// A traits whose on_receive reads its begin_step hoist: a bank's driver
+// A traits whose on_receive reads its begin_step hoist: a bank's user
 // calls begin_step once per step, and a reception in a step where on_step
 // never ran (a dormant node's first delivery, or the adversary feeding a
 // candidate) must see that step's hoist.
