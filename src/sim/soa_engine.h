@@ -23,8 +23,8 @@
 //     is a linear walk over dense arrays;
 //   * DISPATCH: the step loop is templated on the protocol's Traits, so
 //     traits.on_step inlines into the loop body. Runtime protocol selection
-//     happens ONCE per run (protocol::soa_runner returns the entry function
-//     pointer for this translation unit's instantiation), not per step;
+//     happens ONCE per run (protocol::soa_runner returns the entry pair
+//     for this translation unit's instantiation), not per step;
 //   * SHARDING: phase 1 (transmit decisions) and phase 2 (reception scan)
 //     of a SINGLE step can fan out over an exec::thread_pool
 //     (run_options::step_threads) and still produce bit-identical results.
